@@ -67,14 +67,16 @@ def expand_replication(graph: InfluenceGraph) -> InfluenceGraph:
             images[fcm.name] = [fcm.name]
             expanded.add_fcm(graph.fcm(fcm.name))
 
-    for src, dst, weight in graph.influence_edges():
-        factors = graph.factors(src, dst)
-        for src_image in images[src]:
-            for dst_image in images[dst]:
-                if factors:
-                    expanded.set_influence(src_image, dst_image, factors=factors)
-                else:
-                    expanded.set_influence(src_image, dst_image, weight)
+    # One pass over the source edges, emitting every image pair in
+    # source-edge order; a factor edge's images keep its factor tuple.
+    expanded.set_influences(
+        (src_image, dst_image, None, factors)
+        if factors
+        else (src_image, dst_image, weight, None)
+        for src, dst, weight, factors in graph.influence_edge_factors()
+        for src_image in images[src]
+        for dst_image in images[dst]
+    )
     return expanded
 
 

@@ -155,8 +155,10 @@ class Digraph:
     ) -> None:
         """Unchecked edge insert for bulk graph construction.
 
-        Both endpoints must already exist and the edge must not; callers
-        (graph copies, ``InfluenceGraph.as_digraph``) guarantee this.
+        Both endpoints must already exist and the pair must not be a
+        self-loop; callers (``InfluenceGraph.set_influences`` and
+        ``as_digraph``) guarantee this.  An existing edge is overwritten
+        in place and keeps its insertion position.
         """
         self._succ[source][target] = weight
         self._pred[target][source] = weight

@@ -106,39 +106,68 @@ class InfluenceGraph:
         path) or a tuple of ``factors`` (Eqs. 1-2) must be given.  Returns
         the stored weight.  Setting an influence of exactly 0 removes the
         edge (absence means no influence); replica links are not touchable
-        through this method.
+        through this method.  A one-edge call to :meth:`set_influences`.
         """
-        self._require(source)
-        self._require(target)
-        if (value is None) == (factors is None):
-            raise InfluenceError("provide exactly one of value= or factors=")
-        factor_tuple: tuple[InfluenceFactor, ...] = tuple(factors or ())
-        if factors is not None:
-            value = influence_from_factors(
-                factor_tuple, context=f"influence {source!r} -> {target!r}"
-            )
-        assert value is not None
-        if not 0.0 <= value <= 1.0:
-            raise ProbabilityError(
-                f"influence {source!r} -> {target!r} must be in [0, 1], "
-                f"got {value}"
-            )
-        if self.is_replica_link(source, target):
-            raise InfluenceError(
-                f"{source!r} and {target!r} are replicas; their link weight "
-                "is fixed at 0"
-            )
+        self.set_influences(((source, target, value, factors),))
+        return self._graph.adjacency()[source].get(target, 0.0)
+
+    def set_influences(
+        self,
+        edges: Iterable[
+            tuple[str, str, float | None, Iterable[InfluenceFactor] | None]
+        ],
+    ) -> None:
+        """Install ``(source, target, value, factors)`` edges, in order.
+
+        The only way this graph gains influence edges.  Each edge is
+        checked in this order: both endpoints exist; exactly one of
+        ``value`` and ``factors`` is given; factors combine by Eq. (2);
+        the value is in [0, 1]; the pair is not a replica link.  A value
+        of 0 then removes the edge, and only a non-zero self-loop is
+        rejected.  A repeated pair overwrites the edge in place, keeping
+        its insertion position.
+
+        ``edges`` is consumed lazily.  When an edge is rejected, the
+        edges before it stay installed and the error propagates.
+        """
+        fcms = self._fcms
+        partners = self._replica_partners
+        succ = self._graph.adjacency()
+        install = self._graph._install_edge
         self._version += 1
-        if value == 0.0:
-            if self._graph.has_edge(source, target):
-                self._graph.remove_edge(source, target)
-            return 0.0
-        if self._graph.has_edge(source, target):
-            self._graph.set_weight(source, target, value)
-            self._graph.edge_data(source, target)["factors"] = factor_tuple
-        else:
-            self._graph.add_edge(source, target, value, factors=factor_tuple, replica=False)
-        return value
+        for source, target, value, factors in edges:
+            if source not in fcms:
+                self._require(source)
+            if target not in fcms:
+                self._require(target)
+            if (value is None) == (factors is None):
+                raise InfluenceError("provide exactly one of value= or factors=")
+            factor_tuple: tuple[InfluenceFactor, ...] = ()
+            if factors is not None:
+                factor_tuple = tuple(factors)
+                value = influence_from_factors(
+                    factor_tuple, context=f"influence {source!r} -> {target!r}"
+                )
+            if not 0.0 <= value <= 1.0:
+                raise ProbabilityError(
+                    f"influence {source!r} -> {target!r} must be in [0, 1], "
+                    f"got {value}"
+                )
+            if target in partners.get(source, _EMPTY_SET):
+                raise InfluenceError(
+                    f"{source!r} and {target!r} are replicas; their link weight "
+                    "is fixed at 0"
+                )
+            if value == 0.0:
+                if target in succ[source]:
+                    self._graph.remove_edge(source, target)
+                continue
+            if source == target:
+                raise GraphError(f"self-loop rejected on node {source!r}")
+            install(
+                source, target, float(value),
+                {"factors": factor_tuple, "replica": False},
+            )
 
     def influence(self, source: str, target: str) -> float:
         """Influence of ``source`` on ``target``; 0.0 when no edge exists.
@@ -185,6 +214,26 @@ class InfluenceGraph:
                 if dst in skip:
                     continue
                 yield src, dst, w, payloads[(src, dst)].get("factors", ())
+
+    def reachable(self, start: str) -> set[str]:
+        """FCMs reachable from ``start`` along influence edges.
+
+        ``start`` is included.  Replica links carry no influence, so the
+        walk never crosses one.
+        """
+        self._require(start)
+        succ = self._graph.adjacency()
+        partners = self._replica_partners
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            skip = partners.get(node, _EMPTY_SET)
+            for nxt in succ[node]:
+                if nxt not in seen and nxt not in skip:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
 
     def mutual_influence(self, a: str, b: str) -> float:
         """Sum of influences in each direction (H1's merge criterion)."""

@@ -117,22 +117,26 @@ def _load_influence(
     graph: InfluenceGraph,
     data: dict[str, Any],
 ) -> None:
-    for edge in data.get("edges", []):
-        if "factors" in edge:
-            factors = [
-                InfluenceFactor(
-                    FactorKind(f["kind"]),
-                    f["p_occurrence"],
-                    f["p_transmission"],
-                    f["p_effect"],
-                )
-                for f in edge["factors"]
-            ]
-            graph.set_influence(edge["source"], edge["target"], factors=factors)
-        else:
-            graph.set_influence(edge["source"], edge["target"], edge["value"])
+    graph.set_influences(
+        (edge["source"], edge["target"], None, _load_factors(edge["factors"]))
+        if "factors" in edge
+        else (edge["source"], edge["target"], edge["value"], None)
+        for edge in data.get("edges", [])
+    )
     for a, b in data.get("replica_links", []):
         graph.link_replicas(a, b)
+
+
+def _load_factors(entries: list[dict[str, Any]]) -> list[InfluenceFactor]:
+    return [
+        InfluenceFactor(
+            FactorKind(f["kind"]),
+            f["p_occurrence"],
+            f["p_transmission"],
+            f["p_effect"],
+        )
+        for f in entries
+    ]
 
 
 FORMAT_GRAPH = "ddsi-influence-graph"

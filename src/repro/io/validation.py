@@ -20,7 +20,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import ProbabilityError
 from repro.influence.factors import FactorKind
+from repro.influence.probability import combine_probabilities
 from repro.io.serialization import SerializationError
 from repro.model.attributes import SecurityLevel
 from repro.model.fcm import Level
@@ -91,6 +93,10 @@ class _LineFinder:
         return None
 
 
+# Exact types a JSON number loads as (``bool`` is not one of them).
+_PLAIN_NUMBERS = (float, int)
+
+
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -105,8 +111,10 @@ def validate_system_dict(
 
     Checks the header, FCM entries (names, levels, attribute ranges),
     hierarchy links (endpoints, duplicate parents, cycles), and influence
-    sections (levels, edge endpoints, probability ranges, factor kinds).
-    Returns an empty list when the document is well-formed enough for
+    sections (levels, edge endpoints, self-loops, probability ranges,
+    factor kinds, replica links between FCMs of one original that no
+    influence edge joins).  Returns an empty list when the document is
+    well-formed enough for
     :func:`~repro.io.serialization.system_from_dict` to succeed.
     """
     finder = _LineFinder(text)
@@ -360,7 +368,9 @@ def _check_influence(data: dict, flag, fcm_names: dict[str, str]) -> None:
             if lvl == level_name or lvl == ""
         }
         _check_edges(section, path, flag, fcm_names, at_level, level_name)
-        _check_replica_links(section, path, flag, fcm_names, at_level, level_name)
+        _check_replica_links(
+            section, path, flag, fcm_names, at_level, level_name, data.get("fcms")
+        )
 
 
 def _check_edges(
@@ -376,38 +386,68 @@ def _check_edges(
         flag(f"{path}.edges", f"must be a list, got {type(edges).__name__}")
         return
     for i, edge in enumerate(edges):
-        epath = f"{path}.edges[{i}]"
-        if not isinstance(edge, dict):
-            flag(epath, "must be an object")
-            continue
-        for role in ("source", "target"):
-            value = edge.get(role)
-            if not isinstance(value, str) or not value:
-                flag(f"{epath}.{role}", f"missing or invalid {role} (got {value!r})")
-            elif fcm_names and value not in fcm_names:
-                flag(f"{epath}.{role}", f"references unknown FCM {value!r}", value)
-            elif at_level and value not in at_level:
-                flag(
-                    f"{epath}.{role}",
-                    f"FCM {value!r} is not at level {level_name}",
-                    value,
-                )
-        has_value = "value" in edge
-        has_factors = "factors" in edge
-        if has_value == has_factors:
-            flag(epath, "must carry exactly one of 'value' or 'factors'")
-            continue
-        if has_value:
-            value = edge["value"]
-            if not _is_number(value):
-                flag(f"{epath}.value", f"must be a number, got {value!r}")
-            elif not 0.0 <= value <= 1.0:
-                flag(
-                    f"{epath}.value",
-                    f"influence probability must be in [0, 1], got {value}",
-                )
-        else:
-            _check_factors(edge["factors"], f"{epath}.factors", flag)
+        # One cheap test passes a well-formed value edge between two
+        # distinct FCMs of this level; only the edges that fail it pay
+        # for the per-field checks and their JSON paths.
+        if type(edge) is dict and "factors" not in edge:
+            source = edge.get("source")
+            target = edge.get("target")
+            value = edge.get("value")
+            if (
+                type(source) is str
+                and type(target) is str
+                and source != target
+                and source in at_level
+                and target in at_level
+                and type(value) in _PLAIN_NUMBERS
+                and 0.0 <= value <= 1.0
+            ):
+                continue
+        _check_edge(edge, f"{path}.edges[{i}]", flag, fcm_names, at_level, level_name)
+
+
+def _check_edge(
+    edge: Any,
+    epath: str,
+    flag,
+    fcm_names: dict[str, str],
+    at_level: set[str],
+    level_name: str,
+) -> None:
+    if not isinstance(edge, dict):
+        flag(epath, "must be an object")
+        return
+    for role in ("source", "target"):
+        value = edge.get(role)
+        if not isinstance(value, str) or not value:
+            flag(f"{epath}.{role}", f"missing or invalid {role} (got {value!r})")
+        elif fcm_names and value not in fcm_names:
+            flag(f"{epath}.{role}", f"references unknown FCM {value!r}", value)
+        elif at_level and value not in at_level:
+            flag(
+                f"{epath}.{role}",
+                f"FCM {value!r} is not at level {level_name}",
+                value,
+            )
+    source = edge.get("source")
+    if isinstance(source, str) and source and source == edge.get("target"):
+        flag(epath, f"FCM {source!r} cannot influence itself (self-loop)", source)
+    has_value = "value" in edge
+    has_factors = "factors" in edge
+    if has_value == has_factors:
+        flag(epath, "must carry exactly one of 'value' or 'factors'")
+        return
+    if has_value:
+        value = edge["value"]
+        if not _is_number(value):
+            flag(f"{epath}.value", f"must be a number, got {value!r}")
+        elif not 0.0 <= value <= 1.0:
+            flag(
+                f"{epath}.value",
+                f"influence probability must be in [0, 1], got {value}",
+            )
+    else:
+        _check_factors(edge["factors"], f"{epath}.factors", flag)
 
 
 def _check_factors(factors: Any, path: str, flag) -> None:
@@ -447,6 +487,7 @@ def _check_replica_links(
     fcm_names: dict[str, str],
     at_level: set[str],
     level_name: str,
+    fcms: Any,
 ) -> None:
     links = section.get("replica_links", [])
     if not isinstance(links, list):
@@ -455,6 +496,9 @@ def _check_replica_links(
             f"must be a list, got {type(links).__name__}",
         )
         return
+    # Built on the first well-formed link: most sections have none.
+    origins: dict[str, str] | None = None
+    live: set[tuple[str, str]] | None = None
     for i, pair in enumerate(links):
         lpath = f"{path}.replica_links[{i}]"
         if (
@@ -465,10 +509,76 @@ def _check_replica_links(
             flag(lpath, f"must be a pair of FCM names, got {pair!r}")
             continue
         a, b = pair
-        if a == b:
+        ok = a != b
+        if not ok:
             flag(lpath, f"FCM {a!r} linked as a replica of itself", a)
         for name in pair:
             if fcm_names and name not in fcm_names:
                 flag(lpath, f"references unknown FCM {name!r}", name)
+                ok = False
             elif at_level and name not in at_level:
                 flag(lpath, f"FCM {name!r} is not at level {level_name}", name)
+                ok = False
+        if not ok:
+            continue
+        if origins is None:
+            origins = _replica_origins(fcms)
+            live = _live_pairs(section.get("edges", []))
+        pair_origins = {origins.get(a, a), origins.get(b, b)}
+        if len(pair_origins) != 1:
+            flag(
+                lpath,
+                f"{a!r} and {b!r} are not replicas of the same original "
+                f"(origins {sorted(pair_origins)!r})",
+                a,
+            )
+        for src, dst in ((a, b), (b, a)):
+            if (src, dst) in live:
+                flag(
+                    lpath,
+                    f"influence edge {src!r} -> {dst!r} already exists; "
+                    "replicas cannot also influence each other",
+                    src,
+                )
+
+
+def _replica_origins(fcms: Any) -> dict[str, str]:
+    """FCM name -> the original it replicates, for declared replicas."""
+    if not isinstance(fcms, list):
+        return {}
+    return {
+        entry["name"]: entry["replica_of"]
+        for entry in fcms
+        if isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("replica_of"), str)
+        and entry["replica_of"]
+    }
+
+
+def _live_pairs(edges: Any) -> set[tuple[str, str]]:
+    """``(source, target)`` pairs that load as influence edges.
+
+    Edges apply in document order, so a later zero influence removes an
+    earlier edge.  Malformed edges are flagged on their own and skipped.
+    """
+    live: set[tuple[str, str]] = set()
+    if not isinstance(edges, list):
+        return live
+    for edge in edges:
+        try:
+            pair = (edge["source"], edge["target"])
+            if "factors" in edge:
+                value = combine_probabilities(
+                    f["p_occurrence"] * f["p_transmission"] * f["p_effect"]
+                    for f in edge["factors"]
+                )
+            else:
+                value = edge["value"]
+            if value != 0.0:
+                live.add(pair)
+            else:
+                live.discard(pair)
+        except (TypeError, KeyError, ProbabilityError):
+            continue
+    return live

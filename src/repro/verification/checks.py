@@ -79,8 +79,8 @@ def audit_system(
 
     for level, graph in system.influence.items():
         allowed = ALLOWED_FACTORS.get(level, frozenset(FactorKind))
-        for src, dst, _w in graph.influence_edges():
-            for factor in graph.factors(src, dst):
+        for src, dst, _w, factors in graph.influence_edge_factors():
+            for factor in factors:
                 if factor.kind not in allowed:
                     report.level_discipline.append(
                         f"factor {factor.kind.value} on {src} -> {dst} is "

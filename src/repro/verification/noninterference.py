@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graphs.algorithms import has_path
 from repro.influence.influence_graph import InfluenceGraph
 from repro.influence.separation import compute_separation
 
@@ -69,11 +68,14 @@ def verify_noninterference(
     module (a path would let one replica's fault reach its peer, defeating
     the replication).
     """
-    over_budget = [
-        (src, dst, w)
-        for src, dst, w in graph.influence_edges()
-        if w > influence_budget + 1e-12
-    ]
+    over_budget: list[tuple[str, str, float]] = []
+    # Weights are probabilities, so a budget of 1 or more never trips.
+    if influence_budget < 1.0:
+        over_budget = [
+            (src, dst, w)
+            for src, dst, w in graph.influence_edges()
+            if w > influence_budget + 1e-12
+        ]
 
     under_separated: list[tuple[str, str, float]] = []
     names = graph.fcm_names()
@@ -88,12 +90,12 @@ def verify_noninterference(
                     under_separated.append((src, dst, value))
 
     replica_paths: list[tuple[str, str]] = []
-    digraph = graph.as_digraph(include_replica_links=False)
     for group in graph.replica_groups():
         members = sorted(group)
+        reach = {name: graph.reachable(name) for name in members}
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                if has_path(digraph, a, b) or has_path(digraph, b, a):
+                if b in reach[a] or a in reach[b]:
                     replica_paths.append((a, b))
 
     return NonInterferenceReport(

@@ -14,6 +14,7 @@ from repro.io import (
     validate_system_dict,
 )
 from repro.io.serialization import system_to_dict
+from repro.model import Level
 from repro.workloads import paper_system
 
 
@@ -173,3 +174,87 @@ class TestFuzzMutations:
 
     def test_mutation_count_is_twenty(self):
         assert len(_mutations()) == 20
+
+
+def replica_doc(edges, replica_links) -> dict:
+    """Four processes: ``ra`` and ``rb`` replicate ``r``; ``q`` stands alone."""
+    return {
+        "format": "ddsi-system",
+        "version": 1,
+        "name": "replicas",
+        "fcms": [
+            {"name": "r", "level": "PROCESS"},
+            {"name": "ra", "level": "PROCESS", "replica_of": "r"},
+            {"name": "rb", "level": "PROCESS", "replica_of": "r"},
+            {"name": "q", "level": "PROCESS"},
+        ],
+        "links": [],
+        "influence": {
+            "PROCESS": {"edges": edges, "replica_links": replica_links},
+        },
+    }
+
+
+class TestGraphRulesFlaggedAtPaths:
+    """Defects the graph layer rejects are flagged before it sees them."""
+
+    def assert_flagged(self, doc, path, fragment):
+        issues = validate_system_dict(doc)
+        assert [issue.path for issue in issues] == [path]
+        assert fragment in issues[0].message
+        with pytest.raises(ValidationFailure):
+            system_from_dict(doc)
+
+    def test_self_loop_edge(self):
+        doc = replica_doc([{"source": "q", "target": "q", "value": 0.3}], [])
+        self.assert_flagged(doc, "influence.PROCESS.edges[0]", "self-loop")
+
+    def test_self_loop_factor_edge(self):
+        factor = {"kind": "timing", "p_occurrence": 0.5,
+                  "p_transmission": 0.5, "p_effect": 0.5}
+        doc = replica_doc([{"source": "q", "target": "q", "factors": [factor]}], [])
+        self.assert_flagged(doc, "influence.PROCESS.edges[0]", "self-loop")
+
+    def test_replica_link_across_origins(self):
+        doc = replica_doc([], [["ra", "q"]])
+        self.assert_flagged(
+            doc, "influence.PROCESS.replica_links[0]", "not replicas of the same"
+        )
+
+    def test_replica_link_duplicating_an_edge(self):
+        doc = replica_doc([{"source": "rb", "target": "ra", "value": 0.3}], [["ra", "rb"]])
+        self.assert_flagged(
+            doc, "influence.PROCESS.replica_links[0]", "'rb' -> 'ra' already exists"
+        )
+
+    def test_replica_link_duplicating_a_factor_edge(self):
+        factor = {"kind": "timing", "p_occurrence": 0.5,
+                  "p_transmission": 0.5, "p_effect": 0.5}
+        doc = replica_doc(
+            [{"source": "ra", "target": "rb", "factors": [factor]}], [["ra", "rb"]]
+        )
+        self.assert_flagged(
+            doc, "influence.PROCESS.replica_links[0]", "'ra' -> 'rb' already exists"
+        )
+
+    def test_origin_and_its_replica_may_link(self):
+        doc = replica_doc([], [["r", "ra"], ["ra", "rb"]])
+        assert validate_system_dict(doc) == []
+        graph = system_from_dict(doc).influence[Level.PROCESS]
+        assert graph.is_replica_link("r", "ra")
+        assert graph.is_replica_link("ra", "rb")
+
+    def test_edges_that_load_as_no_influence_do_not_clash(self):
+        # A zero value is no edge, and a later zero removes an earlier edge.
+        zero_factor = {"kind": "timing", "p_occurrence": 0.0,
+                       "p_transmission": 0.5, "p_effect": 0.5}
+        doc = replica_doc(
+            [
+                {"source": "ra", "target": "rb", "value": 0.4},
+                {"source": "ra", "target": "rb", "value": 0.0},
+                {"source": "rb", "target": "ra", "factors": [zero_factor]},
+            ],
+            [["ra", "rb"]],
+        )
+        assert validate_system_dict(doc) == []
+        system_from_dict(doc)

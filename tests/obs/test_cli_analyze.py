@@ -44,7 +44,10 @@ def trace_file(tmp_path):
 
 
 class TestCriticalPath:
-    def test_renders_dominant_path(self, trace_file, capsys):
+    def test_renders_dominant_path(self, tmp_path, capsys):
+        # Both recorded stages are empty, so a GC pause in ``audit`` could
+        # make it the dominant child; inflating ``condense`` pins the path.
+        trace_file = _write_trace(tmp_path / "a.ndjson", condense_s=0.050)
         assert main(["trace", "critical-path", trace_file]) == 0
         out = capsys.readouterr().out
         assert "pipeline" in out
