@@ -32,7 +32,6 @@ from repro.core.framework import FrameworkOptions, Heuristic, IntegrationFramewo
 from repro.exec import ExecPolicy
 from repro.exec.batching import available_cpus
 from repro.faultsim.campaign import run_campaign
-from repro.faultsim.kernel import NUMPY_AVAILABLE
 from repro.obs import PIPELINE_STAGES, Recorder, collect_provenance, use
 from repro.obs.analyze import append_history
 from repro.workloads import HW_NODE_COUNT, paper_system
@@ -48,14 +47,11 @@ def bench_scenario(name, system, hw, heuristic, trials, engine="auto", tolerance
 
     Returns one BENCH entry: total pipeline wall time, per-stage wall
     times (from the recorder's spans), and campaign throughput.
-    ``engine`` pins both the allocation stages (via FrameworkOptions)
-    and the campaign's trial simulator, so scalar and vector entries
-    track separate perf trajectories end to end; the entry records which
-    engine the campaign actually ran.
+    ``engine`` pins the campaign's trial simulator, so scalar and vector
+    entries track separate campaign perf trajectories; the entry records
+    which engine the campaign actually ran.
     """
-    framework = IntegrationFramework(
-        system, FrameworkOptions(heuristic=heuristic, engine=engine)
-    )
+    framework = IntegrationFramework(system, FrameworkOptions(heuristic=heuristic))
     recorder = Recorder()
     t0 = time.perf_counter()
     with use(recorder):
@@ -387,40 +383,39 @@ def run(quick: bool = False) -> list[dict]:
             trials,
         )
     )
-    if NUMPY_AVAILABLE:
-        # The vector kernel amortizes graph compilation over the whole
-        # campaign, so its trials/s swings more between --quick and full
-        # runs than the scalar engines' — hence the looser per-entry
-        # throughput tolerance (committed into the baseline).
-        entries.append(
-            bench_scenario(
-                "generated-200-vector",
-                random_system(
-                    processes=200, tasks_per_process=1, procedures_per_task=1, seed=42
-                ),
-                fully_connected(40),
-                Heuristic.TIMING_PACK,
-                trials,
-                engine="vector",
-                # trials/s swings on the compile amortization (above);
-                # the absolute caps pin the tentpole perf promises: the
-                # whole vector pipeline under 0.2s end-to-end, the
-                # condense/map stages at >= 5x their scalar-era baseline
-                # times (0.119491s / 0.738913s), and audit/expand at
-                # ~1.8x their medians once graph construction became
-                # one batch edge install (6.2ms / 17.7ms).
-                tolerance={
-                    "trials_per_s": 0.9,
-                    "max_wall_s": 0.2,
-                    "max_stage_s": {
-                        "audit": 0.0111,
-                        "expand": 0.0319,
-                        "condense": 0.0239,
-                        "map": 0.1478,
-                    },
+    # The vector kernel amortizes graph compilation over the whole
+    # campaign, so its trials/s swings more between --quick and full
+    # runs than the scalar engines' — hence the looser per-entry
+    # throughput tolerance (committed into the baseline).
+    entries.append(
+        bench_scenario(
+            "generated-200-vector",
+            random_system(
+                processes=200, tasks_per_process=1, procedures_per_task=1, seed=42
+            ),
+            fully_connected(40),
+            Heuristic.TIMING_PACK,
+            trials,
+            engine="vector",
+            # trials/s swings on the compile amortization (above);
+            # the absolute caps pin the tentpole perf promises: the
+            # whole vector pipeline under 0.2s end-to-end, the
+            # condense/map stages at >= 5x their scalar-era baseline
+            # times (0.119491s / 0.738913s), and audit/expand at
+            # ~1.8x their medians once graph construction became
+            # one batch edge install (6.2ms / 17.7ms).
+            tolerance={
+                "trials_per_s": 0.9,
+                "max_wall_s": 0.2,
+                "max_stage_s": {
+                    "audit": 0.0111,
+                    "expand": 0.0319,
+                    "condense": 0.0239,
+                    "map": 0.1478,
                 },
-            )
+            },
         )
+    )
     return entries
 
 

@@ -15,13 +15,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import AllocationError, InfluenceError
+from repro.allocation import compiled
 from repro.allocation.constraints import CombinationPolicy
-from repro.influence.cluster import (
-    cluster_contains_replica_of,
-    clusters_combinable,
-)
+from repro.graphs import matrix
 from repro.influence.influence_graph import InfluenceGraph
-from repro.influence.probability import combine_probabilities
 from repro.model.attributes import AttributeSet, combine_all_grouped
 
 
@@ -58,6 +55,50 @@ class Cluster:
         return name in self.members
 
 
+class _Compiled:
+    """The compiled form of one ``(graph, policy)`` pair, plus query caches.
+
+    The :class:`~repro.graphs.matrix.CompiledInfluence` and the
+    :class:`~repro.allocation.compiled.CompiledPolicy` are built on first
+    use.  Every state derived through :meth:`ClusterState.copy` or
+    :meth:`ClusterState.with_clusters` shares one instance; the caches
+    key on member tuples, so sharing them across partitions is safe.
+    """
+
+    __slots__ = (
+        "graph", "policy", "_influence", "_policy",
+        "rows", "influence_values", "combinable", "attributes",
+    )
+
+    def __init__(self, graph: InfluenceGraph, policy: CombinationPolicy) -> None:
+        self.graph = graph
+        self.policy = policy
+        self._influence = None
+        self._policy = None
+        self.rows: dict = {}
+        self.influence_values: dict = {}
+        self.combinable: dict = {}
+        self.attributes: dict = {}
+
+    # The compile functions are looked up on their defining modules at
+    # call time, so wrappers installed there (tracing hooks) see every
+    # compile.
+    def influence(self) -> matrix.CompiledInfluence:
+        if self._influence is None:
+            from repro.faultsim import kernel
+
+            compiled_graph = kernel.compile_graph(self.graph)
+            self._influence = matrix.CompiledInfluence.from_weights(
+                compiled_graph.names, compiled_graph.weights
+            )
+        return self._influence
+
+    def compiled_policy(self) -> compiled.CompiledPolicy:
+        if self._policy is None:
+            self._policy = compiled.compile_policy(self.graph, self.policy)
+        return self._policy
+
+
 class ClusterState:
     """A partition of the expanded SW graph into clusters.
 
@@ -66,14 +107,11 @@ class ClusterState:
     The original influence graph is never mutated; cluster-level
     influences are computed from it on demand (Eq. 4).
 
-    The vector allocation engine attaches *compiled artifacts* via
-    :meth:`attach_compiled` — a
-    :class:`~repro.graphs.matrix.CompiledInfluence` weight matrix and a
-    :class:`~repro.allocation.compiled.CompiledPolicy` — after which the
-    influence and policy queries answer from member-tuple-keyed caches
-    with bit-identical values.  Heuristics must route policy queries
-    through the ``policy_*`` dispatch methods (never ``state.policy``
-    directly) so both engines share one code path.
+    Influence and policy queries answer from the compiled form of the
+    graph and policy, built once on the first query and cached by member
+    tuple; the graph must stay unmutated from then on.  Heuristics route
+    policy queries through the ``policy_*`` methods (never
+    ``state.policy`` directly) so they share those caches.
     """
 
     def __init__(
@@ -84,12 +122,7 @@ class ClusterState:
     ) -> None:
         self.graph = graph
         self.policy = policy if policy is not None else CombinationPolicy()
-        self._compiled_influence = None
-        self._compiled_policy = None
-        self._rows_cache: dict | None = None
-        self._influence_cache: dict | None = None
-        self._combinable_cache: dict | None = None
-        self._attr_cache: dict | None = None
+        self._compiled = _Compiled(graph, self.policy)
         if clusters is None:
             self.clusters: list[Cluster] = [
                 Cluster((name,)) for name in graph.fcm_names()
@@ -103,56 +136,17 @@ class ClusterState:
                 raise AllocationError(f"unknown FCMs in clusters: {sorted(unknown)}")
             self.clusters = list(clusters)
 
-    # ------------------------------------------------------------------
-    # Compiled artifacts (vector engine)
-    # ------------------------------------------------------------------
-    def attach_compiled(self, influence=None, policy=None) -> None:
-        """Attach compiled artifacts; enables the cached fast paths.
-
-        ``influence`` is a :class:`~repro.graphs.matrix.CompiledInfluence`
-        over this state's graph; ``policy`` a
-        :class:`~repro.allocation.compiled.CompiledPolicy` compiled from
-        ``self.policy``.  The graph must stay unmutated while attached.
-        """
-        if influence is not None:
-            self._compiled_influence = influence
-            self._rows_cache = {}
-            self._influence_cache = {}
-            self._combinable_cache = {}
-            self._attr_cache = {}
-        if policy is not None:
-            self._compiled_policy = policy
-
-    def adopt_compiled(self, other: "ClusterState") -> None:
-        """Share ``other``'s compiled artifacts *and* caches.
-
-        Used by copies and re-seeded states over the same graph; caches
-        are keyed by member tuples, so sharing across partitions is safe.
-        """
-        self._compiled_influence = other._compiled_influence
-        self._compiled_policy = other._compiled_policy
-        self._rows_cache = other._rows_cache
-        self._influence_cache = other._influence_cache
-        self._combinable_cache = other._combinable_cache
-        self._attr_cache = other._attr_cache
-
-    @property
-    def is_compiled(self) -> bool:
-        return self._compiled_influence is not None or self._compiled_policy is not None
-
     def _rows(self, members: tuple[str, ...]) -> list[int]:
-        cache = self._rows_cache
+        cache = self._compiled.rows
         rows = cache.get(members)
         if rows is None:
-            rows = self._compiled_influence.rows(members)
+            rows = self._compiled.influence().rows(members)
             cache[members] = rows
         return rows
 
     def _combinable(self, first: tuple[str, ...], second: tuple[str, ...]) -> bool:
         """Cached :func:`clusters_combinable` (replica-separation predicate)."""
-        cache = self._combinable_cache
-        if cache is None:
-            return clusters_combinable(self.graph, first, second)
+        cache = self._compiled.combinable
         key = (first, second)
         cached = cache.get(key)
         if cached is None:
@@ -205,18 +199,13 @@ class ClusterState:
         if i == j:
             raise AllocationError("influence of a cluster on itself is undefined")
         a, b = self.clusters[i], self.clusters[j]
-        ci = self._compiled_influence
-        if ci is None:
-            return combine_probabilities(
-                self.graph.influence(src, dst)
-                for src in a.members
-                for dst in b.members
-            )
         key = (a.members, b.members)
-        cache = self._influence_cache
+        cache = self._compiled.influence_values
         value = cache.get(key)
         if value is None:
-            value = ci.group_influence(self._rows(a.members), self._rows(b.members))
+            value = self._compiled.influence().group_influence(
+                self._rows(a.members), self._rows(b.members)
+            )
             cache[key] = value
         return value
 
@@ -225,13 +214,10 @@ class ClusterState:
         return self.influence(i, j) + self.influence(j, i)
 
     def replica_related(self, i: int, j: int) -> bool:
+        """Whether the clusters hold replicas of one module (never combinable)."""
         self._check_index(i)
         self._check_index(j)
-        return cluster_contains_replica_of(
-            self.graph,
-            self.clusters[i].members,
-            self.clusters[j].members,
-        ) or not self._combinable(
+        return not self._combinable(
             self.clusters[i].members, self.clusters[j].members
         )
 
@@ -247,38 +233,22 @@ class ClusterState:
         )
 
     # ------------------------------------------------------------------
-    # Policy dispatch (scalar policy or compiled fast path)
+    # Policy queries (answered by the compiled policy)
     # ------------------------------------------------------------------
     def policy_can_combine(self, first: Iterable[str], second: Iterable[str]) -> bool:
-        cp = self._compiled_policy
-        if cp is not None:
-            return cp.can_combine(tuple(first), tuple(second))
-        return self.policy.can_combine(self.graph, first, second)
+        return self._compiled.compiled_policy().can_combine(tuple(first), tuple(second))
 
     def policy_violations(self, first: Iterable[str], second: Iterable[str]) -> list[str]:
-        cp = self._compiled_policy
-        if cp is not None:
-            return cp.violations(tuple(first), tuple(second))
-        return self.policy.violations(self.graph, first, second)
+        return self._compiled.compiled_policy().violations(tuple(first), tuple(second))
 
     def policy_require_combinable(self, first: Iterable[str], second: Iterable[str]) -> None:
-        cp = self._compiled_policy
-        if cp is not None:
-            cp.require_combinable(tuple(first), tuple(second))
-            return
-        self.policy.require_combinable(self.graph, first, second)
+        self._compiled.compiled_policy().require_combinable(tuple(first), tuple(second))
 
     def policy_block_valid(self, members: Iterable[str]) -> bool:
-        cp = self._compiled_policy
-        if cp is not None:
-            return cp.block_valid(tuple(members))
-        return self.policy.block_valid(self.graph, members)
+        return self._compiled.compiled_policy().block_valid(tuple(members))
 
     def policy_block_violations(self, members: Iterable[str]) -> list[str]:
-        cp = self._compiled_policy
-        if cp is not None:
-            return cp.block_violations(tuple(members))
-        return self.policy.block_violations(self.graph, members)
+        return self._compiled.compiled_policy().block_violations(tuple(members))
 
     def attributes(self, i: int) -> AttributeSet:
         """Grouped (§4.3 envelope) combination of the member attributes.
@@ -289,18 +259,14 @@ class ClusterState:
         """
         self._check_index(i)
         members = self.clusters[i].members
-        cache = self._attr_cache
-        if cache is not None:
-            cached = cache.get(members)
-            if cached is None:
-                cached = combine_all_grouped(
-                    [self.graph.fcm(name).attributes for name in members]
-                )
-                cache[members] = cached
-            return cached
-        return combine_all_grouped(
-            [self.graph.fcm(name).attributes for name in members]
-        )
+        cache = self._compiled.attributes
+        cached = cache.get(members)
+        if cached is None:
+            cached = combine_all_grouped(
+                [self.graph.fcm(name).attributes for name in members]
+            )
+            cache[members] = cached
+        return cached
 
     def total_cross_influence(self) -> float:
         """Sum of all inter-cluster influences — the condensation target.
@@ -350,8 +316,15 @@ class ClusterState:
         return lo
 
     def copy(self) -> "ClusterState":
-        clone = ClusterState(self.graph, self.policy, list(self.clusters))
-        clone.adopt_compiled(self)
+        return self.with_clusters(cluster.members for cluster in self.clusters)
+
+    def with_clusters(self, blocks: Iterable[Iterable[str]]) -> "ClusterState":
+        """A state over the same graph and policy, partitioned into
+        ``blocks``, sharing this state's compiled form and caches."""
+        clone = type(self)(
+            self.graph, self.policy, [Cluster(tuple(block)) for block in blocks]
+        )
+        clone._compiled = self._compiled
         return clone
 
     def _check_index(self, i: int) -> None:

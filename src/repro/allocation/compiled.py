@@ -1,4 +1,4 @@
-"""Compiled combination-policy checks for the vectorized allocation path.
+"""Compiled combination-policy checks: how every allocation stage asks them.
 
 Condensation heuristics ask ``can this pair of clusters merge?`` tens of
 thousands of times; the scalar :class:`~repro.allocation.constraints.
@@ -23,11 +23,11 @@ demand comparison uses the same ``_EPS``, and reason *strings* are
 produced by delegating to the scalar policy — the compiled layer only
 fast-paths the (overwhelmingly common) "no violation" answer.
 
-:func:`compile_policy` returns ``None`` when a policy cannot be compiled
-(subclassed policy, unknown constraint type, periodic tasks, or an FCM
-whose timing is infeasible alone — the scalar path must surface that
-error); callers fall back to the scalar oracle with a recorded engine
-decision.
+Every policy compiles.  A constraint with no fast path (periodic tasks,
+user classes, or schedulability over an FCM whose timing is infeasible
+alone) becomes a closure over its own ``check``, memoized like the rest;
+a :class:`CombinationPolicy` subclass, which may override any
+aggregation, answers every query through its own methods.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ Members = tuple[str, ...]
 
 _EMPTY: frozenset[str] = frozenset()
 
+#: Feasibility methods the compiled demand and density checks reproduce.
+_FAST_METHODS = (FeasibilityMethod.EXACT, FeasibilityMethod.DENSITY)
+
 
 class _SchedFacts:
     """Per-FCM scheduling facts plus per-block cached aggregates."""
@@ -66,7 +69,7 @@ class _SchedFacts:
                 self.density_of[fcm.name] = None
                 continue
             # Raises SchedulingError for a window that cannot fit its own
-            # work — compile_policy treats that as "not compilable".
+            # work; the constraint then runs its own check instead.
             job = Job.from_timing(fcm.name, timing)
             self.jobs_of[fcm.name] = (job.release, job.deadline, job.work)
             window = job.deadline - job.release
@@ -145,7 +148,6 @@ class CompiledPolicy:
     def __init__(self, graph: InfluenceGraph, policy: CombinationPolicy) -> None:
         self.graph = graph
         self.policy = policy
-        self.graph_version = getattr(graph, "version", None)
         self._sched: _SchedFacts | None = None
         self._pair_memo: dict[tuple[Members, Members], bool] = {}
         self._checks: list = []
@@ -163,9 +165,9 @@ class CompiledPolicy:
                     for name in graph.fcm_names()
                 }
                 self._checks.append(self._check_replicas)
-            elif isinstance(constraint, Schedulability):
-                if self._sched is None:
-                    self._sched = _SchedFacts(graph)
+            elif isinstance(constraint, Schedulability) and (
+                constraint.method in _FAST_METHODS
+            ) and self._sched_facts(graph):
                 if constraint.method is FeasibilityMethod.DENSITY:
                     self._checks.append(self._check_density)
                 else:
@@ -183,8 +185,18 @@ class CompiledPolicy:
                     for fcm in graph.fcms()
                 }
                 self._checks.append(self._make_security_check(levels, constraint.max_span))
-            else:  # pragma: no cover - guarded by compile_policy
-                raise ValueError(f"uncompilable constraint {constraint!r}")
+            else:
+                self._checks.append(self._make_generic_check(constraint))
+
+    def _sched_facts(self, graph: InfluenceGraph) -> bool:
+        """Build the scheduling facts once; False when some FCM's timing
+        is infeasible alone, so the constraint's own check raises."""
+        if self._sched is None:
+            try:
+                self._sched = _SchedFacts(graph)
+            except SchedulingError:
+                return False
+        return True
 
     # -- per-block cached facts ---------------------------------------
     def _members(self, block: Members) -> frozenset[str]:
@@ -285,6 +297,14 @@ class CompiledPolicy:
 
         return check
 
+    def _make_generic_check(self, constraint):
+        graph = self.graph
+
+        def check(first: Members, second: Members) -> bool:
+            return constraint.check(graph, first, second) is None
+
+        return check
+
     # -- policy surface ------------------------------------------------
     def can_combine(self, first: Members, second: Members) -> bool:
         key = (first, second)
@@ -292,9 +312,9 @@ class CompiledPolicy:
         if cached is not None:
             return cached
         if self._has_replica_sep and (self._members(first) & self._members(second)):
-            # The scalar path reaches clusters_combinable() regardless of
-            # other violations (violations() never short-circuits), so the
-            # overlap error must fire here too.
+            # The policy's own violations() reaches clusters_combinable()
+            # regardless of other violations (it never short-circuits), so
+            # the overlap error must fire here too.
             raise InfluenceError("clusters overlap")
         result = True
         for check in self._checks:
@@ -331,35 +351,39 @@ class CompiledPolicy:
         return self.policy.block_violations(self.graph, block)
 
 
+class _SubclassPolicy(CompiledPolicy):
+    """A :class:`CombinationPolicy` subclass may override any aggregation,
+    so every query goes to its own methods."""
+
+    def __init__(self, graph: InfluenceGraph, policy: CombinationPolicy) -> None:
+        self.graph = graph
+        self.policy = policy
+
+    def can_combine(self, first: Members, second: Members) -> bool:
+        return self.policy.can_combine(self.graph, first, second)
+
+    def violations(self, first: Members, second: Members) -> list[str]:
+        return self.policy.violations(self.graph, first, second)
+
+    def require_combinable(self, first: Members, second: Members) -> None:
+        self.policy.require_combinable(self.graph, first, second)
+
+    def block_valid(self, members: Members) -> bool:
+        return self.policy.block_valid(self.graph, members)
+
+    def block_violations(self, members: Members) -> list[str]:
+        return self.policy.block_violations(self.graph, members)
+
+
 def compile_policy(
     graph: InfluenceGraph,
     policy: CombinationPolicy,
-) -> CompiledPolicy | None:
-    """Compile ``policy`` against ``graph``; ``None`` when unsupported.
+) -> CompiledPolicy:
+    """Compile ``policy`` against ``graph``.
 
-    Unsupported: a :class:`CombinationPolicy` subclass (it may override
-    aggregation), a constraint type this module does not model
-    (:class:`PeriodicSchedulability`, user extensions), or an FCM whose
-    timing window cannot fit its own work — the scalar path raises a
-    :class:`SchedulingError` for those, and falling back preserves it.
+    Constraint checks are assumed pure: answers are memoized per member
+    tuple pair, and a query stops at the first rejecting constraint.
     """
     if type(policy) is not CombinationPolicy:
-        return None
-    supported = (
-        ReplicaSeparation,
-        Schedulability,
-        CriticalityExclusion,
-        SecuritySeparation,
-    )
-    for constraint in policy.constraints:
-        if not isinstance(constraint, supported):
-            return None
-        if isinstance(constraint, Schedulability) and constraint.method not in (
-            FeasibilityMethod.EXACT,
-            FeasibilityMethod.DENSITY,
-        ):
-            return None
-    try:
-        return CompiledPolicy(graph, policy)
-    except SchedulingError:
-        return None
+        return _SubclassPolicy(graph, policy)
+    return CompiledPolicy(graph, policy)

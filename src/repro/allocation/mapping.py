@@ -291,11 +291,6 @@ def _placement_costs(
     return totals
 
 
-def _placement_cost(mapping: Mapping, index: int, hw_name: str) -> float:
-    """Dilation cost of placing ``index`` on ``hw_name`` given placements."""
-    return _placement_costs(mapping, index, [hw_name])[0]
-
-
 def _check_capacity(state: ClusterState, hw: HWGraph) -> None:
     if len(state.clusters) > len(hw):
         raise InfeasibleAllocationError(

@@ -58,8 +58,6 @@ def anneal(
     """
     opts = options or AnnealingOptions()
     rng = random.Random(opts.seed)
-    graph = state.graph
-    policy = state.policy
 
     blocks: list[list[str]] = [list(c.members) for c in state.clusters]
     if len(blocks) < 2:
@@ -71,11 +69,7 @@ def anneal(
         )
 
     def cost_of(candidate: list[list[str]]) -> float:
-        trial = ClusterState(
-            graph, policy, [Cluster(tuple(b)) for b in candidate]
-        )
-        trial.adopt_compiled(state)
-        return trial.total_cross_influence()
+        return state.with_clusters(candidate).total_cross_influence()
 
     current_cost = cost_of(blocks)
     initial_cost = current_cost

@@ -291,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["auto", "scalar", "vector"],
         default="auto",
-        help="allocation engine: 'vector' compiles the influence graph "
-        "and combination policy to array/cached form (bit-identical "
-        "results), 'auto' picks vector when numpy is importable and "
-        "the policy is compilable",
+        help="trial engine of the --validate-trials campaign: 'scalar' "
+        "per-trial oracle, 'vector' NumPy batch kernel, 'auto' vector",
     )
     integrate.add_argument(
         "--out", default=None, help="write the outcome as JSON here"
@@ -358,14 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=MappingApproach.IMPORTANCE.value,
     )
     resilience.add_argument(
-        "--engine",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="trial engine: 'vector' compiles the policy/graph once and "
-        "memoizes degraded plans (bit-identical to scalar at equal "
-        "seeds), 'auto' picks vector when numpy is importable",
-    )
-    resilience.add_argument(
         "-v", "--verbose", action="store_true",
         help="print stage-timing and campaign-throughput footers",
     )
@@ -399,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "scalar", "vector"],
         default="auto",
         help="trial engine: 'scalar' per-trial oracle, 'vector' NumPy "
-        "batch kernel, 'auto' vector when numpy is importable",
+        "batch kernel, 'auto' vector",
     )
     faultsim.add_argument(
         "-v", "--verbose", action="store_true",
@@ -671,7 +661,6 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
             heuristic=Heuristic(args.heuristic),
             mapping=MappingApproach(args.mapping),
         )
-    options.engine = args.engine
     framework = IntegrationFramework(system, options)
     outcome = framework.integrate(hw)
     campaign = None
@@ -749,7 +738,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     system, hw, options, rates, scenario = _builtin_workload(
         args.workload, args.heuristic, args.mapping
     )
-    options.engine = args.engine
     framework = IntegrationFramework(system, options)
     outcome = framework.integrate(hw)
     if args.scenario:
@@ -780,7 +768,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             policy=_exec_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
-            engine=args.engine,
         )
     print(render_resilience(report))
     if report.exec_report is not None and (

@@ -55,16 +55,7 @@ class MappingApproach(Enum):
 
 @dataclass
 class FrameworkOptions:
-    """Pipeline configuration.
-
-    ``engine`` selects the allocation-stage implementation:
-    ``"vector"`` compiles the expanded influence graph and combination
-    policy to array/cached form (bit-identical results, see
-    ``docs/PERFORMANCE.md``), ``"scalar"`` keeps the pure-Python oracle,
-    and ``"auto"`` picks vector when numpy is importable and the policy
-    is compilable.  The resolved choice is recorded as an
-    ``allocation``-category engine decision.
-    """
+    """Pipeline configuration."""
 
     heuristic: Heuristic = Heuristic.H1
     mapping: MappingApproach = MappingApproach.IMPORTANCE
@@ -72,7 +63,6 @@ class FrameworkOptions:
     resources: ResourceRequirements = field(default_factory=ResourceRequirements)
     influence_budget: float = 1.0
     separation_floor: float = 0.0
-    engine: str = "auto"
 
 
 class IntegrationFramework:
@@ -95,63 +85,18 @@ class IntegrationFramework:
             )
 
     def expanded_state(self) -> ClusterState:
-        """Stage 2: replicate FT>1 processes and start singleton clusters.
-
-        Also resolves the allocation engine: under ``vector`` the
-        expanded graph and the combination policy are compiled once here
-        and attached to the state, so every later stage (condense, map,
-        score) answers influence/policy queries from the compiled form.
-        """
+        """Stage 2: replicate FT>1 processes and start singleton clusters."""
         with current().span("expand") as span:
             graph = self.system.influence_at(Level.PROCESS)
             expanded = expand_replication(graph)
             span.set(processes=len(graph), expanded=len(expanded))
-            state = ClusterState(expanded, self.options.policy)
-            choice = self._resolve_allocation_engine(state)
-            span.set(engine=choice.engine)
-            return state
-
-    def _resolve_allocation_engine(self, state: ClusterState):
-        """Pick scalar/vector for the allocation stages; attach artifacts."""
-        from repro.allocation.compiled import compile_policy
-        from repro.faultsim.engine import record_engine_decision, resolve_engine
-        from repro.faultsim.kernel import NUMPY_AVAILABLE
-
-        compiled_policy = None
-        vectorizable = True
-        why_not = ""
-        if NUMPY_AVAILABLE:
-            compiled_policy = compile_policy(state.graph, state.policy)
-            if compiled_policy is None:
-                vectorizable = False
-                why_not = "combination policy is not compilable"
-        choice = resolve_engine(
-            self.options.engine, vectorizable=vectorizable, why_not=why_not
-        )
-        record_engine_decision("allocation", choice)
-        if choice.is_vector:
-            from repro.faultsim.kernel import compile_graph
-            from repro.graphs.matrix import CompiledInfluence
-
-            compiled_graph = compile_graph(state.graph)
-            state.attach_compiled(
-                influence=CompiledInfluence.from_weights(
-                    compiled_graph.names, compiled_graph.weights
-                ),
-                policy=compiled_policy,
-            )
-        return choice
+            return ClusterState(expanded, self.options.policy)
 
     def condense(self, state: ClusterState, target: int) -> CondensationResult:
         """Stage 3: reduce the SW graph to at most ``target`` clusters."""
         heuristic = self.options.heuristic
         rec = current()
-        with rec.span(
-            "condense",
-            heuristic=heuristic.value,
-            target=target,
-            engine="vector" if state.is_compiled else "scalar",
-        ):
+        with rec.span("condense", heuristic=heuristic.value, target=target):
             result = self._condense(state, target, heuristic)
         if rec.enabled:
             for step in result.steps:
@@ -191,10 +136,7 @@ class IntegrationFramework:
     def map(self, state: ClusterState, hw: HWGraph) -> Mapping:
         """Stage 4: assign clusters to HW nodes."""
         with current().span(
-            "map",
-            approach=self.options.mapping.value,
-            hw_nodes=len(hw),
-            engine="vector" if state.is_compiled else "scalar",
+            "map", approach=self.options.mapping.value, hw_nodes=len(hw)
         ):
             if self.options.mapping is MappingApproach.IMPORTANCE:
                 return map_approach_a(state, hw, self.options.resources)
@@ -318,10 +260,7 @@ class IntegrationFramework:
                 )
             condensation = self.condense(state, len(hw))
             mapping = self.map(condensation.state, hw)
-            with rec.span(
-                "score",
-                engine="vector" if condensation.state.is_compiled else "scalar",
-            ):
+            with rec.span("score"):
                 score = evaluate_mapping(mapping, self.options.resources)
             notes.append(
                 f"condensed to {len(condensation.state.clusters)} clusters "

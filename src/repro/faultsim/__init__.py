@@ -16,7 +16,6 @@ from repro.faultsim.engine import ENGINES, EngineChoice, resolve_engine
 from repro.faultsim.events import PairEstimate, TrialRecord
 from repro.faultsim.kernel import (
     DEFAULT_BLOCK_SIZE,
-    NUMPY_AVAILABLE,
     CompiledGraph,
     campaign_batch,
     compile_graph,
@@ -52,7 +51,6 @@ __all__ = [
     "ENGINES",
     "EngineChoice",
     "MultiLevelResult",
-    "NUMPY_AVAILABLE",
     "PairEstimate",
     "ScalarAdjacency",
     "TrialRecord",

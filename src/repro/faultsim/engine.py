@@ -4,12 +4,10 @@ Every campaign entry point takes an ``engine=`` switch:
 
 * ``scalar`` — the per-trial reference oracle
   (:mod:`repro.faultsim.propagation`), pure Python, per-trial seeded.
-* ``vector`` — the NumPy batch kernel (:mod:`repro.faultsim.kernel`);
-  raises when numpy is unavailable or the workload has no vectorized
-  path.
-* ``auto`` — vector when it can run, scalar otherwise; the fallback
-  reason is always recorded as a typed decision event so a trace shows
-  which engine actually executed and why.
+* ``vector`` — the NumPy batch kernel (:mod:`repro.faultsim.kernel`).
+* ``auto`` — the vector kernel; the resolved engine is recorded as a
+  typed decision event so a trace shows which engine actually executed
+  and why.
 
 The two engines draw from *different* deterministic streams (per-trial
 seeds vs. fixed RNG blocks), so their results agree statistically, not
@@ -24,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.faultsim.kernel import NUMPY_AVAILABLE
 from repro.obs import current
 
 ENGINES = ("auto", "scalar", "vector")
@@ -43,36 +40,16 @@ class EngineChoice:
         return self.engine == "vector"
 
 
-def resolve_engine(
-    requested: str,
-    *,
-    vectorizable: bool = True,
-    why_not: str = "",
-) -> EngineChoice:
-    """Resolve ``requested`` against what can actually run.
-
-    ``vectorizable=False`` marks workloads with no vectorized path (e.g.
-    an allocation whose combination policy is not compilable);
-    ``why_not`` names the reason.  ``auto`` then falls back to scalar,
-    while an explicit ``vector`` request fails loudly.
-    """
+def resolve_engine(requested: str) -> EngineChoice:
+    """Resolve ``requested`` to the engine that will run."""
     if requested not in ENGINES:
         raise SimulationError(
             f"unknown engine {requested!r}; choose one of {'/'.join(ENGINES)}"
         )
-    blocker = ""
-    if not vectorizable:
-        blocker = why_not or "workload has no vectorized path"
-    elif not NUMPY_AVAILABLE:
-        blocker = "numpy is not importable"
     if requested == "scalar":
         return EngineChoice(requested, "scalar", "scalar engine requested")
     if requested == "vector":
-        if blocker:
-            raise SimulationError(f"vector engine unavailable: {blocker}")
         return EngineChoice(requested, "vector", "vector engine requested")
-    if blocker:
-        return EngineChoice(requested, "scalar", f"auto fell back: {blocker}")
     return EngineChoice(
         requested, "vector", "auto picked the vectorized kernel"
     )

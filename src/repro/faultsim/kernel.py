@@ -33,27 +33,17 @@ per wave, so a block's outcome depends only on ``(seed, b)`` — never on
 the exec layer's batch plan, worker count, retries, or checkpoint
 history.  The vector engine therefore honours the same reproducibility
 contract as the scalar engine, on its own (different) stream.
-
-NumPy is an optional dependency of this module: import it through
-:data:`NUMPY_AVAILABLE` and let :mod:`repro.faultsim.engine` fall back
-to the scalar path when the import is unavailable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.exec.batching import derive_seed
 from repro.influence.influence_graph import InfluenceGraph
-
-try:  # pragma: no cover - exercised indirectly via NUMPY_AVAILABLE
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
 
 #: Trials per RNG block.  Fixed (not derived from the exec batch plan) so
 #: vector-engine results are invariant under batching, pooling and resume.
@@ -65,14 +55,6 @@ DEFAULT_BLOCK_SIZE = 256
 _LOG_ZERO = -800.0
 
 _SEED_PURPOSE = "vector-block"
-
-
-def _require_numpy() -> None:
-    if not NUMPY_AVAILABLE:
-        raise SimulationError(
-            "the vector fault-propagation engine requires numpy; "
-            "install it or use engine='scalar'"
-        )
 
 
 @dataclass(frozen=True)
@@ -110,7 +92,6 @@ def compile_graph(graph: InfluenceGraph) -> CompiledGraph:
     allocation engine and a subsequent fault campaign on the same graph
     share one compile.
     """
-    _require_numpy()
     version = getattr(graph, "version", None)
     if version is not None:
         cached = getattr(graph, "_kernel_compile_cache", None)
@@ -177,7 +158,6 @@ def propagate_with_draws(
     matrix to the scalar engine's ``edge_draw`` hook must produce the
     identical affected set — the shared-draw parity contract.
     """
-    _require_numpy()
     n = len(compiled)
     if draws.shape != (n, n):
         raise SimulationError(
@@ -219,7 +199,6 @@ def simulate_range(
     result for any sub-range is a slice of the same full-block outcome —
     the batching-invariance half of the determinism contract.
     """
-    _require_numpy()
     if not 0 <= start < stop:
         raise SimulationError(f"bad trial range [{start}, {stop})")
     if block_size < 1:

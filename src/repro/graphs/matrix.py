@@ -5,7 +5,7 @@ Two consumers share this plumbing:
 * the separation power series (Eq. 3) — ``P + P^2 + P^3 + ...`` over a
   dense adjacency matrix with a stable node ordering, truncated power
   sums, and the closed-form ``(I - P)^{-1} - I`` limit;
-* the vectorized allocation engine — :class:`CompiledInfluence` holds the
+* the allocation stages — :class:`CompiledInfluence` holds the
   complement matrix ``1 - W`` so cluster-to-cluster influence (Eq. 2's
   noisy-or over every member pair) reduces to a product over one
   sub-block, bit-identical to the scalar

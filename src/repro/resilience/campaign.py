@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from repro.errors import SimulationError
 from repro.exec.batching import derive_seed
 from repro.exec.runner import ExecPolicy, ExecReport, run_supervised
-from repro.faultsim.engine import record_engine_decision, resolve_engine
 from repro.allocation.constraints import ResourceRequirements
 from repro.core.results import IntegrationOutcome
 from repro.obs import current
@@ -36,7 +35,7 @@ from repro.resilience.bands import (
     origin_of,
     process_classes,
 )
-from repro.resilience.degradation import plan_degradation
+from repro.resilience.degradation import DegradationPlan, plan_degradation
 from repro.resilience.failures import (
     FailureEvent,
     FailureKind,
@@ -121,7 +120,6 @@ def run_resilience_campaign(
     checkpoint: str | None = None,
     resume: str | None = None,
     chaos=None,
-    engine: str = "auto",
 ) -> ResilienceReport:
     """Run ``trials`` failure sequences against an integrated system.
 
@@ -133,24 +131,14 @@ def run_resilience_campaign(
     so the report does not depend on ``policy`` (workers, batch size),
     retries, or checkpoint/resume history.
 
-    ``engine="vector"`` accelerates the *planning* side of each trial:
-    the outcome's influence graph and combination policy are compiled
-    once (shared with the allocation engine's compile cache), degraded
-    mappings are memoized by ``(failed nodes, failed links)`` — re-
-    planning is deterministic, so a repeated failure state reuses the
-    plan — and origin lookups are precomputed.  The stochastic side
-    (failure draws, recovery outcomes) stays on the same per-trial
-    ``random.Random(derive_seed(seed, t))`` streams, so vector reports
-    are **bit-identical** to scalar ones at equal seeds — unlike the
-    fault campaign, where the two engines draw different streams and
-    agree statistically.  One observable difference: memoized re-plans
-    skip ``plan_degradation``'s recorder events, so ``degrade_plans_
-    total`` counts planned *states*, not events, under vector.
+    Degraded mappings are memoized by ``(failed nodes, failed links)``:
+    planning is deterministic, so a repeated failure state reuses its
+    plan (see :func:`_memoized_planner`).  Memoized re-plans skip
+    ``plan_degradation``'s recorder events, so ``degrade_plans_total``
+    counts planned *states*, not events.
     """
     if trials < 1:
         raise SimulationError("trials must be >= 1")
-    choice = resolve_engine(engine)
-    record_engine_decision("resilience", choice)
     if failures < 1 and scenario is None:
         raise SimulationError("failures must be >= 1")
     if horizon <= 0.0:
@@ -163,62 +151,14 @@ def run_resilience_campaign(
     classes = process_classes(graph, bands)
     origins = sorted(classes)
 
-    if choice.is_vector:
-        if not state.is_compiled:
-            from repro.allocation.compiled import compile_policy
-            from repro.faultsim.kernel import compile_graph
-            from repro.graphs.matrix import CompiledInfluence
+    planner = _memoized_planner(outcome, approach, resources, bands)
+    origin_cache: dict[str, str] = {}
 
-            compiled_graph = compile_graph(graph)
-            state.attach_compiled(
-                influence=CompiledInfluence.from_weights(
-                    compiled_graph.names, compiled_graph.weights
-                ),
-                policy=compile_policy(graph, state.policy),
-            )
-
-        plan_memo: dict[tuple, object] = {}
-
-        def planner(failed_now, links):
-            key = (failed_now, links)
-            plan = plan_memo.get(key)
-            if plan is None:
-                # plan_degradation is deterministic (rng-free), so one
-                # plan per failure state serves every trial that reaches
-                # it; trials copy the plan's dicts before mutating.
-                plan = plan_degradation(
-                    outcome,
-                    list(failed_now),
-                    failed_links=links,
-                    approach=approach,
-                    resources=resources,
-                    bands=bands,
-                )
-                plan_memo[key] = plan
-            return plan
-
-        origin_cache: dict[str, str] = {}
-
-        def origin(member: str) -> str:
-            cached = origin_cache.get(member)
-            if cached is None:
-                cached = origin_of(graph, member)
-                origin_cache[member] = cached
-            return cached
-    else:
-
-        def planner(failed_now, links):
-            return plan_degradation(
-                outcome,
-                list(failed_now),
-                failed_links=links,
-                approach=approach,
-                resources=resources,
-                bands=bands,
-            )
-
-        def origin(member: str) -> str:
-            return origin_of(graph, member)
+    def origin(member: str) -> str:
+        cached = origin_cache.get(member)
+        if cached is None:
+            cached = origin_cache[member] = origin_of(graph, member)
+        return cached
 
     def run_batch(start: int, size: int, campaign_seed: int) -> dict:
         records = []
@@ -265,7 +205,6 @@ def run_resilience_campaign(
         horizon=horizon,
         scripted=scenario is not None,
         workers=exec_policy.workers,
-        engine=choice.engine,
     ):
         payloads, exec_report = run_supervised(
             run_batch,
@@ -345,6 +284,38 @@ def run_resilience_campaign(
         trials_per_s=rate,
         exec_report=exec_report,
     )
+
+
+def _memoized_planner(
+    outcome: IntegrationOutcome,
+    approach: str = "a",
+    resources: ResourceRequirements | None = None,
+    bands: CriticalityBands = DEFAULT_BANDS,
+):
+    """``planner(failed_nodes, failed_links)`` for :func:`_simulate_trial`,
+    planning each distinct failure state once.
+
+    :func:`plan_degradation` is deterministic (rng-free), so one plan per
+    failure state serves every trial that reaches it; trials copy the
+    plan's dicts before mutating them.
+    """
+    plans: dict[tuple, DegradationPlan] = {}
+
+    def planner(failed_now: tuple[str, ...], links: tuple) -> DegradationPlan:
+        key = (failed_now, links)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = plan_degradation(
+                outcome,
+                list(failed_now),
+                failed_links=links,
+                approach=approach,
+                resources=resources,
+                bands=bands,
+            )
+        return plan
+
+    return planner
 
 
 def replay_scenario(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import AllocationError, InfeasibleAllocationError
-from repro.allocation.clustering import seeded_state
 from repro.allocation.constraints import ResourceRequirements
 from repro.allocation.hw_model import HWGraph
 from repro.allocation.mapping import Mapping, map_approach_a, map_approach_b
@@ -216,13 +215,7 @@ def plan_degradation(
     retained: list[int] = []
     while blocks:
         retained = sorted(blocks)
-        sub_state = seeded_state(
-            graph, [blocks[i] for i in retained], state.policy
-        )
-        # When the outcome ran under the vector engine, re-mapping the
-        # degraded partition reuses its compiled influence/policy (and
-        # their caches) instead of re-deriving scalar answers.
-        sub_state.adopt_compiled(state)
+        sub_state = state.with_clusters(blocks[i] for i in retained)
         mapper = map_approach_a if approach == "a" else map_approach_b
         try:
             mapping = mapper(sub_state, survivors, resources)

@@ -6,12 +6,19 @@ from repro.allocation import (
     Cluster,
     ClusterState,
     CombinationPolicy,
+    condense_h1,
+    expand_replication,
     initial_state,
+    pack_by_timing,
+    required_hw_nodes,
     seeded_state,
 )
+from repro.allocation import compiled
 from repro.errors import AllocationError
+from repro.faultsim import kernel
 from repro.influence import InfluenceGraph
 from repro.model import AttributeSet, FCM, Level, TimingConstraint
+from repro.workloads import WorkloadSpec, paper_system, random_process_graph
 
 from tests.conftest import make_process
 
@@ -113,6 +120,91 @@ class TestClusterState:
         state = initial_state(simple_graph())
         with pytest.raises(AllocationError):
             state.influence(0, 99)
+
+
+class TestWithClusters:
+    def test_new_partition_same_graph_and_policy(self):
+        state = initial_state(simple_graph())
+        other = state.with_clusters([("a", "b"), ("c",), ("d",)])
+        assert other.as_partition() == [["a", "b"], ["c"], ["d"]]
+        assert state.as_partition() == [["a"], ["b"], ["c"], ["d"]]
+        assert other.graph is state.graph and other.policy is state.policy
+        assert other.influence(0, 1) == pytest.approx(1 - 0.8 * 0.3)
+
+    def test_rejects_overlapping_blocks(self):
+        state = initial_state(simple_graph())
+        with pytest.raises(AllocationError, match="overlap"):
+            state.with_clusters([("a",), ("a", "b")])
+
+    def test_derived_states_share_one_compile(self, monkeypatch):
+        counts = {"graph": 0, "policy": 0}
+        compile_graph, compile_policy = kernel.compile_graph, compiled.compile_policy
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(kernel, "compile_graph", counted("graph", compile_graph))
+        monkeypatch.setattr(compiled, "compile_policy", counted("policy", compile_policy))
+        state = initial_state(simple_graph())
+        assert counts == {"graph": 0, "policy": 0}  # built on first query
+        derived = [state.copy(), state.with_clusters([("a", "c"), ("b", "d")])]
+        for s in (*derived, state):
+            s.influence(0, 1)
+            s.can_combine(0, 1)
+        assert counts == {"graph": 1, "policy": 1}
+
+
+def replica_pairs_oracle(state: ClusterState) -> set[tuple[int, int]]:
+    """Ordered cluster pairs holding replica partners, from the graph's
+    partner index alone."""
+    graph = state.graph
+    out = set()
+    for i, first in enumerate(state.clusters):
+        partners = set()
+        for name in first.members:
+            partners |= graph.replica_partners(name)
+        for j, second in enumerate(state.clusters):
+            if i != j and partners & set(second.members):
+                out.add((i, j))
+    return out
+
+
+def replica_related_pairs(state: ClusterState) -> set[tuple[int, int]]:
+    n = len(state)
+    return {
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and state.replica_related(i, j)
+    }
+
+
+class TestReplicaRelatedAllPairs:
+    def test_paper_example(self):
+        graph = expand_replication(paper_system().influence_at(Level.PROCESS))
+        state = initial_state(graph)
+        assert len(state) * (len(state) - 1) == 132
+        expected = replica_pairs_oracle(state)
+        assert len(expected) == 10
+        assert replica_related_pairs(state) == expected
+        condensed = condense_h1(state, 6).state
+        assert replica_related_pairs(condensed) == replica_pairs_oracle(condensed)
+
+    def test_generated_ft_system(self):
+        spec = WorkloadSpec(
+            processes=30, edge_probability=0.2, replicated_fraction=0.4,
+            utilization=0.1,
+        )
+        graph = expand_replication(random_process_graph(spec, seed=3))
+        state = initial_state(graph)
+        expected = replica_pairs_oracle(state)
+        assert expected
+        assert replica_related_pairs(state) == expected
+        packed = pack_by_timing(state, required_hw_nodes(graph)).state
+        assert len(packed) < len(graph)
+        assert replica_related_pairs(packed) == replica_pairs_oracle(packed)
 
 
 class TestReplicaConstraints:

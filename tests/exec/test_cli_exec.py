@@ -66,7 +66,6 @@ class TestEngineFlags:
         assert "engine scalar" in capsys.readouterr().out
 
     def test_vector_engine_runs(self, capsys):
-        pytest.importorskip("numpy")
         assert main(
             ["faultsim", "--trials", "50", "--seed", "3",
              "--engine", "vector", "-v"]
@@ -74,7 +73,6 @@ class TestEngineFlags:
         assert "engine vector" in capsys.readouterr().out
 
     def test_engines_agree_on_trial_count(self, capsys):
-        pytest.importorskip("numpy")
         assert main(
             ["faultsim", "--trials", "80", "--engine", "scalar"]
         ) == 0
@@ -89,25 +87,6 @@ class TestEngineFlags:
     def test_unknown_engine_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["faultsim", "--trials", "10", "--engine", "turbo"])
-
-    def test_resilience_vector_matches_scalar(self, capsys):
-        # Vector resilience is bit-identical to scalar at equal seeds,
-        # so the rendered reports must match byte for byte.
-        pytest.importorskip("numpy")
-        assert main(
-            ["resilience", "--trials", "5", "--engine", "scalar"]
-        ) == 0
-        scalar = capsys.readouterr().out
-        assert main(
-            ["resilience", "--trials", "5", "--engine", "vector"]
-        ) == 0
-        vector = capsys.readouterr().out
-        assert scalar == vector
-
-    def test_resilience_auto_accepted(self, capsys):
-        assert main(
-            ["resilience", "--trials", "5", "--engine", "auto"]
-        ) == 0
 
 
 class TestWorkersAuto:

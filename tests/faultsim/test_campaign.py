@@ -4,14 +4,10 @@ import pytest
 
 from repro.errors import CheckpointError, SimulationError
 from repro.exec import ExecPolicy
-from repro.faultsim import NUMPY_AVAILABLE, compare_partitions, run_campaign
+from repro.faultsim import compare_partitions, run_campaign
 from repro.influence import InfluenceGraph
 
 from tests.conftest import make_process
-
-needs_numpy = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="vector engine requires numpy"
-)
 
 
 def coupled_graph() -> InfluenceGraph:
@@ -92,14 +88,12 @@ class TestEngines:
         with pytest.raises(SimulationError, match="unknown engine"):
             run_campaign(coupled_graph(), GOOD, trials=10, engine="turbo")
 
-    @needs_numpy
     def test_vector_engine_recorded(self):
         result = run_campaign(
             coupled_graph(), GOOD, trials=100, seed=0, engine="vector"
         )
         assert result.engine == "vector"
 
-    @needs_numpy
     def test_engines_agree_statistically(self):
         g = coupled_graph()
         scalar = run_campaign(g, GOOD, trials=4000, seed=5, engine="scalar")
@@ -114,7 +108,6 @@ class TestEngines:
             scalar.cross_cluster_rate, abs=0.05
         )
 
-    @needs_numpy
     def test_vector_result_invariant_under_exec_plan(self):
         g = coupled_graph()
         reference = run_campaign(g, GOOD, trials=700, seed=9, engine="vector")
@@ -125,7 +118,6 @@ class TestEngines:
             )
             assert split == reference
 
-    @needs_numpy
     def test_resume_refuses_the_other_engine(self, tmp_path):
         # The engine is part of the checkpoint fingerprint: a scalar
         # resume of a vector checkpoint would silently mix two different

@@ -15,9 +15,8 @@ as the scalar oracle:
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.errors import SimulationError
 from repro.faultsim.engine import resolve_engine
@@ -264,19 +263,6 @@ class TestEngineResolution:
 
     def test_auto_picks_vector_when_numpy_present(self):
         assert resolve_engine("auto").engine == "vector"
-
-    def test_unvectorizable_auto_falls_back_with_reason(self):
-        choice = resolve_engine(
-            "auto", vectorizable=False, why_not="event-driven trials"
-        )
-        assert choice.engine == "scalar"
-        assert "event-driven trials" in choice.reason
-
-    def test_unvectorizable_explicit_vector_fails_loudly(self):
-        with pytest.raises(SimulationError, match="event-driven"):
-            resolve_engine(
-                "vector", vectorizable=False, why_not="event-driven trials"
-            )
 
     def test_scalar_stream_unchanged_by_adjacency_hoist(self, paper_graph):
         """The micro-fix must be draw-for-draw identical to the old path."""

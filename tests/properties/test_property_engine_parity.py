@@ -1,25 +1,30 @@
-"""Property-based scalar <-> vector parity for the allocation pipeline.
+"""Property-based parity of the compiled allocation queries.
 
-The vector engine compiles the influence graph and combination policy to
+``ClusterState`` compiles the influence graph and combination policy to
 array/cached form; its contract is *bit-for-bit* equality with the
-scalar oracle — identical condense partitions, identical Approach A/B
-mappings (including tie-break order), identical scores.  These tests
-drive both engines over random workloads (sizes 2-300, disconnected to
-near-clique, with and without self-influence edges) and assert equality,
-not closeness.
+dict-loop reference in :mod:`tests.properties.reference_state` —
+identical condense partitions, identical Approach A/B mappings
+(including tie-break order), identical scores, reason strings and
+errors.  These tests drive both over random workloads (sizes 2-300,
+disconnected to near-clique) and over the policies with no compiled
+fast path, and assert equality, not closeness.
 """
 
-import pytest
+from dataclasses import dataclass
 
-np = pytest.importorskip("numpy")
+import numpy as np
+import pytest
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.allocation import expand_replication, initial_state, required_hw_nodes
-from repro.allocation.compiled import compile_policy
+from repro.allocation import expand_replication, required_hw_nodes
+from repro.allocation.clustering import ClusterState
+from repro.allocation.constraints import CombinationPolicy
 from repro.allocation.heuristics import (
+    condense_criticality,
     condense_h1,
+    condense_h2,
     condense_h3,
     condense_timing,
     pack_by_timing,
@@ -29,7 +34,18 @@ from repro.allocation.mapping import map_approach_a, map_approach_b
 from repro.errors import DDSIError
 from repro.faultsim.kernel import compile_graph
 from repro.graphs.matrix import CompiledInfluence
-from repro.workloads import WorkloadSpec, random_process_graph
+from repro.model.fcm import Level
+from repro.workloads import (
+    WorkloadSpec,
+    automotive_hw,
+    automotive_policy,
+    automotive_resources,
+    automotive_system,
+    paper_system,
+    random_process_graph,
+)
+
+from tests.properties.reference_state import ReferenceClusterState
 
 HEURISTICS = {
     "h1": condense_h1,
@@ -39,42 +55,33 @@ HEURISTICS = {
 }
 
 
-def vectorized(state):
-    """Attach compiled artifacts to ``state`` (what engine=vector does)."""
-    compiled_graph = compile_graph(state.graph)
-    state.attach_compiled(
-        influence=CompiledInfluence.from_weights(
-            compiled_graph.names, compiled_graph.weights
-        ),
-        policy=compile_policy(state.graph, state.policy),
-    )
-    assert state.is_compiled
-    return state
-
-
-def paired_states(graph):
-    """Two independent states over ``graph``: (scalar, vector)."""
+def paired_states(graph, policy=None):
+    """Two independent states over ``graph``: (reference, compiled)."""
     expanded = expand_replication(graph)
-    return initial_state(expanded), vectorized(initial_state(expanded))
+    return (
+        ReferenceClusterState(expanded, policy),
+        ClusterState(expanded, policy),
+    )
 
 
-def run_both(condense, scalar_state, vector_state, target):
-    """Run one heuristic on both engines; assert identical outcomes.
+def run_both(condense, ref_state, compiled_state, target):
+    """Run one heuristic on the reference and the compiled state.
 
-    Either both engines raise (the same error type) or both produce the
-    same partition, in the same cluster order.
+    Either both raise (the same error type and message) or both produce
+    the same partition, in the same cluster order.
     """
     try:
-        scalar_result = condense(scalar_state, target)
+        ref_result = condense(ref_state, target)
     except DDSIError as exc:
-        with pytest.raises(type(exc)):
-            condense(vector_state, target)
+        with pytest.raises(type(exc)) as raised:
+            condense(compiled_state, target)
+        assert str(raised.value) == str(exc)
         return None, None
-    vector_result = condense(vector_state, target)
-    scalar_clusters = [c.members for c in scalar_result.state.clusters]
-    vector_clusters = [c.members for c in vector_result.state.clusters]
-    assert scalar_clusters == vector_clusters
-    return scalar_result.state, vector_result.state
+    compiled_result = condense(compiled_state, target)
+    ref_clusters = [c.members for c in ref_result.state.clusters]
+    compiled_clusters = [c.members for c in compiled_result.state.clusters]
+    assert ref_clusters == compiled_clusters
+    return ref_result.state, compiled_result.state
 
 
 @st.composite
@@ -96,7 +103,7 @@ def workloads(draw):
 class TestSelfInfluence:
     def test_self_influence_rejected_before_either_engine(self):
         # The graph layer rejects self-loops outright ("an FCM has no
-        # defined influence on itself"), so neither engine can ever see
+        # defined influence on itself"), so neither state can ever see
         # a diagonal weight — the compiled complements matrix keeps an
         # all-ones diagonal by construction.
         from repro.errors import GraphError
@@ -113,73 +120,73 @@ class TestCondenseParity:
     @given(workloads(), st.sampled_from(sorted(HEURISTICS)))
     @settings(max_examples=40, deadline=None)
     def test_partitions_identical(self, graph, heuristic):
-        scalar_state, vector_state = paired_states(graph)
+        ref_state, compiled_state = paired_states(graph)
         target = max(
-            required_hw_nodes(scalar_state.graph),
-            len(scalar_state.graph) // 2,
+            required_hw_nodes(ref_state.graph),
+            len(ref_state.graph) // 2,
             1,
         )
-        run_both(HEURISTICS[heuristic], scalar_state, vector_state, target)
+        run_both(HEURISTICS[heuristic], ref_state, compiled_state, target)
 
     @given(workloads())
     @settings(max_examples=20, deadline=None)
     def test_influence_queries_bit_identical(self, graph):
-        scalar_state, vector_state = paired_states(graph)
-        n = len(scalar_state.clusters)
+        ref_state, compiled_state = paired_states(graph)
+        n = len(ref_state.clusters)
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                assert scalar_state.influence(i, j) == vector_state.influence(i, j)
-                assert scalar_state.raw_influence(i, j) == vector_state.raw_influence(i, j)
+                assert ref_state.influence(i, j) == compiled_state.influence(i, j)
+                assert ref_state.raw_influence(i, j) == compiled_state.raw_influence(i, j)
 
     @given(workloads())
     @settings(max_examples=20, deadline=None)
     def test_policy_answers_identical(self, graph):
-        scalar_state, vector_state = paired_states(graph)
-        clusters = [c.members for c in scalar_state.clusters]
+        ref_state, compiled_state = paired_states(graph)
+        clusters = [c.members for c in ref_state.clusters]
         for first in clusters[:8]:
             for second in clusters[:8]:
                 if first == second:
                     continue
-                assert scalar_state.policy_can_combine(
+                assert ref_state.policy_can_combine(
                     first, second
-                ) == vector_state.policy_can_combine(first, second)
-                assert scalar_state.policy_violations(
+                ) == compiled_state.policy_can_combine(first, second)
+                assert ref_state.policy_violations(
                     first, second
-                ) == vector_state.policy_violations(first, second)
+                ) == compiled_state.policy_violations(first, second)
 
 
 class TestMappingParity:
     @given(workloads(), st.sampled_from(["a", "b"]))
     @settings(max_examples=30, deadline=None)
     def test_assignments_identical_including_order(self, graph, approach):
-        scalar_state, vector_state = paired_states(graph)
+        ref_state, compiled_state = paired_states(graph)
         target = max(
-            required_hw_nodes(scalar_state.graph),
-            len(scalar_state.graph) // 2,
+            required_hw_nodes(ref_state.graph),
+            len(ref_state.graph) // 2,
             1,
         )
-        scalar_state, vector_state = run_both(
-            condense_h1, scalar_state, vector_state, target
+        ref_state, compiled_state = run_both(
+            condense_h1, ref_state, compiled_state, target
         )
-        if scalar_state is None:
+        if ref_state is None:
             return
-        hw = fully_connected(len(scalar_state.clusters))
+        hw = fully_connected(len(ref_state.clusters))
         mapper = map_approach_a if approach == "a" else map_approach_b
         try:
-            scalar_map = mapper(scalar_state, hw)
+            ref_map = mapper(ref_state, hw)
         except DDSIError as exc:
             with pytest.raises(type(exc)):
-                mapper(vector_state, hw)
+                mapper(compiled_state, hw)
             return
-        vector_map = mapper(vector_state, hw)
+        compiled_map = mapper(compiled_state, hw)
         # Same placements *and* the same placement order: tie-breaks in
         # the batched cost scoring must match the one-at-a-time oracle.
-        assert list(scalar_map.assignment.items()) == list(
-            vector_map.assignment.items()
+        assert list(ref_map.assignment.items()) == list(
+            compiled_map.assignment.items()
         )
-        assert scalar_map.communication_cost() == vector_map.communication_cost()
+        assert ref_map.communication_cost() == compiled_map.communication_cost()
 
 
 class TestLargeGraphParity:
@@ -194,20 +201,145 @@ class TestLargeGraphParity:
             utilization=0.1,
         )
         graph = random_process_graph(spec, seed=7)
-        scalar_state, vector_state = paired_states(graph)
+        ref_state, compiled_state = paired_states(graph)
         target = max(
-            required_hw_nodes(scalar_state.graph),
-            len(scalar_state.graph) // 2,
+            required_hw_nodes(ref_state.graph),
+            len(ref_state.graph) // 2,
             1,
         )
-        scalar_state, vector_state = run_both(
-            pack_by_timing, scalar_state, vector_state, target
+        ref_state, compiled_state = run_both(
+            pack_by_timing, ref_state, compiled_state, target
         )
-        if scalar_state is None:
+        if ref_state is None:
             return
-        hw = fully_connected(len(scalar_state.clusters))
-        scalar_map = map_approach_a(scalar_state, hw)
-        vector_map = map_approach_a(vector_state, hw)
-        assert list(scalar_map.assignment.items()) == list(
-            vector_map.assignment.items()
+        hw = fully_connected(len(ref_state.clusters))
+        ref_map = map_approach_a(ref_state, hw)
+        compiled_map = map_approach_a(compiled_state, hw)
+        assert list(ref_map.assignment.items()) == list(
+            compiled_map.assignment.items()
         )
+
+
+# ----------------------------------------------------------------------
+# Policies with no compiled fast path
+# ----------------------------------------------------------------------
+ALL_HEURISTICS = {**HEURISTICS, "h2": condense_h2, "criticality": condense_criticality}
+
+
+@dataclass(frozen=True)
+class MemberCap:
+    """A user constraint class: at most ``limit`` members per cluster."""
+
+    limit: int
+
+    def check(self, graph, first, second):
+        if len(first) + len(second) > self.limit:
+            return f"merged cluster would exceed {self.limit} members"
+        return None
+
+
+@dataclass
+class CriticalitySpreadPolicy(CombinationPolicy):
+    """A policy subclass whose ``violations`` adds its own rule."""
+
+    max_spread: float = 5.0
+
+    def violations(self, graph, first, second):
+        reasons = super().violations(graph, first, second)
+        levels = [
+            graph.fcm(name).attributes.criticality for name in (*first, *second)
+        ]
+        if max(levels) - min(levels) > self.max_spread:
+            reasons.append(f"criticality spread exceeds {self.max_spread}")
+        return reasons
+
+
+def pair_violations(state):
+    clusters = [c.members for c in state.clusters]
+    return [
+        state.policy_violations(a, b) for a in clusters for b in clusters if a != b
+    ]
+
+
+def pipeline(state, condense, mapper, hw, resources):
+    """Partition, placements and cost, or the error the pipeline raised."""
+    try:
+        result = condense(state, len(hw))
+        mapping = mapper(result.state, hw, resources)
+    except DDSIError as exc:
+        return type(exc).__name__, str(exc)
+    partition = [c.members for c in result.state.clusters]
+    return partition, list(mapping.assignment.items()), mapping.communication_cost()
+
+
+def assert_pipeline_matches(graph, policy, condense, mapper, hw, resources=None):
+    """The reference and compiled states agree on one heuristic and
+    mapping; returns whether the pipeline raised."""
+    ref_state, compiled_state = paired_states(graph, policy)
+    assert pair_violations(ref_state) == pair_violations(compiled_state)
+    ref_out = pipeline(ref_state, condense, mapper, hw, resources)
+    assert pipeline(compiled_state, condense, mapper, hw, resources) == ref_out
+    assert pair_violations(ref_state) == pair_violations(compiled_state)
+    return isinstance(ref_out[0], str)
+
+
+def assert_pipelines_match(graph, make_policy, hw, resources=None):
+    """Every heuristic x mapping agrees; returns how many runs raised, so
+    callers can check the cases exercised both outcomes."""
+    return sum(
+        assert_pipeline_matches(graph, make_policy(), condense, mapper, hw, resources)
+        for condense in ALL_HEURISTICS.values()
+        for mapper in (map_approach_a, map_approach_b)
+    )
+
+
+class TestClosurePolicyParity:
+    """Constraints and policies with no fast path compile to closures
+    over their own methods, and must still match the reference."""
+
+    def test_automotive_policy(self):
+        graph = automotive_system().influence_at(Level.PROCESS)
+        raised = assert_pipelines_match(
+            graph, automotive_policy, automotive_hw(), automotive_resources()
+        )
+        assert raised == 6  # no free node offers a merged cluster's resources
+
+    # (limit, HW nodes, runs that raise): the 12 expanded paper FCMs fit
+    # 4 nodes only at 3+ members per node.
+    @pytest.mark.parametrize(
+        "limit, nodes, raised", [(2, 4, 12), (3, 4, 2), (3, 6, 0)]
+    )
+    def test_user_constraint_class(self, limit, nodes, raised):
+        def policy():
+            base = CombinationPolicy()
+            base.constraints.append(MemberCap(limit))
+            return base
+
+        graph = paper_system().influence_at(Level.PROCESS)
+        assert assert_pipelines_match(graph, policy, fully_connected(nodes)) == raised
+
+    @pytest.mark.parametrize("max_spread, raised", [(0.0, 10), (20.0, 0)])
+    def test_policy_subclass_overriding_violations(self, max_spread, raised):
+        graph = paper_system().influence_at(Level.PROCESS)
+        assert assert_pipelines_match(
+            graph, lambda: CriticalitySpreadPolicy(max_spread=max_spread),
+            fully_connected(6),
+        ) == raised
+
+    @given(
+        workloads(),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.sampled_from(sorted(ALL_HEURISTICS)),
+        st.sampled_from([map_approach_a, map_approach_b]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_workloads(self, graph, limit, subclass, heuristic, mapper):
+        if subclass:
+            policy = CriticalitySpreadPolicy(max_spread=limit * 10.0)
+        else:
+            policy = CombinationPolicy()
+            policy.constraints.append(MemberCap(limit + 1))
+        expanded = expand_replication(graph)
+        hw = fully_connected(max(required_hw_nodes(expanded), len(expanded) // 2, 1))
+        assert_pipeline_matches(graph, policy, ALL_HEURISTICS[heuristic], mapper, hw)

@@ -9,9 +9,7 @@ on itself.  The random graphs mix value edges and factor edges (Eq. 2).
 
 import random
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 import hypothesis.strategies as st
 from hypothesis import given, settings

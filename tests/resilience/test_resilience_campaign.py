@@ -47,36 +47,6 @@ class TestCampaign:
         b = run_resilience_campaign(outcome, failures=2, trials=30, seed=42)
         assert a == b
 
-    def test_vector_engine_matches_scalar(self):
-        # The vector engine memoizes deterministic re-planning but keeps
-        # the per-trial RNG streams, so its report is bit-identical.
-        pytest.importorskip("numpy")
-        outcome = paper_outcome()
-        scalar = run_resilience_campaign(
-            outcome, failures=2, trials=30, seed=0, engine="scalar"
-        )
-        vector = run_resilience_campaign(
-            outcome, failures=2, trials=30, seed=0, engine="vector"
-        )
-        assert scalar == vector
-
-    def test_engine_choice_recorded(self):
-        from repro.faultsim.kernel import NUMPY_AVAILABLE
-        from repro.obs import Recorder, use
-
-        recorder = Recorder()
-        with use(recorder):
-            report = run_resilience_campaign(
-                paper_outcome(), failures=2, trials=5, seed=0, engine="auto"
-            )
-        assert report.trials == 5
-        engine_decisions = [
-            d for d in recorder.decisions
-            if d.category == "resilience" and d.action == "engine"
-        ]
-        expected = "vector" if NUMPY_AVAILABLE else "scalar"
-        assert engine_decisions and engine_decisions[0].subject == expected
-
     def test_different_seeds_vary(self):
         outcome = paper_outcome()
         a = run_resilience_campaign(outcome, failures=2, trials=30, seed=1)

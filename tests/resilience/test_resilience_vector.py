@@ -1,126 +1,148 @@
-"""The resilience vector engine: bit-identical, memoized, no fallback.
+"""Memoized degraded-mode planning in resilience campaigns.
 
-``engine="vector"`` must produce the exact ``ResilienceReport`` the
-scalar engine does at equal seeds — the per-trial RNG streams are
-shared; only the deterministic planning side is compiled and memoized —
-and it must resolve as a genuine vector run (no recorded fallback
-decision), including under sharded worker-pool execution.
+A campaign plans each distinct failure state once and reuses the plan:
+``plan_degradation`` is deterministic, and trials copy a plan's dicts
+before mutating them.  The reference here is the planning the memo
+replaces, a fresh ``plan_degradation`` per event.  Both must give the
+same trial results and the exact same ``ResilienceReport`` at equal
+seeds, including under pooled execution.
 """
+
+import random
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro import IntegrationFramework, fully_connected, paper_system
 from repro.core.framework import FrameworkOptions, Heuristic
+from repro.exec.batching import derive_seed
 from repro.exec.runner import ExecPolicy
 from repro.obs import Recorder, use
-from repro.resilience.campaign import run_resilience_campaign
+from repro.resilience import campaign
+from repro.resilience.bands import origin_of
+from repro.resilience.degradation import plan_degradation
+from repro.resilience.failures import FCRFailureRates, draw_failure_sequence
+from repro.resilience.recovery import DEFAULT_POLICIES
 from repro.workloads.generators import random_system
 
 
-def outcome_with(engine):
-    options = FrameworkOptions(heuristic=Heuristic.H1, engine=engine)
+def paper_outcome():
+    options = FrameworkOptions(heuristic=Heuristic.H1)
     return IntegrationFramework(paper_system(), options).integrate(
         fully_connected(6)
     )
 
 
+def generated_outcome():
+    system = random_system(
+        processes=20, tasks_per_process=1, procedures_per_task=1, seed=42
+    )
+    options = FrameworkOptions(heuristic=Heuristic.TIMING_PACK)
+    return IntegrationFramework(system, options).integrate(fully_connected(8))
+
+
+def fresh_planner(outcome):
+    """The un-memoized reference: a new plan for every event."""
+
+    def planner(failed_now, links):
+        return plan_degradation(outcome, list(failed_now), failed_links=links)
+
+    return planner
+
+
+def fresh_planning_report(monkeypatch, outcome, **kwargs):
+    """``run_resilience_campaign`` with every trial on the reference."""
+    simulate = campaign._simulate_trial
+
+    def unmemoized(outcome, events, rng, horizon, policies, _planner, origin):
+        return simulate(
+            outcome, events, rng, horizon, policies, fresh_planner(outcome), origin
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setattr(campaign, "_simulate_trial", unmemoized)
+        return campaign.run_resilience_campaign(outcome, **kwargs)
+
+
 class TestVectorBitIdentity:
+    """Memoized campaigns against fresh planning, report for report."""
+
     @pytest.mark.parametrize("seed", [0, 7, 1234])
-    def test_reports_bit_identical(self, seed):
-        outcome = outcome_with("auto")
-        scalar = run_resilience_campaign(
-            outcome, failures=2, trials=40, seed=seed, engine="scalar"
+    def test_reports_bit_identical(self, monkeypatch, seed):
+        outcome = paper_outcome()
+        memoized = campaign.run_resilience_campaign(
+            outcome, failures=2, trials=40, seed=seed
         )
-        vector = run_resilience_campaign(
-            outcome, failures=2, trials=40, seed=seed, engine="vector"
+        reference = fresh_planning_report(
+            monkeypatch, outcome, failures=2, trials=40, seed=seed
         )
-        assert scalar == vector
+        assert memoized == reference
 
-    def test_identical_across_pipeline_engines(self):
-        # A scalar-built and a vector-built outcome agree bit-for-bit,
-        # so resilience reports over them must too.
-        scalar_outcome = outcome_with("scalar")
-        vector_outcome = outcome_with("vector")
-        scalar = run_resilience_campaign(
-            scalar_outcome, failures=2, trials=30, seed=3, engine="scalar"
+    def test_identical_under_sharded_execution(self, monkeypatch):
+        outcome = paper_outcome()
+        reference = fresh_planning_report(
+            monkeypatch, outcome, failures=2, trials=40, seed=5
         )
-        vector = run_resilience_campaign(
-            vector_outcome, failures=2, trials=30, seed=3, engine="vector"
-        )
-        assert scalar == vector
-
-    def test_identical_under_sharded_execution(self):
-        outcome = outcome_with("vector")
-        serial = run_resilience_campaign(
-            outcome, failures=2, trials=40, seed=5, engine="scalar"
-        )
-        pooled = run_resilience_campaign(
-            outcome, failures=2, trials=40, seed=5, engine="vector",
+        pooled = campaign.run_resilience_campaign(
+            outcome, failures=2, trials=40, seed=5,
             policy=ExecPolicy(workers=2, batch_size=10),
         )
-        assert serial == pooled
+        assert reference == pooled
 
-    def test_generated_workload_bit_identical(self):
-        system = random_system(
-            processes=20, tasks_per_process=1, procedures_per_task=1, seed=42
+    def test_generated_workload_bit_identical(self, monkeypatch):
+        outcome = generated_outcome()
+        memoized = campaign.run_resilience_campaign(
+            outcome, failures=3, trials=30, seed=11
         )
-        options = FrameworkOptions(heuristic=Heuristic.TIMING_PACK, engine="vector")
-        outcome = IntegrationFramework(system, options).integrate(
-            fully_connected(8)
+        reference = fresh_planning_report(
+            monkeypatch, outcome, failures=3, trials=30, seed=11
         )
-        scalar = run_resilience_campaign(
-            outcome, failures=3, trials=30, seed=11, engine="scalar"
-        )
-        vector = run_resilience_campaign(
-            outcome, failures=3, trials=30, seed=11, engine="vector"
-        )
-        assert scalar == vector
+        assert memoized == reference
 
 
 class TestVectorResolution:
-    def test_no_fallback_decision(self):
-        # Regression for the old refusal: an explicit vector request
-        # must resolve to a real vector run, not a recorded fallback.
-        recorder = Recorder()
-        with use(recorder):
-            run_resilience_campaign(
-                outcome_with("vector"), failures=2, trials=5, seed=0,
-                engine="vector",
-            )
-        decisions = [
-            d for d in recorder.decisions
-            if d.category == "resilience" and d.action == "engine"
-        ]
-        assert len(decisions) == 1
-        assert decisions[0].subject == "vector"
-        assert "fell back" not in decisions[0].reason
-        assert "unavailable" not in decisions[0].reason
+    """What the memo saves: plans per distinct state, not per event."""
 
-    def test_campaign_span_tagged_vector(self):
-        recorder = Recorder()
-        with use(recorder):
-            run_resilience_campaign(
-                outcome_with("vector"), failures=2, trials=5, seed=0,
-                engine="vector",
-            )
-        spans = [s for s in recorder.spans if s.name == "resilience.campaign"]
-        assert spans and spans[0].attrs["engine"] == "vector"
-
-    def test_memoized_planning_reduces_plan_events(self):
-        # The documented contract difference: under vector, repeated
-        # failure states reuse one plan, so plan_degradation runs (and
-        # its recorder events fire) at most once per distinct state.
-        def plan_decisions(engine):
+    def test_memoized_planning_reduces_plan_events(self, monkeypatch):
+        def plans_made(run):
             recorder = Recorder()
-            outcome = outcome_with("auto")
             with use(recorder):
-                run_resilience_campaign(
-                    outcome, failures=2, trials=40, seed=0, engine=engine
-                )
-            return sum(
-                1 for d in recorder.decisions if d.category == "degrade"
+                run()
+            return recorder.counter("degrade_plans_total").value()
+
+        outcome = paper_outcome()
+        memoized = plans_made(
+            lambda: campaign.run_resilience_campaign(
+                outcome, failures=2, trials=40, seed=0
+            )
+        )
+        reference = plans_made(
+            lambda: fresh_planning_report(
+                monkeypatch, outcome, failures=2, trials=40, seed=0
+            )
+        )
+        assert 0 < memoized < reference
+
+
+class TestMemoSafety:
+    """One planner shared by many trials answers like fresh planning."""
+
+    @pytest.mark.parametrize("make_outcome", [paper_outcome, generated_outcome])
+    def test_shared_memo_matches_fresh_plans(self, make_outcome):
+        outcome = make_outcome()
+        hw = outcome.mapping.hw
+        rates = FCRFailureRates.uniform(hw)
+        graph = outcome.condensation.state.graph
+        shared = campaign._memoized_planner(outcome)
+
+        def origin(member):
+            return origin_of(graph, member)
+
+        def trial(seed, planner):
+            rng = random.Random(derive_seed(seed, 0))
+            events = draw_failure_sequence(hw, rates, 2, rng, 100.0)
+            return campaign._simulate_trial(
+                outcome, events, rng, 100.0, DEFAULT_POLICIES, planner, origin
             )
 
-        assert plan_decisions("vector") <= plan_decisions("scalar")
+        for seed in range(40):
+            assert trial(seed, shared) == trial(seed, fresh_planner(outcome))
