@@ -7,12 +7,18 @@ heuristics (H1-H3, Approach B, timing packing) operate on a
 mutable partition into clusters.  Cluster-to-cluster influence is the
 Eq. (4) combination over member edges, with the replica override pinning
 replica-related cluster pairs to 0 influence and non-combinable.
+
+Condensation asks about one cluster pair at a time as it merges;
+mapping and scoring read a :class:`PartitionView`, every pair of the
+final partition at once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import AllocationError, InfluenceError
 from repro.allocation import compiled
@@ -55,19 +61,64 @@ class Cluster:
         return name in self.members
 
 
+@dataclass(frozen=True)
+class PartitionView:
+    """Cluster-by-cluster matrices of one partition.
+
+    For ``i != j``, ``raw[i, j]`` is :meth:`ClusterState.raw_influence`,
+    ``conflict[i, j]`` is :meth:`ClusterState.replica_related` and
+    ``influence[i, j]`` is :meth:`ClusterState.influence`: ``raw`` with
+    replica-related pairs pinned to 0.  The diagonals are 0 and False.
+    ``clusters`` holds the member tuples the rows and columns follow.
+    Views are cached and shared, so their arrays are read-only.
+    """
+
+    clusters: tuple[tuple[str, ...], ...]
+    raw: np.ndarray
+    conflict: np.ndarray
+    influence: np.ndarray
+
+    def __post_init__(self) -> None:
+        for matrix in (self.raw, self.conflict, self.influence):
+            matrix.flags.writeable = False
+
+    @classmethod
+    def from_matrices(
+        cls,
+        clusters: tuple[tuple[str, ...], ...],
+        raw: np.ndarray,
+        conflict: np.ndarray,
+    ) -> "PartitionView":
+        return cls(clusters, raw, conflict, np.where(conflict, 0.0, raw))
+
+    def take(self, positions: list[int]) -> "PartitionView":
+        """The view of the partition made of the clusters at ``positions``."""
+        block = np.ix_(positions, positions)
+        return PartitionView(
+            tuple(self.clusters[p] for p in positions),
+            self.raw[block],
+            self.conflict[block],
+            self.influence[block],
+        )
+
+
 class _Compiled:
     """The compiled form of one ``(graph, policy)`` pair, plus query caches.
 
-    The :class:`~repro.graphs.matrix.CompiledInfluence` and the
-    :class:`~repro.allocation.compiled.CompiledPolicy` are built on first
-    use.  Every state derived through :meth:`ClusterState.copy` or
+    The :class:`~repro.graphs.matrix.CompiledInfluence`, the
+    :class:`~repro.allocation.compiled.CompiledPolicy` and the
+    :class:`~repro.allocation.compiled.ReplicaPartners` are built on
+    first use.  Every state derived through :meth:`ClusterState.copy` or
     :meth:`ClusterState.with_clusters` shares one instance; the caches
     key on member tuples, so sharing them across partitions is safe.
+    The last partition view built is kept too: a partition made only of
+    its clusters (a degraded mapping's survivors) takes a sub-view of it.
     """
 
     __slots__ = (
-        "graph", "policy", "_influence", "_policy",
-        "rows", "influence_values", "combinable", "attributes",
+        "graph", "policy", "_influence", "_policy", "_replicas",
+        "_rows", "influence_values", "combinable", "attributes",
+        "_view", "_view_position",
     )
 
     def __init__(self, graph: InfluenceGraph, policy: CombinationPolicy) -> None:
@@ -75,10 +126,13 @@ class _Compiled:
         self.policy = policy
         self._influence = None
         self._policy = None
-        self.rows: dict = {}
+        self._replicas = None
+        self._rows: dict = {}
         self.influence_values: dict = {}
         self.combinable: dict = {}
         self.attributes: dict = {}
+        self._view: PartitionView | None = None
+        self._view_position: dict = {}
 
     # The compile functions are looked up on their defining modules at
     # call time, so wrappers installed there (tracing hooks) see every
@@ -97,6 +151,50 @@ class _Compiled:
         if self._policy is None:
             self._policy = compiled.compile_policy(self.graph, self.policy)
         return self._policy
+
+    def replicas(self) -> compiled.ReplicaPartners:
+        if self._replicas is None:
+            self._replicas = compiled.ReplicaPartners(self.graph)
+        return self._replicas
+
+    def rows(self, members: tuple[str, ...]) -> list[int]:
+        rows = self._rows.get(members)
+        if rows is None:
+            rows = self._rows[members] = self.influence().rows(members)
+        return rows
+
+    def view(self, clusters: tuple[tuple[str, ...], ...]) -> PartitionView:
+        """The partition view of ``clusters``, built or taken from the last one."""
+        if self._view is not None:
+            position = self._view_position
+            if all(members in position for members in clusters):
+                return self._view.take([position[members] for members in clusters])
+        raw = self.influence().partition_influence(
+            [self.rows(members) for members in clusters]
+        )
+        view = PartitionView.from_matrices(clusters, raw, self.conflicts(clusters))
+        self._view = view
+        self._view_position = {members: i for i, members in enumerate(clusters)}
+        return view
+
+    def conflicts(self, clusters: tuple[tuple[str, ...], ...]) -> np.ndarray:
+        """``out[i, j]``: some member of cluster ``j`` is a replica
+        partner of a member of cluster ``i`` (symmetric; diagonal False)."""
+        n = len(clusters)
+        out = np.zeros((n, n), dtype=bool)
+        replicas = self.replicas()
+        cluster_of: dict[str, int] = {}
+        for i, members in enumerate(clusters):
+            partners = replicas.of(members)
+            if not partners:
+                continue
+            if not cluster_of:
+                cluster_of = {m: k for k, block in enumerate(clusters) for m in block}
+            for partner in partners:
+                j = cluster_of.get(partner)
+                if j is not None and j != i:
+                    out[i, j] = True
+        return out
 
 
 class ClusterState:
@@ -123,6 +221,7 @@ class ClusterState:
         self.graph = graph
         self.policy = policy if policy is not None else CombinationPolicy()
         self._compiled = _Compiled(graph, self.policy)
+        self._view: PartitionView | None = None
         if clusters is None:
             self.clusters: list[Cluster] = [
                 Cluster((name,)) for name in graph.fcm_names()
@@ -136,14 +235,6 @@ class ClusterState:
                 raise AllocationError(f"unknown FCMs in clusters: {sorted(unknown)}")
             self.clusters = list(clusters)
 
-    def _rows(self, members: tuple[str, ...]) -> list[int]:
-        cache = self._compiled.rows
-        rows = cache.get(members)
-        if rows is None:
-            rows = self._compiled.influence().rows(members)
-            cache[members] = rows
-        return rows
-
     def _combinable(self, first: tuple[str, ...], second: tuple[str, ...]) -> bool:
         """Cached :func:`clusters_combinable` (replica-separation predicate)."""
         cache = self._compiled.combinable
@@ -152,10 +243,7 @@ class ClusterState:
         if cached is None:
             if set(first) & set(second):
                 raise InfluenceError("clusters overlap")
-            graph = self.graph
-            cached = not any(
-                graph.is_replica_link(a, b) for a in first for b in second
-            )
+            cached = self._compiled.replicas().of(first).isdisjoint(second)
             cache[key] = cached
         return cached
 
@@ -203,8 +291,9 @@ class ClusterState:
         cache = self._compiled.influence_values
         value = cache.get(key)
         if value is None:
+            rows = self._compiled.rows
             value = self._compiled.influence().group_influence(
-                self._rows(a.members), self._rows(b.members)
+                rows(a.members), rows(b.members)
             )
             cache[key] = value
         return value
@@ -268,6 +357,19 @@ class ClusterState:
             cache[members] = cached
         return cached
 
+    def partition_view(self) -> PartitionView:
+        """Every cluster pair's influence and replica relation at once.
+
+        Built on first call for the current partition and kept until the
+        clusters change.  Mapping and scoring read it; condensation,
+        whose partition changes with every merge, asks pair by pair.
+        """
+        clusters = tuple(cluster.members for cluster in self.clusters)
+        view = self._view
+        if view is None or view.clusters != clusters:
+            view = self._view = self._compiled.view(clusters)
+        return view
+
     def total_cross_influence(self) -> float:
         """Sum of all inter-cluster influences — the condensation target.
 
@@ -275,14 +377,11 @@ class ClusterState:
         the sets is minimized."  Uses :meth:`raw_influence`: faults cross
         node boundaries along real edges regardless of replica pins, so
         the score must count them (the override applies to merge
-        decisions, not to exposure accounting).
+        decisions, not to exposure accounting).  The terms are added in
+        row-major order, one after another.
         """
-        total = 0.0
-        for i in range(len(self.clusters)):
-            for j in range(len(self.clusters)):
-                if i != j:
-                    total += self.raw_influence(i, j)
-        return total
+        raw = self.partition_view().raw
+        return matrix.sequential_sum(raw[~np.eye(len(raw), dtype=bool)])
 
     def labels(self) -> list[str]:
         return [cluster.label for cluster in self.clusters]

@@ -135,6 +135,37 @@ def _demand_feasible(jobs: tuple[tuple[float, float, float], ...]) -> bool:
     return True
 
 
+class ReplicaPartners:
+    """Replica partners of member blocks, cached by member tuple.
+
+    A block's partners are the union of its members' replica partners.
+    Two blocks hold replicas of one module exactly when one block's
+    partners meet the other block's members.
+    """
+
+    __slots__ = ("_of", "_unions")
+
+    def __init__(self, graph: InfluenceGraph) -> None:
+        self._of: dict[str, frozenset[str]] = {}
+        for name in graph.fcm_names():
+            partners = graph.replica_partners(name)
+            if partners:
+                self._of[name] = partners
+        self._unions: dict[Members, frozenset[str]] = {}
+
+    def of(self, block: Members) -> frozenset[str]:
+        cached = self._unions.get(block)
+        if cached is None:
+            out: set[str] = set()
+            for name in block:
+                linked = self._of.get(name)
+                if linked:
+                    out |= linked
+            cached = frozenset(out) if out else _EMPTY
+            self._unions[block] = cached
+        return cached
+
+
 class CompiledPolicy:
     """A :class:`CombinationPolicy` specialized to one influence graph.
 
@@ -152,18 +183,14 @@ class CompiledPolicy:
         self._pair_memo: dict[tuple[Members, Members], bool] = {}
         self._checks: list = []
         self._has_replica_sep = False
-        self._partners: dict[str, frozenset[str]] = {}
-        self._partner_union: dict[Members, frozenset[str]] = {}
+        self._replicas: ReplicaPartners | None = None
         self._member_sets: dict[Members, frozenset[str]] = {}
         self._crit_any: dict[Members, bool] = {}
         self._sec_range: dict[Members, tuple[int, int] | None] = {}
         for constraint in policy.constraints:
             if isinstance(constraint, ReplicaSeparation):
                 self._has_replica_sep = True
-                self._partners = {
-                    name: graph.replica_partners(name)
-                    for name in graph.fcm_names()
-                }
+                self._replicas = ReplicaPartners(graph)
                 self._checks.append(self._check_replicas)
             elif isinstance(constraint, Schedulability) and (
                 constraint.method in _FAST_METHODS
@@ -206,22 +233,9 @@ class CompiledPolicy:
             self._member_sets[block] = cached
         return cached
 
-    def _partners_of(self, block: Members) -> frozenset[str]:
-        cached = self._partner_union.get(block)
-        if cached is None:
-            out: set[str] = set()
-            partners = self._partners
-            for name in block:
-                linked = partners.get(name)
-                if linked:
-                    out |= linked
-            cached = frozenset(out) if out else _EMPTY
-            self._partner_union[block] = cached
-        return cached
-
     # -- compiled constraint checks (True = no violation) -------------
     def _check_replicas(self, first: Members, second: Members) -> bool:
-        return not (self._partners_of(first) & self._members(second))
+        return self._replicas.of(first).isdisjoint(self._members(second))
 
     def _check_demand(self, first: Members, second: Members) -> bool:
         sched = self._sched

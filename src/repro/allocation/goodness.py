@@ -128,10 +128,17 @@ def evaluate_mapping(
     assigned_nodes = list(mapping.assignment.values())
     if len(set(assigned_nodes)) != len(assigned_nodes):
         replica_ok = False
+    cluster_of = {
+        member: index
+        for index, cluster in enumerate(mapping.state.clusters)
+        for member in cluster.members
+    }
     for group in mapping.state.graph.replica_groups():
         nodes = set()
         for member in group:
-            index = mapping.state.cluster_of(member)
+            index = cluster_of.get(member)
+            if index is None:
+                index = mapping.state.cluster_of(member)  # raises: unplaced
             node = mapping.assignment.get(index)
             if node in nodes:
                 replica_ok = False

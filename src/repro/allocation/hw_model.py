@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import AllocationError
 
 
@@ -42,8 +44,8 @@ class HWNode:
     def __post_init__(self) -> None:
         if not self.name:
             raise AllocationError("HW node needs a non-empty name")
-        if self.memory < 0:
-            raise AllocationError("memory must be >= 0")
+        if not self.memory >= 0:  # NaN fails too
+            raise AllocationError(f"memory must be >= 0, got {self.memory}")
 
 
 class HWGraph:
@@ -52,22 +54,26 @@ class HWGraph:
     def __init__(self) -> None:
         self._nodes: dict[str, HWNode] = {}
         self._links: dict[frozenset[str], float] = {}
+        self._costs: tuple[dict[str, int], np.ndarray] | None = None
 
     def add_node(self, node: HWNode) -> None:
         if node.name in self._nodes:
             raise AllocationError(f"HW node {node.name!r} already present")
         self._nodes[node.name] = node
+        self._costs = None
 
     def add_link(self, a: str, b: str, cost: float = 1.0) -> None:
-        """Undirected communication link with the given cost."""
+        """Undirected communication link with the given cost (``inf``
+        allowed: it costs the same as no link)."""
         for name in (a, b):
             if name not in self._nodes:
                 raise AllocationError(f"HW node {name!r} not in graph")
         if a == b:
             raise AllocationError("links join distinct nodes")
-        if cost < 0:
-            raise AllocationError("link cost must be >= 0")
+        if not cost >= 0:  # NaN fails too
+            raise AllocationError(f"link cost must be >= 0, got {cost}")
         self._links[frozenset((a, b))] = float(cost)
+        self._costs = None
 
     def node(self, name: str) -> HWNode:
         try:
@@ -99,6 +105,30 @@ class HWGraph:
         if a == b:
             return 0.0
         return self._links.get(frozenset((a, b)), float("inf"))
+
+    def cost_matrix(self) -> tuple[dict[str, int], np.ndarray]:
+        """``(position, costs)``: ``costs[position[a], position[b]]`` is
+        :meth:`link_cost` of ``a`` and ``b``, positions in :meth:`names`
+        order.  Built once and kept until the graph changes."""
+        if self._costs is None:
+            position = {name: i for i, name in enumerate(self._nodes)}
+            costs = np.full((len(position), len(position)), np.inf)
+            np.fill_diagonal(costs, 0.0)
+            if self._links:
+                ends = np.array([[position[a], position[b]] for a, b in self._links])
+                values = list(self._links.values())
+                costs[ends[:, 0], ends[:, 1]] = values
+                costs[ends[:, 1], ends[:, 0]] = values
+            self._costs = (position, costs)
+        return self._costs
+
+    def positions(self, names: "list[str]") -> list[int]:
+        """:meth:`cost_matrix` positions of ``names``."""
+        position = self.cost_matrix()[0]
+        try:
+            return [position[name] for name in names]
+        except KeyError as exc:
+            raise AllocationError(f"HW node {exc.args[0]!r} not in graph") from None
 
     def all_links(self) -> list[tuple[str, str, float]]:
         """Every link as ``(node_a, node_b, cost)`` with sorted endpoints."""

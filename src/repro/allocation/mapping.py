@@ -20,16 +20,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import AllocationError, InfeasibleAllocationError
 from repro.allocation.clustering import ClusterState
 from repro.allocation.constraints import ResourceRequirements
 from repro.allocation.hw_model import HWGraph
 from repro.allocation.importance import rank_clusters
+from repro.graphs.matrix import sequential_sum
 from repro.model.attributes import (
     DEFAULT_IMPORTANCE_WEIGHTS,
     ImportanceWeights,
 )
 from repro.obs import current
+
+#: Placement cost of an unlinked (or ``inf``-cost) node pair: massive but
+#: finite, so a complete assignment is still found and flagged by the
+#: goodness checks.
+UNLINKED_PENALTY = 1e6
 
 
 @dataclass
@@ -58,20 +66,18 @@ class Mapping:
         return len(self.assignment) == len(self.state.clusters)
 
     def communication_cost(self) -> float:
-        """Influence-weighted link-cost sum over cluster pairs (dilation)."""
-        total = 0.0
-        n = len(self.state.clusters)
-        for i in range(n):
-            for j in range(n):
-                if i == j or i not in self.assignment or j not in self.assignment:
-                    continue
-                influence = self.state.influence(i, j)
-                if influence <= 0.0:
-                    continue
-                total += influence * self.hw.link_cost(
-                    self.assignment[i], self.assignment[j]
-                )
-        return total
+        """Influence-weighted link-cost sum over cluster pairs (dilation).
+
+        Adds ``influence(i, j) * link_cost`` over the assigned ordered
+        pairs with positive influence, in row-major order; a pair on
+        unlinked HW nodes makes the cost ``inf``.
+        """
+        placed = [i for i in range(len(self.state.clusters)) if i in self.assignment]
+        influence = self.state.partition_view().influence[np.ix_(placed, placed)]
+        nodes = self.hw.positions([self.assignment[i] for i in placed])
+        links = self.hw.cost_matrix()[1][np.ix_(nodes, nodes)]
+        linked = influence > 0.0
+        return sequential_sum(influence[linked] * links[linked])
 
     def describe(self) -> list[tuple[str, str]]:
         """(HW node, cluster label) pairs, in HW order."""
@@ -95,33 +101,21 @@ def map_approach_a(
     """
     _check_capacity(state, hw)
     reqs = resources or ResourceRequirements()
-    mapping = Mapping(state=state, hw=hw)
+    placement = _Placement(Mapping(state=state, hw=hw))
     free = list(hw.names())
     rec = current()
 
     for index in rank_clusters(state, weights):
-        members = state.clusters[index].members
-        candidates = [
-            name for name in free
-            if reqs.satisfied_on(members, hw.node(name).resources)
-        ]
+        needed = reqs.required_by(state.clusters[index].members)
+        candidates = [name for name in free if needed <= hw.node(name).resources]
         if not candidates:
             raise InfeasibleAllocationError(
                 "no free HW node satisfies resources "
-                f"{sorted(reqs.required_by(members))!r} for cluster "
+                f"{sorted(needed)!r} for cluster "
                 f"{state.clusters[index].label!r}"
             )
-        needed = reqs.required_by(members)
-        costs = _placement_costs(mapping, index, candidates)
-        best = min(
-            range(len(candidates)),
-            key=lambda k: (
-                costs[k],
-                # keep special nodes free
-                len(hw.node(candidates[k]).resources - needed),
-                candidates[k],
-            ),
-        )
+        costs = placement.costs(index, candidates)
+        best = _cheapest(costs, candidates, hw, needed)
         chosen = candidates[best]
         if rec.enabled:
             rec.decision(
@@ -133,9 +127,9 @@ def map_approach_a(
                 node=chosen,
                 approach="a",
             )
-        mapping.assignment[index] = chosen
+        placement.place(index, chosen)
         free.remove(chosen)
-    return mapping
+    return placement.mapping
 
 
 def map_approach_b(
@@ -153,7 +147,7 @@ def map_approach_b(
     """
     _check_capacity(state, hw)
     reqs = resources or ResourceRequirements()
-    mapping = Mapping(state=state, hw=hw)
+    placement = _Placement(Mapping(state=state, hw=hw))
     free = list(hw.names())
     rec = current()
 
@@ -171,11 +165,8 @@ def map_approach_b(
 
     used_fcrs: set[str] = set()
     for index in sorted(range(len(state.clusters)), key=lexicographic_key):
-        members = state.clusters[index].members
-        candidates = [
-            name for name in free
-            if reqs.satisfied_on(members, hw.node(name).resources)
-        ]
+        needed = reqs.required_by(state.clusters[index].members)
+        candidates = [name for name in free if needed <= hw.node(name).resources]
         if not candidates:
             raise InfeasibleAllocationError(
                 "no free HW node satisfies resources for cluster "
@@ -183,18 +174,8 @@ def map_approach_b(
             )
         fresh_fcr = [n for n in candidates if hw.fcr_of(n) not in used_fcrs]
         pool = fresh_fcr or candidates
-        needed = reqs.required_by(members)
-        costs = _placement_costs(mapping, index, pool)
-        chosen = pool[
-            min(
-                range(len(pool)),
-                key=lambda k: (
-                    costs[k],
-                    len(hw.node(pool[k]).resources - needed),
-                    pool[k],
-                ),
-            )
-        ]
+        costs = placement.costs(index, pool)
+        chosen = pool[_cheapest(costs, pool, hw, needed)]
         if rec.enabled:
             rec.decision(
                 "map",
@@ -207,10 +188,10 @@ def map_approach_b(
                 fcr=hw.fcr_of(chosen),
                 approach="b",
             )
-        mapping.assignment[index] = chosen
+        placement.place(index, chosen)
         used_fcrs.add(hw.fcr_of(chosen))
         free.remove(chosen)
-    return mapping
+    return placement.mapping
 
 
 def improve_mapping(
@@ -258,37 +239,48 @@ def improve_mapping(
     return swaps
 
 
-def _placement_costs(
-    mapping: Mapping,
-    index: int,
-    candidates: list[str],
-) -> list[float]:
-    """Dilation cost of placing ``index`` on each candidate HW node.
+class _Placement:
+    """A mapping under construction, with every cluster's running
+    dilation cost on every HW node.
 
-    One sweep over the placed clusters computes every candidate's cost:
-    the (expensive) cluster-pair influence is evaluated once per placed
-    neighbour instead of once per (neighbour, candidate), and each
-    candidate's total still accumulates contributions in assignment
-    insertion order — the exact float addition sequence of the one-
-    candidate-at-a-time scoring it replaces.
+    Placing cluster ``o`` on node ``h`` adds ``mutual(i, o) * link(h, c)``
+    to the cost of cluster ``i`` on node ``c``, for all ``i`` and ``c``
+    at once: one cost column per placed neighbour, added in assignment
+    insertion order, which is the float addition sequence of scoring
+    each candidate alone.  ``mutual`` is the partition view's influence
+    plus its transpose; unlinked node pairs cost
+    :data:`UNLINKED_PENALTY`.  A neighbour with zero mutual influence
+    adds exact zeros, which change no total.
     """
-    state = mapping.state
-    hw = mapping.hw
-    inf = float("inf")
-    totals = [0.0] * len(candidates)
-    for other, node in mapping.assignment.items():
-        influence = state.influence(index, other) + state.influence(other, index)
-        if influence <= 0.0:
-            continue
-        for k, name in enumerate(candidates):
-            cost = hw.link_cost(name, node)
-            if cost == inf:
-                # Unconnected nodes: massive but finite penalty so a
-                # complete assignment is still found and flagged by
-                # goodness checks.
-                cost = 1e6
-            totals[k] += influence * cost
-    return totals
+
+    def __init__(self, mapping: Mapping) -> None:
+        self.mapping = mapping
+        influence = mapping.state.partition_view().influence
+        self.mutual = influence + influence.T
+        self.position, costs = mapping.hw.cost_matrix()
+        self.links = np.where(costs == np.inf, UNLINKED_PENALTY, costs)
+        self.totals = np.zeros((len(influence), len(costs)))
+
+    def costs(self, index: int, candidates: list[str]) -> list[float]:
+        """Dilation cost of placing ``index`` on each candidate HW node."""
+        position = self.position
+        return self.totals[index, [position[name] for name in candidates]].tolist()
+
+    def place(self, index: int, name: str) -> None:
+        self.mapping.assignment[index] = name
+        self.totals += np.outer(self.mutual[:, index], self.links[self.position[name]])
+
+
+def _cheapest(
+    costs: list[float], candidates: list[str], hw: HWGraph, needed: frozenset[str]
+) -> int:
+    """Index of the lowest-cost candidate.  Ties keep special nodes free
+    (fewest resources the cluster does not need), then go by name."""
+    low = min(costs)
+    return min(
+        (k for k, cost in enumerate(costs) if cost == low),
+        key=lambda k: (len(hw.node(candidates[k]).resources - needed), candidates[k]),
+    )
 
 
 def _check_capacity(state: ClusterState, hw: HWGraph) -> None:

@@ -41,16 +41,26 @@ def expand_replication(graph: InfluenceGraph) -> InfluenceGraph:
     edges.  Edges between two replicated FCMs expand to the full
     bipartite pattern, as in the paper's example where the p1-p2 edges
     appear between every p1 and p2 replica.
+
+    The expansion is an index map: every expanded FCM is an image of one
+    source FCM, so the expanded graph's compile is the source compile
+    gathered by image (``W[img][:, img]``) and is cached on it up front.
+    The expanded influence edges are installed only when a caller first
+    reads one (see :meth:`InfluenceGraph.defer_influences`); allocation
+    that answers from the compile never does.
     """
     expanded = InfluenceGraph()
     # Map original name -> list of node names in the expanded graph.
     images: dict[str, list[str]] = {}
+    # Source position of each expanded FCM, in expanded order.
+    origins: list[int] = []
 
-    for fcm in graph.fcms():
+    for position, fcm in enumerate(graph.fcms()):
         ft = fcm.attributes.fault_tolerance
         if ft > 1:
             names = replica_names(fcm.name, ft)
             images[fcm.name] = names
+            origins.extend([position] * ft)
             for suffix_name in names:
                 replica = FCM(
                     name=suffix_name,
@@ -65,18 +75,28 @@ def expand_replication(graph: InfluenceGraph) -> InfluenceGraph:
                     expanded.link_replicas(a, b)
         else:
             images[fcm.name] = [fcm.name]
+            origins.append(position)
             expanded.add_fcm(graph.fcm(fcm.name))
+    if not origins:
+        return expanded
 
-    # One pass over the source edges, emitting every image pair in
-    # source-edge order; a factor edge's images keep its factor tuple.
-    expanded.set_influences(
-        (src_image, dst_image, None, factors)
-        if factors
-        else (src_image, dst_image, weight, None)
-        for src, dst, weight, factors in graph.influence_edge_factors()
-        for src_image in images[src]
-        for dst_image in images[dst]
+    # Every image pair in source-edge order; a factor edge's images keep
+    # its factor tuple.  The source edges are the ones it has now, so
+    # later changes to the source do not leak into the expanded graph.
+    source_edges = graph.snapshot_edge_factors()
+    expanded.defer_influences(
+        lambda: (
+            (src_image, dst_image, None, factors)
+            if factors
+            else (src_image, dst_image, weight, None)
+            for src, dst, weight, factors in source_edges()
+            for src_image in images[src]
+            for dst_image in images[dst]
+        )
     )
+    from repro.faultsim import kernel
+
+    kernel.seed_compile(expanded, kernel.compile_graph(graph), origins)
     return expanded
 
 

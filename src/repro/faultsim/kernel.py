@@ -115,6 +115,31 @@ def compile_graph(graph: InfluenceGraph) -> CompiledGraph:
     return compiled
 
 
+def seed_compile(
+    graph: InfluenceGraph, source: CompiledGraph, origins: "list[int]"
+) -> CompiledGraph:
+    """Cache ``graph``'s compile as ``source`` gathered by ``origins``.
+
+    ``origins[k]`` is the row in ``source`` of the FCM that
+    ``graph.fcm_names()[k]`` is an image of, and each image must carry
+    exactly its origin's edges (replica expansion: images of one origin
+    are unlinked, like an FCM and itself).  The gather is then the
+    matrix :func:`compile_graph` would build from ``graph``'s edges,
+    without reading them; it is cached under ``graph``'s current
+    :attr:`~repro.influence.influence_graph.InfluenceGraph.version`.
+    """
+    names = tuple(graph.fcm_names())
+    img = np.asarray(origins, dtype=np.intp)
+    compiled = CompiledGraph(
+        names=names,
+        index={name: i for i, name in enumerate(names)},
+        weights=source.weights[img][:, img],
+        log_survival=source.log_survival[img][:, img],
+    )
+    graph._kernel_compile_cache = (graph.version, compiled)
+    return compiled
+
+
 def propagate_block(
     compiled: CompiledGraph,
     sources: "np.ndarray",

@@ -94,13 +94,87 @@ class CompiledInfluence:
     def group_influence(self, rows_a: list[int], rows_b: list[int]) -> float:
         """Eq. (2) combined influence of member rows ``a`` on rows ``b``."""
         if len(rows_a) == 1 and len(rows_b) == 1:
-            return 1.0 - self.complements[rows_a[0], rows_b[0]]
+            return 1.0 - self.complements.item(rows_a[0], rows_b[0])
         block = self.complements[np.ix_(rows_a, rows_b)]
         return 1.0 - math.prod(block.ravel().tolist())
+
+    def partition_influence(self, blocks: "list[list[int]]") -> np.ndarray:
+        """Eq. (4) influence between every ordered pair of row blocks.
+
+        ``out[i, j] == group_influence(blocks[i], blocks[j])`` bit for
+        bit for ``i != j``; the diagonal is 0.
+
+        Blocks up to a size cap fold together: sorted largest first, the
+        blocks with a member at position ``a`` form a prefix, so step
+        ``(a, b)`` multiplies the running products of the prefix pairs
+        by one gathered ``rows[a] x cols[b]`` slice of the complements.
+        Taking ``a`` outer and ``b`` inner walks each pair's sub-block
+        in C order, the order :meth:`group_influence` multiplies in.
+        Pairs involving a block above the cap take
+        :meth:`group_influence` itself, so one huge block costs a few
+        per-pair folds instead of ``size**2`` steps.
+        """
+        n = len(blocks)
+        out = np.zeros((n, n))
+        if n < 2:
+            return out
+        sizes = [len(block) for block in blocks]
+        cap = _fold_cap(sizes)
+        small = sorted(
+            (i for i in range(n) if sizes[i] <= cap), key=lambda i: -sizes[i]
+        )
+        if small:
+            width = sizes[small[0]]
+            members = np.zeros((len(small), width), dtype=np.intp)
+            for k, i in enumerate(small):
+                members[k, :sizes[i]] = blocks[i]
+            # prefix[a]: how many of the sorted blocks have a member at a.
+            prefix = [sum(1 for i in small if sizes[i] > a) for a in range(width)]
+            product = np.ones((len(small), len(small)))
+            for a in range(width):
+                rows = self.complements[members[:prefix[a], a]]
+                for b in range(width):
+                    product[:prefix[a], :prefix[b]] *= rows[:, members[:prefix[b], b]]
+            out[np.ix_(small, small)] = 1.0 - product
+        for i in range(n):
+            if sizes[i] <= cap:
+                continue
+            for j in range(n):
+                if j != i:
+                    out[i, j] = self.group_influence(blocks[i], blocks[j])
+                    if sizes[j] <= cap:
+                        out[j, i] = self.group_influence(blocks[j], blocks[i])
+        np.fill_diagonal(out, 0.0)
+        return out
 
     def pair_weight(self, a: int, b: int) -> float:
         """The raw edge weight between two single rows."""
         return float(self.weights[a, b])
+
+
+def sequential_sum(terms: np.ndarray) -> float:
+    """``terms`` added one after another from 0.0, as a Python
+    ``total += term`` loop adds them.
+
+    :func:`numpy.add.accumulate` adds each term to the running total
+    before it; ``np.sum`` pairs terms up, which rounds differently.
+    """
+    return np.add.accumulate(np.concatenate(([0.0], terms))).item(-1)
+
+
+def _fold_cap(sizes: list[int]) -> int:
+    """The block size up to which :meth:`CompiledInfluence.partition_influence`
+    folds blocks together.
+
+    The joint fold takes ``cap**2`` array steps; each block above the cap
+    costs about ``2 * len(sizes)`` per-pair folds.  The cap minimizes the
+    sum, counting a step and a per-pair fold alike.
+    """
+    n = len(sizes)
+    return min(
+        set(sizes),
+        key=lambda cap: (cap * cap + 2 * n * sum(1 for s in sizes if s > cap), cap),
+    )
 
 
 def power_series_sum(matrix: np.ndarray, max_order: int) -> np.ndarray:

@@ -14,7 +14,7 @@ stored in *both* directions (the relation is symmetric).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.errors import GraphError, InfluenceError, ProbabilityError
 from repro.graphs.digraph import Digraph
@@ -39,6 +39,8 @@ class InfluenceGraph:
     monotonically increasing :attr:`version` lets compiled artifacts
     (``repro.faultsim.kernel.compile_graph``, the allocation engine's
     matrices) cache against a graph instance and invalidate on mutation.
+    Influence edges may be deferred (:meth:`defer_influences`) until the
+    first read.
     """
 
     def __init__(self) -> None:
@@ -53,6 +55,37 @@ class InfluenceGraph:
     def version(self) -> int:
         """Mutation counter; bumps on any node/edge change."""
         return self._version
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an attribute that is not set, and
+        # ``_graph`` is unset exactly while deferred edges wait: every
+        # edge read and every mutation goes through ``_graph``, so the
+        # first one installs them.
+        deferred = self.__dict__.pop("_deferred", None) if name == "_graph" else None
+        if deferred is None:
+            raise AttributeError(name)
+        self._graph, make_edges = deferred
+        version = self._version
+        self.set_influences(make_edges())
+        self._version = version
+        return self._graph
+
+    def defer_influences(
+        self,
+        make_edges: Callable[
+            [], Iterable[tuple[str, str, float | None, Iterable[InfluenceFactor] | None]]
+        ],
+    ) -> None:
+        """Install ``make_edges()`` through :meth:`set_influences` when an
+        edge is first read or the graph first changes, instead of now.
+
+        Callers see the same graph as after an eager install, except that
+        the install leaves :attr:`version` as it is, so a compile cached
+        against the graph beforehand stays valid.  ``make_edges`` must
+        not depend on state that can change before it runs.
+        """
+        self._deferred = (self._graph, make_edges)
+        del self._graph
 
     # ------------------------------------------------------------------
     # Nodes
@@ -206,14 +239,22 @@ class InfluenceGraph:
         Equivalent to :meth:`influence_edges` plus a :meth:`factors` call
         per edge, without the per-edge lookups — the audit's hot path.
         """
-        partners = self._replica_partners
-        payloads = self._graph.edge_payloads()
-        for src, targets in self._graph.adjacency().items():
-            skip = partners.get(src, _EMPTY_SET)
-            for dst, w in targets.items():
-                if dst in skip:
-                    continue
-                yield src, dst, w, payloads[(src, dst)].get("factors", ())
+        graph = self._graph
+        return _edge_factors(
+            graph.adjacency().items(), graph.edge_payloads(), self._replica_partners
+        )
+
+    def snapshot_edge_factors(
+        self,
+    ) -> Callable[[], Iterator[tuple[str, str, float, tuple[InfluenceFactor, ...]]]]:
+        """:meth:`influence_edge_factors` as of now: the returned function
+        iterates the edges this graph has at the time of this call,
+        whatever changes later.  Copies the adjacency dicts, not edges."""
+        graph = self._graph
+        adjacency = [(src, dict(targets)) for src, targets in graph.adjacency().items()]
+        payloads = dict(graph.edge_payloads())
+        partners = {name: frozenset(linked) for name, linked in self._replica_partners.items()}
+        return lambda: _edge_factors(adjacency, payloads, partners)
 
     def reachable(self, start: str) -> set[str]:
         """FCMs reachable from ``start`` along influence edges.
@@ -326,3 +367,18 @@ class InfluenceGraph:
     def _require(self, name: str) -> None:
         if name not in self._fcms:
             raise InfluenceError(f"FCM {name!r} not in influence graph")
+
+
+def _edge_factors(
+    adjacency: Iterable[tuple[str, dict[str, float]]],
+    payloads: dict[tuple[str, str], dict],
+    partners: dict[str, "set[str] | frozenset[str]"],
+) -> Iterator[tuple[str, str, float, tuple[InfluenceFactor, ...]]]:
+    """(source, target, weight, factors) of every influence edge, in
+    adjacency order, replica links skipped."""
+    for src, targets in adjacency:
+        skip = partners.get(src, _EMPTY_SET)
+        for dst, w in targets.items():
+            if dst in skip:
+                continue
+            yield src, dst, w, payloads[(src, dst)].get("factors", ())

@@ -12,9 +12,10 @@ The format is plain JSON with a ``format`` tag and explicit versioning.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
-from repro.errors import DDSIError
+from repro.errors import AllocationError, DDSIError
 from repro.allocation.hw_model import HWGraph, HWNode
 from repro.influence.factors import FactorKind, InfluenceFactor
 from repro.influence.influence_graph import InfluenceGraph
@@ -311,20 +312,72 @@ def hw_to_dict(hw: HWGraph) -> dict[str, Any]:
 
 
 def hw_from_dict(data: dict[str, Any]) -> HWGraph:
+    """Build a HW graph from a ``ddsi-hw`` document.
+
+    A malformed entry raises :class:`SerializationError` naming its JSON
+    path (``links[0].b: missing``), model errors included (``links[2]:
+    HW node 'x' not in graph``).  Costs and memory must be numbers; NaN
+    is rejected and ``Infinity`` accepted (an ``inf`` link costs the same
+    as no link).
+    """
     _check_header(data, FORMAT_HW)
     hw = HWGraph()
-    for entry in data.get("nodes", []):
-        hw.add_node(
-            HWNode(
-                name=entry["name"],
-                fcr=entry.get("fcr", "fcr0"),
-                resources=frozenset(entry.get("resources", [])),
-                memory=entry.get("memory", 0.0),
+    for i, entry in enumerate(_hw_entries(data, "nodes")):
+        path = f"nodes[{i}]"
+        resources = entry.get("resources", [])
+        if not isinstance(resources, list) or not all(
+            isinstance(r, str) for r in resources
+        ):
+            raise SerializationError(f"{path}.resources: expected a list of strings")
+        try:
+            hw.add_node(
+                HWNode(
+                    name=_hw_string(entry, "name", path),
+                    fcr=_hw_string(entry, "fcr", path, "fcr0"),
+                    resources=frozenset(resources),
+                    memory=_hw_number(entry, "memory", path, 0.0),
+                )
             )
-        )
-    for link in data.get("links", []):
-        hw.add_link(link["a"], link["b"], link.get("cost", 1.0))
+        except AllocationError as exc:
+            raise SerializationError(f"{path}: {exc}") from exc
+    for i, link in enumerate(_hw_entries(data, "links")):
+        path = f"links[{i}]"
+        a = _hw_string(link, "a", path)
+        b = _hw_string(link, "b", path)
+        cost = _hw_number(link, "cost", path, 1.0)
+        try:
+            hw.add_link(a, b, cost)
+        except AllocationError as exc:
+            raise SerializationError(f"{path}: {exc}") from exc
     return hw
+
+
+def _hw_entries(data: dict[str, Any], key: str) -> list[dict[str, Any]]:
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise SerializationError(f"{key}: expected a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SerializationError(f"{key}[{i}]: expected an object")
+    return entries
+
+
+def _hw_string(entry: dict[str, Any], key: str, path: str, default: str | None = None) -> str:
+    value = entry.get(key, default)
+    if value is None:
+        raise SerializationError(f"{path}.{key}: missing")
+    if not isinstance(value, str):
+        raise SerializationError(f"{path}.{key}: expected a string, got {value!r}")
+    return value
+
+
+def _hw_number(entry: dict[str, Any], key: str, path: str, default: float) -> float:
+    value = entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SerializationError(f"{path}.{key}: expected a number, got {value!r}")
+    if math.isnan(value):
+        raise SerializationError(f"{path}.{key}: must not be NaN")
+    return value
 
 
 def dump_hw(hw: HWGraph, path: str) -> None:

@@ -112,6 +112,18 @@ class TestEvaluateMapping:
         )
 
 
+    def test_score_values_are_python_floats(self, expanded_paper_state):
+        # Whatever the cluster sizes, so the repr never shows np.float64.
+        for target in (HW_NODE_COUNT, len(expanded_paper_state.clusters)):
+            state = expanded_paper_state.copy()
+            result = condense_h1(state, target)
+            mapping = map_approach_a(result.state, fully_connected(target))
+            score = evaluate_mapping(mapping)
+            assert type(score.partition.cross_influence) is float
+            assert type(score.communication_cost) is float
+            assert "float64" not in repr(score)
+
+
 class TestCompleteness:
     def test_incomplete_mapping_infeasible(self, expanded_paper_state):
         from repro.allocation.mapping import Mapping

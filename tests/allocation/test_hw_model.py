@@ -18,6 +18,13 @@ class TestHWNode:
         with pytest.raises(AllocationError):
             HWNode("x", memory=-1)
 
+    def test_nan_memory_rejected(self):
+        with pytest.raises(AllocationError, match="memory must be >= 0, got nan"):
+            HWNode("x", memory=float("nan"))
+
+    def test_infinite_memory_accepted(self):
+        assert HWNode("x", memory=float("inf")).memory == float("inf")
+
 
 class TestHWGraph:
     def test_add_and_query(self):
@@ -49,6 +56,22 @@ class TestHWGraph:
         g.add_node(HWNode("b"))
         with pytest.raises(AllocationError):
             g.add_link("a", "b", -1)
+
+    def test_nan_cost_rejected(self):
+        g = HWGraph()
+        g.add_node(HWNode("a"))
+        g.add_node(HWNode("b"))
+        with pytest.raises(AllocationError, match="link cost must be >= 0, got nan"):
+            g.add_link("a", "b", float("nan"))
+        assert not g.connected("a", "b")
+
+    def test_infinite_cost_accepted_as_no_link(self):
+        g = HWGraph()
+        g.add_node(HWNode("a"))
+        g.add_node(HWNode("b"))
+        g.add_link("a", "b", float("inf"))
+        assert g.connected("a", "b")
+        assert g.link_cost("a", "b") == float("inf")
 
     def test_missing_link_cost_infinite(self):
         g = HWGraph()
@@ -103,3 +126,32 @@ class TestFullyConnected:
     def test_zero_nodes_rejected(self):
         with pytest.raises(AllocationError):
             fully_connected(0)
+
+
+class TestCostMatrix:
+    def test_matches_link_cost(self):
+        g = fully_connected(3, cost=2.0)
+        g.add_node(HWNode("x"))
+        g.add_link("x", "hw1", 0.5)
+        g.add_link("x", "hw2", float("inf"))
+        position, costs = g.cost_matrix()
+        assert list(position) == g.names()
+        for a in g.names():
+            for b in g.names():
+                assert costs[position[a], position[b]] == g.link_cost(a, b)
+
+    def test_rebuilt_after_changes(self):
+        g = fully_connected(2)
+        first = g.cost_matrix()
+        assert g.cost_matrix() is first
+        g.add_node(HWNode("x"))
+        assert g.cost_matrix()[1][2, 0] == float("inf")
+        g.add_link("x", "hw1", 4.0)
+        position, costs = g.cost_matrix()
+        assert costs[position["x"], position["hw1"]] == 4.0
+
+    def test_positions(self):
+        g = fully_connected(3)
+        assert g.positions(["hw3", "hw1"]) == [2, 0]
+        with pytest.raises(AllocationError, match="'zz' not in graph"):
+            g.positions(["hw1", "zz"])

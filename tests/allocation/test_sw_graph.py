@@ -108,6 +108,41 @@ class TestExpandReplication:
         assert expanded.influence("x", "y") == 0.5
 
 
+class TestDeferredEdgesInIntegration:
+    """Integrates that answer from the compiled graph never install the
+    expanded edges; H2 and H3 read the graph, which installs them."""
+
+    @pytest.mark.parametrize(
+        "heuristic, installed",
+        [
+            ("timing-pack", False),
+            ("h1", False),
+            ("criticality", False),
+            ("timing", False),
+            ("h2", True),
+            ("h3", True),
+        ],
+    )
+    def test_paper_example(self, heuristic, installed):
+        from repro.allocation import fully_connected
+        from repro.core.framework import (
+            FrameworkOptions,
+            Heuristic,
+            MappingApproach,
+            integrate,
+        )
+        from repro.io.serialization import outcome_to_dict
+        from repro.workloads import HW_NODE_COUNT, paper_system
+
+        for mapping in MappingApproach:
+            options = FrameworkOptions(heuristic=Heuristic(heuristic), mapping=mapping)
+            outcome = integrate(paper_system(), fully_connected(HW_NODE_COUNT), options)
+            outcome_to_dict(outcome)
+            graph = outcome.condensation.state.graph
+            assert ("_deferred" not in vars(graph)) is installed
+            assert len(graph.influence_edges()) == 30  # Fig. 4, either way
+
+
 class TestHelpers:
     def test_required_hw_nodes(self, expanded_paper_graph):
         assert required_hw_nodes(expanded_paper_graph) == 3  # p1 TMR

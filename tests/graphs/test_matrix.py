@@ -112,3 +112,48 @@ class TestTailBound:
         m = np.full((3, 3), 0.1)
         bounds = [series_tail_bound(m, k) for k in range(1, 6)]
         assert bounds == sorted(bounds, reverse=True)
+
+
+class TestCompiledInfluence:
+    @pytest.fixture
+    def influence(self):
+        from repro.graphs.matrix import CompiledInfluence
+
+        rng = np.random.default_rng(3)
+        weights = np.where(rng.random((9, 9)) < 0.5, rng.random((9, 9)), 0.0)
+        np.fill_diagonal(weights, 0.0)
+        return CompiledInfluence.from_weights(tuple("abcdefghi"), weights)
+
+    def test_group_influence_is_a_python_float(self, influence):
+        # The 1x1 path used to leak np.float64 into scores.
+        assert type(influence.group_influence([0], [1])) is float
+        assert type(influence.group_influence([0, 2], [1])) is float
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[0], [1]],
+            [[0, 1, 2], [3, 4], [5], [6, 7, 8]],
+            [[8, 0, 4, 2, 6, 1], [3], [5], [7]],  # one block above the cap
+            [[i] for i in range(9)],
+        ],
+    )
+    def test_partition_influence_equals_group_influence(self, influence, blocks):
+        out = influence.partition_influence(blocks)
+        for i, a in enumerate(blocks):
+            for j, b in enumerate(blocks):
+                expected = 0.0 if i == j else influence.group_influence(a, b)
+                assert out[i, j] == expected
+
+    def test_sequential_sum_adds_in_order(self):
+        from repro.graphs.matrix import sequential_sum
+
+        terms = [1e16, 1.0, -1e16, 1.0]
+        total = 0.0
+        for term in terms:
+            total += term
+        assert sequential_sum(np.array(terms)) == total == 1.0
+        assert sequential_sum(np.array([])) == 0.0
+        # 0.0 + -0.0 is 0.0, as in the loop.
+        assert str(sequential_sum(np.array([-0.0]))) == "0.0"
+        assert type(sequential_sum(np.array([0.5]))) is float

@@ -66,6 +66,18 @@ class TestIntegrate:
         assert code == 0
         assert "ApproachB" in out
 
+    def test_malformed_hw_file_errors_with_path(self, tmp_path, capsys):
+        hw_path = tmp_path / "bad.json"
+        hw_path.write_text(json.dumps({
+            "format": "ddsi-hw",
+            "version": 1,
+            "nodes": [{"name": "a"}, {"name": "b"}],
+            "links": [{"a": "a"}],
+        }))
+        code = main(["integrate", "--workload", "paper", "--hw", str(hw_path)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: links[0].b: missing"
+
     def test_missing_hw_spec_errors(self, system_file, capsys):
         code = main(["integrate", system_file])
         assert code == 2

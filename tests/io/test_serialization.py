@@ -98,6 +98,79 @@ class TestHWRoundTrip:
         assert len(clone) == 4
 
 
+def hw_doc(nodes=None, links=None):
+    return {
+        "format": "ddsi-hw",
+        "version": 1,
+        "nodes": [{"name": "a"}, {"name": "b"}] if nodes is None else nodes,
+        "links": [] if links is None else links,
+    }
+
+
+class TestHWDocumentErrors:
+    """Malformed HW documents fail with the JSON path of the defect."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (hw_doc(links=[{"a": "a"}]), r"links\[0\]\.b: missing"),
+            (hw_doc(links=[{"b": "a"}]), r"links\[0\]\.a: missing"),
+            (hw_doc(nodes=[{"name": "a"}, {"fcr": "x"}]), r"nodes\[1\]\.name: missing"),
+            (
+                hw_doc(links=[{"a": "a", "b": "b", "cost": "cheap"}]),
+                r"links\[0\]\.cost: expected a number, got 'cheap'",
+            ),
+            (
+                hw_doc(links=[{"a": "a", "b": "b", "cost": True}]),
+                r"links\[0\]\.cost: expected a number",
+            ),
+            (
+                hw_doc(links=[{"a": "a", "b": "b", "cost": float("nan")}]),
+                r"links\[0\]\.cost: must not be NaN",
+            ),
+            (
+                hw_doc(nodes=[{"name": "a", "memory": float("nan")}]),
+                r"nodes\[0\]\.memory: must not be NaN",
+            ),
+            (
+                hw_doc(links=[{"a": "a", "b": "b"}, {"a": "a", "b": "zz"}]),
+                r"links\[1\]: HW node 'zz' not in graph",
+            ),
+            (
+                hw_doc(links=[{"a": "a", "b": "b", "cost": -1}]),
+                r"links\[0\]: link cost must be >= 0",
+            ),
+            (hw_doc(nodes=[{"name": "a"}, {"name": "a"}]), r"nodes\[1\]: HW node 'a' already"),
+            (hw_doc(nodes=[{"name": 7}]), r"nodes\[0\]\.name: expected a string"),
+            (hw_doc(nodes=[{"name": "a", "resources": "bus"}]), r"nodes\[0\]\.resources"),
+            (hw_doc(nodes=["a"]), r"nodes\[0\]: expected an object"),
+            (hw_doc(links={"a": "b"}), r"links: expected a list"),
+        ],
+    )
+    def test_defect_named_by_path(self, doc, message):
+        with pytest.raises(SerializationError, match=message):
+            hw_from_dict(doc)
+
+    def test_infinite_cost_accepted(self):
+        hw = hw_from_dict(
+            hw_doc(
+                nodes=[{"name": "a", "memory": float("inf")}, {"name": "b"}],
+                links=[{"a": "a", "b": "b", "cost": float("inf")}],
+            )
+        )
+        assert hw.link_cost("a", "b") == float("inf")
+        assert hw.node("a").memory == float("inf")
+
+    def test_json_nan_token_rejected_on_load(self, tmp_path):
+        path = tmp_path / "hw.json"
+        path.write_text(
+            '{"format": "ddsi-hw", "version": 1, "nodes": [{"name": "a"}, '
+            '{"name": "b"}], "links": [{"a": "a", "b": "b", "cost": NaN}]}'
+        )
+        with pytest.raises(SerializationError, match=r"links\[0\]\.cost"):
+            load_hw(str(path))
+
+
 class TestErrorHandling:
     def test_wrong_format_tag(self):
         with pytest.raises(SerializationError, match="format"):

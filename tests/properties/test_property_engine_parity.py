@@ -7,9 +7,14 @@ identical condense partitions, identical Approach A/B mappings
 (including tie-break order), identical scores, reason strings and
 errors.  These tests drive both over random workloads (sizes 2-300,
 disconnected to near-clique) and over the policies with no compiled
-fast path, and assert equality, not closeness.
+fast path, and assert equality, not closeness.  Mapping and scoring
+read the partition view, so they are also checked on irregular HW
+against a mapper that queries one cluster pair and one HW link at a
+time, and the view itself against per-pair queries.
 """
 
+import random
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +24,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.allocation import expand_replication, required_hw_nodes
-from repro.allocation.clustering import ClusterState
-from repro.allocation.constraints import CombinationPolicy
+from repro.allocation.clustering import Cluster, ClusterState
+from repro.allocation.constraints import CombinationPolicy, ResourceRequirements
+from repro.allocation.goodness import evaluate_mapping
 from repro.allocation.heuristics import (
     condense_criticality,
     condense_h1,
@@ -29,8 +35,8 @@ from repro.allocation.heuristics import (
     condense_timing,
     pack_by_timing,
 )
-from repro.allocation.hw_model import fully_connected
-from repro.allocation.mapping import map_approach_a, map_approach_b
+from repro.allocation.hw_model import HWGraph, HWNode, fully_connected
+from repro.allocation.mapping import Mapping, _Placement, map_approach_a, map_approach_b
 from repro.errors import DDSIError
 from repro.faultsim.kernel import compile_graph
 from repro.graphs.matrix import CompiledInfluence
@@ -45,7 +51,13 @@ from repro.workloads import (
     random_process_graph,
 )
 
-from tests.properties.reference_state import ReferenceClusterState
+from tests.properties.reference_state import (
+    ReferenceClusterState,
+    reference_communication_cost,
+    reference_cross_influence,
+    reference_map,
+    reference_placement_cost,
+)
 
 HEURISTICS = {
     "h1": condense_h1,
@@ -217,6 +229,251 @@ class TestLargeGraphParity:
         compiled_map = map_approach_a(compiled_state, hw)
         assert list(ref_map.assignment.items()) == list(
             compiled_map.assignment.items()
+        )
+
+
+# ----------------------------------------------------------------------
+# Mapping onto irregular HW, against the per-pair reference mapper
+# ----------------------------------------------------------------------
+RESOURCES = ("bus", "dsp", "io")
+
+
+def bits(value: float) -> bytes:
+    """The float's IEEE bytes: equal only when bit-identical (-0.0 != 0.0)."""
+    return struct.pack("<d", value)
+
+
+def irregular_hw(count: int, seed: int) -> HWGraph:
+    """Random link costs, missing links, explicit ``inf`` links, shared
+    FCRs and random resources: candidates' placement totals differ, so
+    the summation order, the unlinked penalty and every tie-break count."""
+    rng = random.Random(seed)
+    hw = HWGraph()
+    fcrs = rng.randint(1, count)
+    for k in range(count):
+        hw.add_node(HWNode(
+            f"hw{k}",
+            fcr=f"fcr{rng.randrange(fcrs)}",
+            resources=frozenset(r for r in RESOURCES if rng.random() < 0.4),
+        ))
+    names = hw.names()
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            roll = rng.random()
+            if roll < 0.2:
+                continue  # no link
+            cost = rng.choice([1.0, 2.0, round(rng.uniform(0.1, 5.0), 3)])
+            hw.add_link(a, b, float("inf") if roll < 0.3 else cost)
+    return hw
+
+
+def random_needs(graph, hw: HWGraph, seed: int) -> ResourceRequirements:
+    """Some FCMs need one of the resources some HW node offers."""
+    rng = random.Random(seed)
+    offered = sorted(set().union(*(node.resources for node in hw.nodes())))
+    return ResourceRequirements(needs={
+        name: frozenset({rng.choice(offered)})
+        for name in graph.fcm_names()
+        if offered and rng.random() < 0.15
+    })
+
+
+def assert_mapping_matches(ref_state, compiled_state, hw, approach, resources):
+    """The library mapper on both states places, costs and scores exactly
+    like the per-pair reference mapper; returns whether mapping raised."""
+    mapper = map_approach_a if approach == "a" else map_approach_b
+    try:
+        expected = reference_map(ref_state, hw, approach, resources)
+    except DDSIError as exc:
+        for state in (ref_state, compiled_state):
+            with pytest.raises(type(exc)) as raised:
+                mapper(state, hw, resources)
+            assert str(raised.value) == str(exc)
+        return True
+    cost = bits(reference_communication_cost(ref_state, hw, expected))
+    cross = bits(reference_cross_influence(ref_state))
+    for state in (ref_state, compiled_state):
+        mapping = mapper(state, hw, resources)
+        assert list(mapping.assignment.items()) == list(expected.items())
+        assert bits(mapping.communication_cost()) == cost
+        score = evaluate_mapping(mapping, resources)
+        assert bits(score.communication_cost) == cost
+        assert bits(score.partition.cross_influence) == cross
+    return False
+
+
+class TestIrregularHWParity:
+    @given(
+        workloads(),
+        st.sampled_from(["a", "b"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mappings_and_scores_bit_identical(
+        self, graph, approach, seed, spare, with_needs
+    ):
+        ref_state, compiled_state = paired_states(graph)
+        target = max(
+            required_hw_nodes(ref_state.graph),
+            len(ref_state.graph) // 2,
+            1,
+        )
+        ref_state, compiled_state = run_both(
+            condense_h1, ref_state, compiled_state, target
+        )
+        if ref_state is None:
+            return
+        hw = irregular_hw(len(ref_state.clusters) + spare, seed)
+        needs = random_needs(ref_state.graph, hw, seed) if with_needs else None
+        assert_mapping_matches(ref_state, compiled_state, hw, approach, needs)
+
+    @pytest.mark.parametrize("processes", [100, 300])
+    @pytest.mark.parametrize("approach", ["a", "b"])
+    def test_large_graphs(self, processes, approach):
+        spec = WorkloadSpec(
+            processes=processes,
+            edge_probability=min(0.9, 8.0 / processes),
+            replicated_fraction=0.1,
+            utilization=0.1,
+        )
+        graph = random_process_graph(spec, seed=11)
+        ref_state, compiled_state = paired_states(graph)
+        target = max(required_hw_nodes(ref_state.graph), len(ref_state.graph) // 6)
+        ref_state, compiled_state = run_both(
+            pack_by_timing, ref_state, compiled_state, target
+        )
+        hw = irregular_hw(len(ref_state.clusters) + 2, processes)
+        assert not assert_mapping_matches(ref_state, compiled_state, hw, approach, None)
+        needs = random_needs(ref_state.graph, hw, processes)
+        assert_mapping_matches(ref_state, compiled_state, hw, approach, needs)
+
+
+def assert_placement_costs_match(ref_state, compiled_state, hw, seed):
+    """Place every cluster at random; before each placement, every free
+    node's cost equals the per-pair reference sum, bit for bit."""
+    rng = random.Random(seed)
+    placement = _Placement(Mapping(state=compiled_state, hw=hw))
+    order = list(range(len(compiled_state.clusters)))
+    rng.shuffle(order)
+    free = hw.names()
+    for index in order:
+        assignment = placement.mapping.assignment
+        expected = [
+            bits(reference_placement_cost(ref_state, hw, assignment, index, name))
+            for name in free
+        ]
+        assert [bits(c) for c in placement.costs(index, free)] == expected
+        chosen = rng.choice(free)
+        placement.place(index, chosen)
+        free = [name for name in free if name != chosen]
+
+
+class TestPlacementCosts:
+    """Candidate totals add neighbour terms in assignment order."""
+
+    @given(workloads(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_placements(self, graph, seed):
+        ref_state, compiled_state = paired_states(graph)
+        hw = irregular_hw(len(ref_state.clusters) + 2, seed)
+        assert_placement_costs_match(ref_state, compiled_state, hw, seed)
+
+    def test_many_neighbours(self):
+        spec = WorkloadSpec(processes=80, edge_probability=0.3, replicated_fraction=0.2)
+        expanded = expand_replication(random_process_graph(spec, seed=2))
+        names = expanded.fcm_names()
+        random.Random(2).shuffle(names)
+        clusters = [Cluster(tuple(names[k:k + 4])) for k in range(0, len(names), 4)]
+        hw = irregular_hw(len(clusters), 9)
+        assert_placement_costs_match(
+            ReferenceClusterState(expanded, clusters=clusters),
+            ClusterState(expanded, clusters=clusters),
+            hw,
+            9,
+        )
+
+
+# ----------------------------------------------------------------------
+# The partition view against per-pair queries
+# ----------------------------------------------------------------------
+@st.composite
+def partitions(draw):
+    """An expanded graph and a random or skewed partition of it.
+
+    Skewed: one block holds most FCMs and the rest are singletons, so
+    the big block exceeds the joint fold's size cap.
+    """
+    expanded = expand_replication(draw(workloads()))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    names = expanded.fcm_names()
+    rng.shuffle(names)
+    if draw(st.booleans()):
+        big = max(1, (len(names) * 3) // 4)
+        blocks = [names[:big]] + [[name] for name in names[big:]]
+    else:
+        count = rng.randint(1, len(names))
+        blocks = [[] for _ in range(count)]
+        for name in names:
+            blocks[rng.randrange(count)].append(name)
+    return expanded, [tuple(block) for block in blocks if block]
+
+
+def assert_view_matches_pairs(state, ref_state):
+    view = state.partition_view()
+    n = len(state.clusters)
+    assert view.clusters == tuple(c.members for c in state.clusters)
+    assert not np.diagonal(view.raw).any()
+    assert not np.diagonal(view.conflict).any()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            assert bits(view.raw[i, j]) == bits(ref_state.raw_influence(i, j))
+            assert bits(view.influence[i, j]) == bits(ref_state.influence(i, j))
+            assert view.conflict[i, j] == ref_state.replica_related(i, j)
+    ref_view = ref_state.partition_view()
+    assert view.raw.tobytes() == ref_view.raw.tobytes()
+    assert np.array_equal(view.conflict, ref_view.conflict)
+
+
+class TestPartitionView:
+    @given(partitions())
+    @settings(max_examples=60, deadline=None)
+    def test_view_equals_pair_queries(self, case):
+        expanded, blocks = case
+        clusters = [Cluster(block) for block in blocks]
+        assert_view_matches_pairs(
+            ClusterState(expanded, clusters=clusters),
+            ReferenceClusterState(expanded, clusters=clusters),
+        )
+
+    def test_skewed_200_member_cluster(self):
+        spec = WorkloadSpec(processes=240, edge_probability=0.05, replicated_fraction=0.2)
+        expanded = expand_replication(random_process_graph(spec, seed=5))
+        names = expanded.fcm_names()
+        clusters = [Cluster(tuple(names[:200]))] + [Cluster((n,)) for n in names[200:]]
+        assert_view_matches_pairs(
+            ClusterState(expanded, clusters=clusters),
+            ReferenceClusterState(expanded, clusters=clusters),
+        )
+
+    def test_follows_merges_and_sub_partitions(self):
+        expanded = expand_replication(paper_system().influence_at(Level.PROCESS))
+        state = ClusterState(expanded)
+        ref_state = ReferenceClusterState(expanded)
+        first = state.partition_view()
+        assert state.partition_view() is first  # cached per partition
+        for merge in ((0, 3), (1, 2), (0, 4)):
+            state.combine(*merge, enforce_policy=False)
+            ref_state.combine(*merge, enforce_policy=False)
+            assert_view_matches_pairs(state, ref_state)
+        # A partition made of some of the last view's clusters reads a
+        # sub-view of it.
+        blocks = [c.members for c in state.clusters][::-2]
+        assert_view_matches_pairs(
+            state.with_clusters(blocks), ref_state.with_clusters(blocks)
         )
 
 
