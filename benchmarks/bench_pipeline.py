@@ -97,7 +97,7 @@ def bench_parallel_campaign(name, system, hw, heuristic, trials, workers) -> dic
     oversubscription slowdown a forced pool would measure; the
     ``min_speedup`` bench gate only applies when the pool engaged.  Both
     runs pin ``engine="scalar"`` — pooling exists for the slow per-trial
-    path, and a scalar trial's cost is what batch calibration measures.
+    path.  ``retries`` counts the lease supervisor's re-dispatches.
     """
     framework = IntegrationFramework(system, FrameworkOptions(heuristic=heuristic))
     outcome = framework.integrate(hw)
@@ -129,8 +129,7 @@ def bench_parallel_campaign(name, system, hw, heuristic, trials, workers) -> dic
         "pooled_wall_s": round(pooled_s, 6),
         "speedup": round(serial_s / pooled_s, 3) if pooled_s else None,
         "identical": serial == pooled,
-        "retries": report.retries if report else 0,
-        "calibrated_batch_size": report.calibrated_batch_size if report else None,
+        "retries": report.redispatches,
     }
 
 

@@ -14,16 +14,15 @@ Subcommands:
 * ``faultsim --workload paper --trials 1000`` — integrate a built-in
   workload, then run a fault-injection campaign over the resulting
   partition.
-* ``exec chaos`` — the supervised runner's chaos self-test: killed
-  workers, torn checkpoints, interrupted campaigns, all checked against
-  a serial baseline.
+* ``exec chaos`` — the supervisor's chaos self-test: killed shard
+  workers, stalled leases, torn checkpoints, interrupted campaigns, all
+  checked against a serial baseline.
 * ``example NAME`` — dump a built-in workload (``paper`` or ``avionics``)
   as JSON, as a starting template.
 
-``resilience`` and ``faultsim`` both take supervised-runner flags
-(``--workers``, ``--batch-size``, ``--trial-timeout``, ``--checkpoint``,
-``--resume``); campaign results are bit-identical whichever combination
-is used.
+``resilience`` and ``faultsim`` both take supervisor flags
+(``--workers``, ``--checkpoint``, ``--resume``, ``--heartbeat-timeout``);
+campaign results are bit-identical whichever combination is used.
 * ``trace summarize TRACE.ndjson`` — aggregate an NDJSON trace into a
   per-stage timing table (``--tree`` renders the span tree instead).
 * ``trace critical-path TRACE.ndjson`` — dominant-path report with
@@ -93,7 +92,6 @@ from repro.metrics.report import (
     render_exec_report,
     render_mapping,
     render_resilience,
-    render_shard_report,
 )
 from repro.model.fcm import Level
 from repro.obs import (
@@ -161,37 +159,27 @@ def _workers_arg(value: str) -> int:
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach supervised-runner flags to a campaign subcommand."""
+    """Attach supervisor flags to a campaign subcommand."""
     parser.add_argument(
         "--workers", type=_workers_arg, default=0, metavar="N",
-        help="run campaign batches on a supervised worker pool of N "
-        "processes (0 = serial in-process, 'auto' = the CPUs this "
-        "process may run on)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=0, metavar="N",
-        help="trials per batch (0 = derive from trials and workers); the "
-        "result is identical for every batch size",
-    )
-    parser.add_argument(
-        "--trial-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial time budget; a batch exceeding batch_size x this "
-        "is treated as hung and retried",
+        help="run campaign blocks as leases on N forked worker slots "
+        "(0 or 1 = in-process, 'auto' = the CPUs this process may run "
+        "on)",
     )
     parser.add_argument(
         "--checkpoint", default=None, metavar="FILE",
-        help="stream completed batches to this NDJSON checkpoint file",
+        help="stream completed blocks to this NDJSON checkpoint file",
     )
     parser.add_argument(
         "--resume", default=None, metavar="FILE",
-        help="resume from a checkpoint file, skipping completed batches "
+        help="resume from a checkpoint file, skipping completed blocks "
         "(implies checkpointing to the same file)",
     )
     parser.add_argument(
         "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
-        help="sharded runs: expire a lease whose worker has been silent "
-        "this long and re-dispatch its uncovered remainder (must exceed "
-        "one block's wall time)",
+        help="pooled and sharded runs: expire a lease whose worker has "
+        "been silent this long and re-dispatch its uncovered remainder "
+        "(must exceed one block's wall time)",
     )
 
 
@@ -230,27 +218,25 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _exec_policy(args: argparse.Namespace):
-    """An :class:`ExecPolicy` from CLI flags, or None for the defaults."""
+    """The :class:`ExecPolicy` a campaign subcommand's flags ask for."""
     from repro.exec import ExecPolicy
 
-    # --checkpoint/--resume alone must also opt in: without a policy the
-    # campaign runs as one all-trials batch, so the checkpoint would only
-    # be written at completion and resume could never recover anything.
-    if not (
-        args.workers
-        or args.batch_size
-        or args.trial_timeout
-        or args.checkpoint
-        or args.resume
-        or getattr(args, "heartbeat_timeout", None)
-    ):
-        return None
     return ExecPolicy(
-        workers=args.workers,
-        batch_size=args.batch_size,
-        trial_timeout=args.trial_timeout,
-        heartbeat_timeout=getattr(args, "heartbeat_timeout", None),
+        workers=args.workers, heartbeat_timeout=args.heartbeat_timeout
     )
+
+
+def _check_shard_only_flags(args: argparse.Namespace) -> None:
+    """Refuse lease-only flags on a campaign that is not sharded."""
+    if args.backend is not None or args.shards:
+        return
+    for flag, value in (
+        ("--listen", args.listen),
+        ("--status-file", args.status_file),
+        ("--telemetry-stream", args.telemetry_stream),
+    ):
+        if value is not None:
+            raise DDSIError(f"{flag} needs --backend or --shards")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,36 +392,33 @@ def build_parser() -> argparse.ArgumentParser:
     exec_sub = exec_cmd.add_subparsers(dest="exec_command", required=True)
     digest = exec_sub.add_parser(
         "digest",
-        help="aggregate a trace's exec decision events (retries, splits, "
-        "crashes, backoff) into a run-health table",
+        help="aggregate a trace's exec decision events (leases, "
+        "re-dispatches, crashes, rescues) into a run-health table",
     )
     digest.add_argument("file", help="NDJSON trace file")
     chaos = exec_sub.add_parser(
         "chaos",
-        help="run the runner's chaos self-test (killed workers, torn "
-        "checkpoints, interrupted campaigns); with --shards, the "
-        "shard-lease self-test (killed shard workers, stalled "
-        "heartbeats, corrupted partial checkpoints)",
+        help="run the supervisor's chaos self-test (killed shard "
+        "workers, stalled heartbeats, corrupted partial checkpoints, "
+        "interrupted campaigns)",
     )
     chaos.add_argument(
-        "--trials", type=int, default=None,
-        help="faultsim trials per self-test campaign (default: 32, or "
-        "1024 with --shards so every shard spans whole 256-trial "
-        "blocks)",
+        "--trials", type=int, default=1024,
+        help="faultsim trials per self-test campaign (default 1024, so "
+        "every shard spans whole 256-trial blocks)",
     )
     chaos.add_argument("--workers", type=int, default=2)
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="run the shard-level chaos proofs over N shards instead of "
-        "the batch-pool self-test",
+        "--shards", type=int, default=2, metavar="N",
+        help="shards per self-test campaign (default 2)",
     )
     chaos.add_argument(
         "--backend", choices=["local", "subprocess", "tcp"],
         default="local",
-        help="execution backend for the shard-level proofs; 'tcp' adds "
-        "the NetChaos proofs (dropped connections, delayed frames, "
-        "torn/duplicated lines, full partition + resume)",
+        help="execution backend for the proofs; 'tcp' adds the NetChaos "
+        "proofs (dropped connections, delayed frames, torn/duplicated "
+        "lines, full partition + resume)",
     )
     chaos.add_argument(
         "--workdir", default=None, metavar="DIR",
@@ -770,9 +753,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             resume=args.resume,
         )
     print(render_resilience(report))
-    if report.exec_report is not None and (
-        args.verbose or report.exec_report.workers
-    ):
+    if args.verbose or report.exec_report.workers:
         print(render_exec_report(report.exec_report))
     if args.verbose:
         _print_stage_footer()
@@ -786,6 +767,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 def _cmd_faultsim(args: argparse.Namespace) -> int:
     from repro.faultsim.campaign import run_campaign
 
+    _check_shard_only_flags(args)
     system, hw, options, _rates, _scenario = _builtin_workload(
         args.workload, args.heuristic, args.mapping
     )
@@ -815,13 +797,8 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
             f"{args.trials} trials, seed {args.seed})",
         )
     )
-    if result.exec_report is not None and (
-        args.verbose or result.exec_report.workers
-    ):
-        if hasattr(result.exec_report, "leases_granted"):
-            print(render_shard_report(result.exec_report))
-        else:
-            print(render_exec_report(result.exec_report))
+    if args.verbose or result.exec_report.workers:
+        print(render_exec_report(result.exec_report))
     if args.verbose:
         _print_stage_footer()
         print(
@@ -835,7 +812,7 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
 def _cmd_exec(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.exec import run_chaos_selftest, run_shard_chaos_selftest
+    from repro.exec import run_shard_chaos_selftest
 
     if args.exec_command == "shard-worker":
         if args.connect is not None:
@@ -855,20 +832,13 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         return _cmd_exec_watch(args)
 
     def selftest(workdir: str):
-        if args.shards:
-            return run_shard_chaos_selftest(
-                workdir,
-                trials=args.trials or 1024,
-                shards=args.shards,
-                workers=args.workers,
-                seed=args.seed,
-                backend=args.backend,
-            )
-        return run_chaos_selftest(
+        return run_shard_chaos_selftest(
             workdir,
-            trials=args.trials or 32,
+            trials=args.trials,
+            shards=args.shards,
             workers=args.workers,
             seed=args.seed,
+            backend=args.backend,
         )
 
     if args.workdir is not None:

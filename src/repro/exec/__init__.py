@@ -2,41 +2,43 @@
 
 The dependability analyses are only as trustworthy as the tooling that
 runs them; this package applies the paper's own fault-tolerance thinking
-to the campaign runner (De Florio's application-level fault tolerance):
+to the campaign supervisor (De Florio's application-level fault
+tolerance), with one recovery ladder for every way a campaign runs:
 
-* :mod:`repro.exec.batching` — deterministic batch plans and SHA-256
-  per-trial seed derivation (bit-identical results for any batch size,
-  worker count, or retry history);
-* :mod:`repro.exec.runner` — the supervised multiprocessing pool:
-  timeouts, crashed-worker respawn, retry with exponential backoff and
-  jitter, graceful degradation (split, then serial fallback), and
-  signal-safe interruption (:class:`~repro.exec.runner.InterruptGuard`);
+* :mod:`repro.exec.batching` — SHA-256 per-trial seed derivation and
+  trial ranges (bit-identical results for any worker count, shard plan,
+  or retry history);
+* :mod:`repro.exec.runner` — the entry point ``run_supervised``
+  (in-process blocks with ``workers <= 1``, forked lease slots with
+  ``workers >= 2``), the checkpoint/resume ledger both supervisors
+  share, and signal-safe interruption
+  (:class:`~repro.exec.runner.InterruptGuard`);
 * :mod:`repro.exec.checkpoint` — streamed NDJSON checkpoints with an
   atomic-rename completion manifest, tolerant of torn trailing lines,
   plus structural validation for CI;
 * :mod:`repro.exec.backend` — the pluggable execution-backend contract:
   block-aligned lease serving, the forked-slot pool, and task specs a
   remote worker can rebuild from JSON;
-* :mod:`repro.exec.transport` — backend #2: isolated
+* :mod:`repro.exec.transport` — isolated
   ``python -m repro exec shard-worker`` subprocesses over NDJSON pipes
   (one concrete carrier of the shard protocol);
-* :mod:`repro.exec.tcp` — backend #3: the same protocol over real TCP
-  connections (``--backend tcp`` / ``--listen`` / ``--connect``), with
-  reconnecting workers, per-connection generation fencing, and the
-  deterministic :class:`~repro.exec.chaos.NetChaos` fault layer;
-* :mod:`repro.exec.shards` — the shard-lease supervisor: block-aligned
-  shard planning, heartbeat-based straggler expiry, and re-dispatch with
-  bit-identical aggregates;
-* :mod:`repro.exec.chaos` — fault injection into the runner itself
-  (worker-level :class:`ChaosPlan`, shard-level :class:`ShardChaos`),
-  backing the ``repro exec chaos`` self-tests.
+* :mod:`repro.exec.tcp` — the same protocol over real TCP connections
+  (``--backend tcp`` / ``--listen`` / ``--connect``), with reconnecting
+  workers, per-connection generation fencing, a ``bye`` on completion,
+  and the deterministic :class:`~repro.exec.chaos.NetChaos` fault layer;
+* :mod:`repro.exec.shards` — the lease supervisor: block-aligned shard
+  planning, heartbeat-based straggler expiry, re-dispatch with backoff,
+  serial rescue and backend abandonment;
+* :mod:`repro.exec.chaos` — fault injection into the supervisor itself
+  (:class:`ShardChaos`, :class:`NetChaos`), backing ``repro exec chaos``.
 
 See ``docs/EXECUTION.md`` for the determinism contract, the checkpoint
-schema, the supervision state machine, and the shard-lease lifecycle.
+schema, and the lease lifecycle.
 """
 
 from repro.exec.backend import (
     LEASE_BLOCK_TRIALS,
+    SCALAR_BLOCK_TRIALS,
     BackendEvent,
     ExecBackend,
     ForkPoolBackend,
@@ -51,17 +53,13 @@ from repro.exec.backend import (
 from repro.exec.batching import (
     Batch,
     available_cpus,
-    default_batch_size,
     derive_seed,
-    plan_batches,
     resolve_workers,
 )
 from repro.exec.chaos import (
-    ChaosPlan,
     ChaosSelfTestResult,
     NetChaos,
     ShardChaos,
-    run_chaos_selftest,
     run_shard_chaos_selftest,
     truncate_file,
 )
@@ -78,20 +76,18 @@ from repro.exec.runner import (
     ExecReport,
     InterruptGuard,
     run_supervised,
+    uncovered_ranges,
 )
 from repro.exec.shards import (
     Shard,
-    ShardReport,
     plan_shards,
     run_sharded,
-    uncovered_ranges,
 )
 from repro.exec.tcp import TcpBackend, tcp_worker_main
 
 __all__ = [
     "Batch",
     "BackendEvent",
-    "ChaosPlan",
     "ChaosSelfTestResult",
     "CheckpointData",
     "CheckpointWriter",
@@ -103,24 +99,21 @@ __all__ = [
     "LEASE_BLOCK_TRIALS",
     "NetChaos",
     "PipeWorker",
+    "SCALAR_BLOCK_TRIALS",
     "Shard",
     "ShardChaos",
-    "ShardReport",
     "TcpBackend",
     "available_cpus",
     "block_ranges",
     "build_task",
     "campaign_fingerprint",
     "coverage_gaps",
-    "default_batch_size",
     "derive_seed",
     "load_checkpoint",
     "make_backend",
     "note_torn_line",
-    "plan_batches",
     "plan_shards",
     "resolve_workers",
-    "run_chaos_selftest",
     "run_shard_chaos_selftest",
     "run_sharded",
     "run_supervised",

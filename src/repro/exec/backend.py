@@ -10,21 +10,22 @@ set of numbered worker **slots** behind a uniform message interface:
   heartbeats, lease completion, errors, and slot death;
 * slots can be ``kill()``-ed (straggler re-dispatch, chaos) and
   ``spawn_slot()``-ed back; a SIGKILLed slot surfaces as an ``exit``
-  event, never a hang (the private-pipe argument of
-  :mod:`repro.exec.runner` applies transport-wide).
+  event, never a hang (see :class:`PipeWorker` for the fork transport's
+  private-pipe argument, which every transport mirrors).
 
-Two transports ship:
+Three transports ship:
 
-* :class:`ForkPoolBackend` — the in-process fork pool (the PR 3 pool's
-  transport primitive, :class:`PipeWorker`, reused at lease
-  granularity).  Tasks are closures; nothing needs to be picklable or
-  serializable.
+* :class:`ForkPoolBackend` — forked slots over private pipes, the pool
+  behind ``--workers N``.  Tasks are closures; nothing needs to be
+  picklable or serializable.
 * :class:`~repro.exec.transport.SubprocessBackend` — "remote-like"
   isolated ``python -m repro exec shard-worker`` processes speaking
   NDJSON over stdin/stdout pipes.  It is the test double for future
   SSH/container transports: everything crossing it must be
   JSON-serializable, so a campaign that runs on it is proven ready to
   leave the machine.
+* :class:`~repro.exec.tcp.TcpBackend` — the same protocol over TCP, so
+  slots can live on other hosts.
 
 Out-of-process transports rebuild the batch task from a **task spec**:
 ``{"entry": "repro.some.module:factory", "params": {...}}``.
@@ -57,6 +58,13 @@ from repro.exec.batching import derive_seed
 #: aggregate never splits an RNG block: any shard assignment, re-dispatch
 #: or partial completion yields ranges the kernel simulates identically.
 LEASE_BLOCK_TRIALS = 256
+
+#: Trials per block for per-trial-seeded tasks (scalar faultsim,
+#: resilience).  Their results do not depend on how trials are grouped,
+#: so the block is only the unit of checkpointing and load balance: a
+#: resilience trial costs 0.6-6 ms, and 256-trial blocks are too coarse
+#: to keep two slots evenly busy.
+SCALAR_BLOCK_TRIALS = 32
 
 _JOIN_GRACE_S = 1.0
 
@@ -339,8 +347,12 @@ class ExecBackend(abc.ABC):
         """Hard-kill a slot (straggler replacement, chaos injection)."""
 
     @abc.abstractmethod
-    def shutdown(self) -> None:
-        """Stop every slot and release transport resources."""
+    def shutdown(self, bye: bool = False) -> None:
+        """Stop every slot and release transport resources.
+
+        ``bye`` marks a completed campaign: remote workers are told to
+        exit instead of re-dialing for the next supervisor.
+        """
 
     def __enter__(self) -> "ExecBackend":
         return self
@@ -350,7 +362,7 @@ class ExecBackend(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# The fork transport primitive (shared with the PR 3 batch pool)
+# The fork transport primitive
 # ----------------------------------------------------------------------
 class PipeWorker:
     """One forked worker process plus its private pipe pair.
@@ -358,9 +370,12 @@ class PipeWorker:
     The pipes are created immediately before the fork and the child's
     ends are closed in the supervisor immediately after, so the worker
     holds the only write end of its result pipe: its death — however
-    abrupt — reliably reads as ``EOFError`` on the supervisor side.
-    (This is the shared-queue deadlock fix of PR 3, packaged as the
-    primitive both the batch pool and the fork shard backend build on.)
+    abrupt — reliably reads as ``EOFError`` on the supervisor side.  A
+    shared ``multiprocessing.Queue`` would be unsafe here: its producers
+    serialize on a cross-process write lock held by a feeder thread, and
+    a worker SIGKILLed mid-write orphans that lock, deadlocking every
+    sibling.  With private pipes a torn write stays on the dead worker's
+    own channel and surfaces as a crash, not a hang.
     """
 
     def __init__(self, worker_id: int, ctx, main, args: tuple, name: str) -> None:
@@ -440,8 +455,7 @@ class ForkPoolBackend(ExecBackend):
     """Shard backend #1: forked slots in this process's address space.
 
     The task is a closure captured at fork time, so campaign payloads
-    (graphs, compiled kernels) need not be serializable — the same
-    property the PR 3 batch pool relies on.
+    (graphs, compiled kernels) need not be serializable.
     """
 
     name = "local"
@@ -515,7 +529,7 @@ class ForkPoolBackend(ExecBackend):
         if worker is not None:
             worker.kill()
 
-    def shutdown(self) -> None:
+    def shutdown(self, bye: bool = False) -> None:
         for worker in self._slots.values():
             worker.stop()
         deadline = time.monotonic() + _JOIN_GRACE_S

@@ -1,19 +1,19 @@
-"""Deterministic batch planning and seed derivation for campaigns.
+"""Seed derivation and trial ranges: the determinism contract's base.
 
 The determinism contract (docs/EXECUTION.md) rests on two rules:
 
 * **per-trial seeds** — trial ``t`` of a campaign with seed ``S`` always
   runs on ``random.Random(derive_seed(S, t))``, regardless of which
-  batch, worker, or retry attempt executes it.  Seeds are derived with
-  SHA-256, so they are stable across platforms, Python versions and
+  block, worker, or lease attempt executes it (the vector kernel draws
+  whole fixed RNG blocks instead).  Seeds are derived with SHA-256, so
+  they are stable across platforms, Python versions and
   ``PYTHONHASHSEED``.
-* **batches are pure trial ranges** — a :class:`Batch` carries no state
-  beyond ``(start, size)``; splitting a batch (graceful degradation) or
-  resuming from a checkpoint covering different ranges cannot change any
-  trial's outcome.
+* **ranges are pure trial ranges** — a :class:`Batch` carries no state
+  beyond ``(start, size)``; resuming from a checkpoint that covers
+  different ranges cannot change any trial's outcome.
 
 Campaign aggregates are merged in trial order (see the campaign modules),
-so the final result is bit-identical for any batch size, worker count,
+so the final result is bit-identical for any worker count, shard plan,
 retry history, or interrupt/resume schedule.
 """
 
@@ -89,45 +89,3 @@ class Batch:
 
     def trials(self) -> range:
         return range(self.start, self.stop)
-
-    def split(self) -> tuple["Batch", "Batch"]:
-        """Two halves covering the same trials (degradation ladder).
-
-        A single-trial batch cannot be split.
-        """
-        if self.size < 2:
-            raise ExecutionError("cannot split a single-trial batch")
-        left = self.size // 2
-        return (
-            Batch(self.start, left),
-            Batch(self.start + left, self.size - left),
-        )
-
-
-def plan_batches(trials: int, batch_size: int) -> tuple[Batch, ...]:
-    """Split ``trials`` into consecutive batches of ``batch_size``.
-
-    The last batch may be short.  The plan is a pure function of its
-    arguments — resuming a campaign re-derives the identical plan.
-    """
-    if trials < 1:
-        raise ExecutionError(f"trials must be >= 1, got {trials}")
-    if batch_size < 1:
-        raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-    return tuple(
-        Batch(start, min(batch_size, trials - start))
-        for start in range(0, trials, batch_size)
-    )
-
-
-def default_batch_size(trials: int, workers: int) -> int:
-    """A batch size giving each worker ~4 batches (bounded to [1, trials]).
-
-    Small enough that a lost batch wastes little work and stragglers
-    balance out; large enough that dispatch overhead stays negligible.
-    """
-    if workers <= 1:
-        # Serial runs still batch (checkpoint granularity), sized so a
-        # resumable campaign checkpoints at least every ~1/16 of the run.
-        return max(1, min(trials, (trials + 15) // 16))
-    return max(1, (trials + workers * 4 - 1) // (workers * 4))

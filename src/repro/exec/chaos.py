@@ -1,30 +1,19 @@
-"""Chaos harness for the campaign runner itself.
+"""Chaos harness for the campaign supervisor itself.
 
 The resilience and faultsim subsystems inject faults into the *modeled*
-system; this module injects faults into the *runner* — the application-
-level fault-tolerance argument (De Florio) applied to our own tooling.
-A :class:`ChaosPlan` rides into the worker pool and, keyed by trial
-index, makes workers misbehave in controlled ways:
+system; this module injects faults into the *supervisor* — the
+application-level fault-tolerance argument (De Florio) applied to our
+own tooling:
 
-* ``kill_trials`` — the worker SIGKILLs itself before computing any
-  batch containing one of these trials, on **every** pool attempt.  The
-  supervisor must retry, split, and finally degrade that range to serial
-  in-process execution (where chaos does not apply) to complete.
-* ``kill_once_trials`` — SIGKILL only on the first attempt; a plain
-  retry-with-backoff must recover.
-* ``slow_trials`` — sleep before computing, to trip per-batch timeouts.
-* ``interrupt_after_batches`` — the *supervisor* raises
-  :class:`~repro.errors.CampaignInterrupted` after this many batches
-  have been checkpointed, simulating a mid-campaign crash for
-  checkpoint/resume tests without real process murder.
+* :class:`ShardChaos` rides into worker slots and SIGKILLs or stalls
+  them mid-lease; supervisor-side, it interrupts a campaign after a
+  number of checkpointed partials (in-process runs use that too);
+* :class:`NetChaos` corrupts the TCP transport's receive path;
+* :func:`truncate_file` tears bytes off a checkpoint to fake a crash
+  mid-write.
 
-Keying on trial indices (not batch indices) keeps injections stable
-under batch splitting: the poisoned range follows the trial wherever
-the degradation ladder moves it.
-
-:func:`truncate_file` tears bytes off a checkpoint to fake a crash
-mid-write; :func:`run_chaos_selftest` wires it all into an end-to-end
-self-test used by ``repro exec chaos`` and the test suite.
+:func:`run_shard_chaos_selftest` wires it all into the end-to-end
+self-test behind ``repro exec chaos`` and the test suite.
 """
 
 from __future__ import annotations
@@ -36,35 +25,9 @@ from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
-    """Faults to inject into the runner (see module docstring)."""
-
-    kill_trials: frozenset[int] = frozenset()
-    kill_once_trials: frozenset[int] = frozenset()
-    slow_trials: tuple[tuple[int, float], ...] = ()
-    interrupt_after_batches: int | None = None
-
-    def maybe_inject(self, start: int, size: int, attempt: int) -> None:
-        """Run inside a pool worker just before computing a batch."""
-        covered = range(start, start + size)
-        delay = sum(
-            seconds for trial, seconds in self.slow_trials if trial in covered
-        )
-        if delay > 0.0:
-            time.sleep(delay)
-        kill = any(trial in self.kill_trials for trial in covered) or (
-            attempt == 1
-            and any(trial in self.kill_once_trials for trial in covered)
-        )
-        if kill:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclass(frozen=True)
 class ShardChaos:
-    """Shard-level faults for the lease supervisor (`run_sharded`).
+    """Faults for the lease supervisor (`run_sharded`).
 
-    Where :class:`ChaosPlan` poisons trial ranges inside one pool,
     ``ShardChaos`` murders or stalls *whole shard workers* — the
     failure modes a distributed campaign actually meets:
 
@@ -79,6 +42,7 @@ class ShardChaos:
     * ``interrupt_after_partials`` — supervisor-side: raise
       :class:`~repro.errors.CampaignInterrupted` once this many
       partials are checkpointed (mid-campaign crash without murder).
+      The in-process supervisor honours it too.
 
     Injection keys on ``attempt == 1`` only, so re-dispatch always
     recovers.  The plan is JSON round-trippable (``to_dict`` /
@@ -187,7 +151,7 @@ def truncate_file(path: str, chop_bytes: int) -> int:
 
 @dataclass
 class ChaosSelfTestResult:
-    """Outcome of :func:`run_chaos_selftest`."""
+    """Outcome of :func:`run_shard_chaos_selftest`."""
 
     passed: bool
     checks: list[str] = field(default_factory=list)
@@ -197,99 +161,6 @@ class ChaosSelfTestResult:
         lines = [f"[ok] {check}" for check in self.checks]
         lines.extend(f"[FAIL] {failure}" for failure in self.failures)
         return lines
-
-
-def run_chaos_selftest(
-    workdir: str,
-    trials: int = 32,
-    workers: int = 2,
-    seed: int = 7,
-) -> ChaosSelfTestResult:
-    """Prove the supervision logic end-to-end on a real worker pool.
-
-    Runs a faultsim campaign three ways — serial baseline, chaos-ridden
-    pool (SIGKILLed workers + one permanently-failing trial range), and
-    an interrupted-then-resumed run over a checkpoint with a torn
-    trailing line — and checks that every variant reproduces the serial
-    baseline bit-for-bit while the decision trail shows the supervisor
-    actually retried, degraded, and recovered.
-    """
-    from repro.errors import CampaignInterrupted
-    from repro.exec.runner import ExecPolicy
-    from repro.faultsim.campaign import run_campaign
-    from repro.obs import Recorder, use
-    from repro.workloads import paper_influence_graph
-
-    os.makedirs(workdir, exist_ok=True)
-    graph = paper_influence_graph()
-    partition = [[name] for name in graph.fcm_names()]
-    result = ChaosSelfTestResult(passed=True)
-
-    def check(condition: bool, label: str) -> None:
-        if condition:
-            result.checks.append(label)
-        else:
-            result.passed = False
-            result.failures.append(label)
-
-    baseline = run_campaign(graph, partition, trials=trials, seed=seed)
-
-    # --- chaos pool: transient kills + one permanently-failing range ---
-    chaos = ChaosPlan(
-        kill_trials=frozenset({3}),
-        kill_once_trials=frozenset({trials // 2}),
-    )
-    policy = ExecPolicy(
-        workers=workers,
-        batch_size=max(2, trials // 8),
-        max_attempts=2,
-        backoff_base=0.01,
-        backoff_max=0.05,
-    )
-    recorder = Recorder()
-    with use(recorder):
-        chaotic = run_campaign(
-            graph, partition, trials=trials, seed=seed,
-            policy=policy, chaos=chaos,
-        )
-    actions = {d.action for d in recorder.decisions if d.category == "exec"}
-    check(chaotic == baseline, "chaos pool result identical to serial baseline")
-    check("worker_crash" in actions, "worker SIGKILLs detected as crashes")
-    check("retry" in actions, "crashed batches retried with backoff")
-    check("serial_fallback" in actions,
-          "permanently-failing range degraded to serial execution")
-
-    # --- interrupt + torn checkpoint + resume ---
-    checkpoint = os.path.join(workdir, "chaos-selftest.ndjson")
-    if os.path.exists(checkpoint):
-        os.remove(checkpoint)
-    interrupted = False
-    try:
-        run_campaign(
-            graph, partition, trials=trials, seed=seed,
-            policy=ExecPolicy(workers=0, batch_size=max(2, trials // 8)),
-            checkpoint=checkpoint,
-            chaos=ChaosPlan(interrupt_after_batches=3),
-        )
-    except CampaignInterrupted:
-        interrupted = True
-    check(interrupted, "interrupt chaos aborts the campaign mid-run")
-    truncate_file(checkpoint, 10)
-    recorder = Recorder()
-    with use(recorder):
-        resumed = run_campaign(
-            graph, partition, trials=trials, seed=seed,
-            policy=ExecPolicy(workers=0, batch_size=max(2, trials // 8)),
-            resume=checkpoint,
-        )
-    actions = {d.action for d in recorder.decisions if d.category == "exec"}
-    check(resumed == baseline, "resumed result identical to serial baseline")
-    check("checkpoint_corrupt" in actions,
-          "torn trailing checkpoint line detected and reported")
-    check("resume" in actions, "resume skipped completed batches")
-    check(os.path.exists(checkpoint + ".manifest"),
-          "completion manifest atomically published")
-    return result
 
 
 def run_shard_chaos_selftest(

@@ -1,65 +1,41 @@
-"""The supervised campaign runner: pool, retries, degradation, resume.
+"""The campaign supervisor's entry point, its ledger and the inline loop.
 
-``run_supervised`` executes a campaign's batch task over a deterministic
-batch plan (:mod:`repro.exec.batching`), optionally across a pool of
-forked worker processes, and survives the runner's own faults:
+``run_supervised`` executes a campaign's batch task over block-aligned
+trial ranges:
 
-* **crashed workers** (SIGKILL, OOM, segfault) are detected by exit
-  code, their batch retried on a respawned worker;
-* **hung batches** trip a per-batch timeout (``trial_timeout x size``),
-  the worker is killed and the batch retried;
-* retries use **exponential backoff with deterministic jitter** (jitter
-  affects scheduling only, never results);
-* a batch that exhausts its pool attempts is **split** in half (binary
-  isolation of the poisoned trial range) and, at single-trial size,
-  **degraded to serial in-process execution**;
-* when the pool as a whole keeps failing, it is **abandoned** and the
-  remaining batches run serially — the campaign still completes.
+* with ``policy.workers <= 1`` it runs the uncovered blocks in this
+  process, in trial order (:func:`run_inline`) — nothing forks;
+* with ``workers >= 2`` it hands the campaign to the lease supervisor
+  (:func:`repro.exec.shards.run_sharded`) over forked slots, one lease
+  per block, so idle slots pull the next block and crashed, hung or
+  erroring workers go through the one recovery ladder (re-dispatch with
+  backoff, serial rescue, backend abandonment).
 
-Every such decision is emitted as a typed ``exec`` decision event on the
-ambient :mod:`repro.obs` recorder, so a trace shows exactly how a run
-survived.  Completed batches stream to an NDJSON checkpoint
-(:mod:`repro.exec.checkpoint`); ``resume=`` skips work already done.
+A **block** is the task's RNG alignment: the vector kernel's fixed
+:data:`~repro.exec.backend.LEASE_BLOCK_TRIALS`-trial RNG block, or
+:data:`~repro.exec.backend.SCALAR_BLOCK_TRIALS` for per-trial-seeded
+tasks, whose results cannot depend on how trials are grouped.  So the
+result is bit-identical for any worker count, shard plan, retry history
+or interrupt/resume schedule.
 
-The supervisor is single-threaded; each worker owns a private pair of
-unidirectional pipes (tasks in, results out) with exactly one writer
-per pipe.  A shared ``multiprocessing.Queue`` would be unsafe here: its
-producers serialize on a cross-process write lock held by a background
-feeder thread, and a worker SIGKILLed mid-write orphans that lock,
-deadlocking every sibling's results forever.  With private pipes a torn
-write is confined to the dead worker's own channel and surfaces as
-``EOFError`` on the supervisor's next read — a crash signal, not a
-hang.  Worker processes are forked, so campaign payloads (graphs,
-integration outcomes) need not be picklable on the way in.
+Both supervisors keep their books in one :class:`Ledger`: the resume
+load, the streamed NDJSON checkpoint (one line per banked block), the
+interrupt check after every bank, and the manifest seal.  Every decision
+is a typed ``exec`` event on the ambient :mod:`repro.obs` recorder.
 """
 
 from __future__ import annotations
 
-import heapq
-import multiprocessing
 import os
-import random
 import signal
 import threading
 import time
-import traceback
-from multiprocessing import connection as _mp_connection
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import (
-    CampaignInterrupted,
-    CheckpointError,
-    ExecutionError,
-)
-from repro.exec.backend import PipeWorker, _quiet_worker_recorder
-from repro.exec.batching import (
-    Batch,
-    default_batch_size,
-    derive_seed,
-    plan_batches,
-)
-from repro.exec.chaos import ChaosPlan
+from repro.errors import CampaignInterrupted, CheckpointError, ExecutionError
+from repro.exec.backend import LEASE_BLOCK_TRIALS, block_ranges
+from repro.exec.batching import Batch
 from repro.exec.checkpoint import (
     CheckpointWriter,
     campaign_fingerprint,
@@ -70,73 +46,47 @@ from repro.obs import current
 BatchTask = Callable[[int, int, int], Any]
 Combine = Callable[[Any, Any], Any]
 
-_POLL_S = 0.02
-_JOIN_GRACE_S = 1.0
-
 
 @dataclass(frozen=True)
 class ExecPolicy:
-    """Knobs of the supervised runner.
+    """Knobs of the campaign supervisor.
 
     Attributes:
-        workers: Pool size; 0 or 1 runs serially in-process (batching
-            and checkpointing still apply).
-        batch_size: Trials per batch; 0 derives a default from the
-            trial count and worker count.
-        trial_timeout: Seconds allowed per trial; a batch's deadline is
-            ``trial_timeout * size``.  ``None`` disables timeouts.
-        max_attempts: Pool attempts per batch before the degradation
-            ladder (split, then serial) takes over.
-        backoff_base: First retry delay (seconds); doubles per attempt.
-        backoff_max: Upper bound on one retry delay.
+        workers: Worker slots; 0 or 1 runs in-process (blocks and
+            checkpointing still apply), 2 or more runs one lease per
+            block over forked slots.
+        max_attempts: Lease attempts per range before its uncovered
+            blocks are rescued in-process.
+        backoff_base: First re-dispatch delay (seconds); doubles per
+            attempt.
+        backoff_max: Upper bound on one re-dispatch delay.
         backoff_jitter: Max fractional jitter added to each delay (drawn
             from a seed-derived RNG, so scheduling is reproducible).
-        pool_failure_budget: Crashes + timeouts tolerated before the
-            pool is abandoned for serial execution; 0 derives
-            ``max(6, 3 * workers)``.
-        target_batch_s: Pooled runs with ``batch_size=0`` start with a
-            short serial probe and size batches to roughly this much
-            wall time each, so per-batch dispatch overhead amortizes for
-            slow trials without starving fast ones of parallelism.
-            0 disables calibration (the static default size is used).
-        heartbeat_timeout: Sharded runs only
-            (:func:`repro.exec.shards.run_sharded`): a lease whose slot
-            sends no heartbeat/partial for this many seconds is expired
-            and its uncovered remainder re-dispatched.  ``None``
-            disables straggler detection.  Must comfortably exceed the
-            wall time of one :data:`~repro.exec.backend.LEASE_BLOCK_TRIALS`
-            block, since partials are the heartbeat carrier.
+        pool_failure_budget: Slot failures (crashes, lease errors,
+            expiries) tolerated before the backend is abandoned and the
+            rest runs in-process; 0 derives ``max(6, 3 * workers)``.
+        heartbeat_timeout: A lease whose slot sends no heartbeat/partial
+            for this many seconds is expired and its uncovered remainder
+            re-dispatched.  ``None`` disables straggler detection.  Must
+            comfortably exceed the wall time of one block, since
+            partials are the heartbeat carrier.
     """
 
     workers: int = 0
-    batch_size: int = 0
-    trial_timeout: float | None = None
     max_attempts: int = 3
     backoff_base: float = 0.05
     backoff_max: float = 2.0
     backoff_jitter: float = 0.25
     pool_failure_budget: int = 0
-    target_batch_s: float = 0.25
     heartbeat_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ExecutionError("workers must be >= 0")
-        if self.batch_size < 0:
-            raise ExecutionError("batch_size must be >= 0")
-        if self.trial_timeout is not None and self.trial_timeout <= 0:
-            raise ExecutionError("trial_timeout must be > 0")
         if self.max_attempts < 1:
             raise ExecutionError("max_attempts must be >= 1")
-        if self.target_batch_s < 0:
-            raise ExecutionError("target_batch_s must be >= 0")
         if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
             raise ExecutionError("heartbeat_timeout must be > 0")
-
-    def resolved_batch_size(self, trials: int) -> int:
-        if self.batch_size:
-            return min(self.batch_size, trials)
-        return default_batch_size(trials, self.workers)
 
     def resolved_failure_budget(self) -> int:
         if self.pool_failure_budget:
@@ -146,34 +96,48 @@ class ExecPolicy:
 
 @dataclass
 class ExecReport:
-    """What the supervisor did to complete one campaign."""
+    """What the supervisor did to complete one campaign.
+
+    ``partials`` counts the blocks banked by this run (in-process,
+    leased or rescued); ``partials_from_checkpoint`` the entries a
+    resume loaded.  ``backend`` is ``"inline"`` for in-process runs,
+    whose lease counters all stay 0.
+    """
 
     trials: int
-    batch_size: int
+    block: int
     workers: int
-    batches_total: int = 0
-    batches_run: int = 0
-    batches_from_checkpoint: int = 0
-    retries: int = 0
-    worker_crashes: int = 0
-    timeouts: int = 0
-    splits: int = 0
-    serial_fallbacks: int = 0
-    pool_abandoned: bool = False
+    backend: str = "inline"
+    shards: int = 0
+    leases_granted: int = 0
+    partials: int = 0
+    partials_from_checkpoint: int = 0
+    redispatches: int = 0
+    lease_expiries: int = 0
+    shard_crashes: int = 0
+    serial_rescue_blocks: int = 0
+    heartbeats: int = 0
+    backend_abandoned: bool = False
     corrupt_checkpoint_lines: int = 0
+    protocol_torn_lines: int = 0
+    generation_fenced_lines: int = 0
     checkpoint_path: str | None = None
     manifest_path: str | None = None
-    calibrated_batch_size: int | None = None
     elapsed_s: float = 0.0
+    run_id: str | None = None
+    telemetry_batches: int = 0
+    worker_spans: int = 0
+    status_file: str | None = None
+    telemetry_stream_path: str | None = None
 
 
 class InterruptGuard:
     """Cooperative SIGINT/SIGTERM handling for campaign supervisors.
 
-    Installed (main thread only) for the duration of a supervised or
-    sharded run: the first signal sets a flag that :meth:`check`
-    converts — at the next safe point, *between* checkpoint writes —
-    into :class:`~repro.errors.CampaignInterrupted`, so the runner's
+    Installed (main thread only) for the duration of a supervised run:
+    the first signal sets a flag that :meth:`check` converts — at the
+    next safe point, *between* checkpoint writes — into
+    :class:`~repro.errors.CampaignInterrupted`, so the supervisor's
     cleanup path flushes the checkpoint, seals an ``interrupted``
     manifest, and terminates its workers, leaving a resumable state.  A
     second signal escalates to an immediate ``KeyboardInterrupt`` for
@@ -215,262 +179,144 @@ class InterruptGuard:
             "manifest sealed for resume",
         )
         raise CampaignInterrupted(
-            f"{self.signaled}: campaign interrupted at a batch boundary; "
+            f"{self.signaled}: campaign interrupted at a block boundary; "
             "resume from the checkpoint to continue"
         )
 
 
-class _Worker(PipeWorker):
-    """One batch-pool worker: a :class:`PipeWorker` plus its assignment."""
+class Ledger:
+    """The completed ranges of one campaign and everything that banks them.
+
+    ``done`` maps ``(start, size)`` to a payload.  :meth:`open` loads a
+    resume file and opens the checkpoint; :meth:`bank` records one
+    block (checkpoint line, counters, live-health board) and then runs
+    the interrupt checks; :meth:`seal` publishes the manifest, complete
+    or interrupted.
+    """
 
     def __init__(
         self,
-        worker_id: int,
-        ctx,
-        task: BatchTask,
+        *,
+        kind: str,
+        trials: int,
         seed: int,
-        chaos: ChaosPlan | None,
+        fingerprint: str,
+        report: ExecReport,
+        guard: InterruptGuard,
+        chaos=None,
+        board=None,
     ) -> None:
-        self.assignment: tuple[Batch, int] | None = None
-        self.deadline: float | None = None
-        super().__init__(
-            worker_id,
-            ctx,
-            _worker_main,
-            (task, seed, chaos),
-            name=f"repro-exec-{worker_id}",
-        )
+        self.kind = kind
+        self.trials = trials
+        self.seed = seed
+        self.fingerprint = fingerprint
+        self.report = report
+        self.guard = guard
+        self.chaos = chaos
+        self.board = board
+        self.rec = current()
+        self.done: dict[tuple[int, int], Any] = {}
+        self.writer: CheckpointWriter | None = None
 
-    @property
-    def idle(self) -> bool:
-        return self.assignment is None
-
-    def dispatch(self, batch: Batch, attempt: int, deadline: float | None) -> None:
-        self.assignment = (batch, attempt)
-        self.deadline = deadline
-        self.send((batch.start, batch.size, attempt))
-
-    def clear(self) -> None:
-        self.assignment = None
-        self.deadline = None
-
-
-def _worker_main(task, seed, chaos, task_recv, result_send):
-    _quiet_worker_recorder()
-    while True:
-        try:
-            item = task_recv.recv()
-        except (EOFError, OSError):
-            return  # supervisor went away
-        if item is None:
-            return
-        start, size, attempt = item
-        if chaos is not None:
-            chaos.maybe_inject(start, size, attempt)
-        try:
-            payload = task(start, size, seed)
-        except Exception:
-            message = ("error", start, size, traceback.format_exc())
-        else:
-            message = ("ok", start, size, payload)
-        try:
-            result_send.send(message)
-        except (OSError, ValueError):
-            return
-
-
-def run_supervised(
-    task: BatchTask,
-    *,
-    trials: int,
-    seed: int,
-    kind: str,
-    params: dict | None = None,
-    policy: ExecPolicy | None = None,
-    combine: Combine | None = None,
-    checkpoint: str | None = None,
-    resume: str | None = None,
-    chaos: ChaosPlan | None = None,
-) -> tuple[list[Any], ExecReport]:
-    """Run ``task`` over every batch of a campaign, supervised.
-
-    ``task(start, size, seed)`` must be a pure function of its arguments
-    (per-trial RNGs via :func:`~repro.exec.batching.derive_seed`)
-    returning a JSON-serializable payload; ``combine`` merges the
-    payloads of two *adjacent* trial ranges and is required to reuse
-    checkpoint entries whose ranges subdivide a planned batch.
-
-    Returns ``(payloads, report)`` with payloads in trial order — one
-    per planned batch (sub-batch payloads are combined back).
-    """
-    policy = policy or ExecPolicy()
-    batch_size = policy.resolved_batch_size(trials)
-    plan = plan_batches(trials, batch_size)
-    fingerprint = campaign_fingerprint(kind, seed, trials, params or {})
-    rec = current()
-    report = ExecReport(
-        trials=trials, batch_size=batch_size, workers=policy.workers,
-        batches_total=len(plan),
-    )
-
-    done: dict[tuple[int, int], Any] = {}
-    writer: CheckpointWriter | None = None
-    t0 = time.perf_counter()
-    with rec.span(
-        "exec.supervise",
-        kind=kind,
-        trials=trials,
-        batch_size=batch_size,
-        workers=policy.workers,
-        fingerprint=fingerprint,
-    ), InterruptGuard() as guard:
+    def open(self, checkpoint: str | None, resume: str | None) -> None:
         if resume is not None:
-            _load_resume(resume, fingerprint, done, report, rec)
-        checkpoint_path = checkpoint or resume
-        if checkpoint_path is not None:
-            fresh = not (
-                resume is not None
-                and os.path.exists(resume)
-                and checkpoint_path == resume
-            )
-            writer = CheckpointWriter(
-                checkpoint_path, fingerprint, trials, seed, fresh=fresh
-            )
-            report.checkpoint_path = checkpoint_path
-        try:
-            def complete(batch: Batch, payload: Any, source: str) -> None:
-                if (batch.start, batch.size) in done:
-                    return  # late duplicate (result raced a timeout retry)
-                done[(batch.start, batch.size)] = payload
-                report.batches_run += 1
-                if rec.enabled:
-                    rec.counter("exec_batches_total").inc(source=source)
-                if writer is not None:
-                    writer.record(batch.start, batch.size, payload)
-                    if (
-                        chaos is not None
-                        and chaos.interrupt_after_batches is not None
-                        and writer.batches_written
-                        >= chaos.interrupt_after_batches
-                    ):
-                        rec.decision(
-                            "exec", "interrupted", subject=kind,
-                            reason="chaos: interrupt_after_batches reached",
-                            batches_written=writer.batches_written,
-                        )
-                        raise CampaignInterrupted(
-                            f"chaos interrupt after "
-                            f"{writer.batches_written} checkpointed batches"
-                        )
-                guard.check(rec, kind)
+            self._load(resume)
+            self.report.partials_from_checkpoint = len(self.done)
+        path = checkpoint or resume
+        if path is None:
+            return
+        fresh = not (
+            resume is not None and os.path.exists(resume) and path == resume
+        )
+        self.writer = CheckpointWriter(
+            path, self.fingerprint, self.trials, self.seed, fresh=fresh
+        )
+        self.report.checkpoint_path = path
 
-            probe_batches = 0
-            if (
-                policy.workers >= 2
-                and policy.batch_size == 0
-                and policy.target_batch_s > 0
-            ):
-                calibrated = _calibrated_plan(
-                    task, trials, seed, policy, done, combine, complete,
-                    report, rec,
-                )
-                if calibrated is not None:
-                    plan = calibrated
-                    report.batches_total = len(plan)
-                    probe_batches = 1
-
-            todo = [b for b in plan if not _covered(b, done, combine)]
-            report.batches_from_checkpoint = (
-                len(plan) - len(todo) - probe_batches
-            )
-            if report.batches_from_checkpoint and rec.enabled:
-                rec.counter("exec_batches_total").inc(
-                    report.batches_from_checkpoint, source="checkpoint"
-                )
-
-            if todo:
-                if policy.workers >= 2:
-                    _run_pool(
-                        task, seed, todo, policy, chaos, complete, done,
-                        report, rec, guard,
-                    )
-                else:
-                    for batch in todo:
-                        guard.check(rec, kind)
-                        complete(batch, task(batch.start, batch.size, seed),
-                                 "serial")
-            if writer is not None:
-                report.manifest_path = writer.write_manifest(
-                    {"kind": kind, "batches": len(plan)}
-                )
+    def _load(self, resume: str) -> None:
+        rec = self.rec
+        if not os.path.exists(resume):
             rec.decision(
-                "exec", "complete", subject=kind,
-                reason="all batches accounted for",
-                batches=len(plan), retries=report.retries,
-                from_checkpoint=report.batches_from_checkpoint,
+                "exec", "resume", subject=resume,
+                reason="checkpoint missing; starting fresh", entries=0,
             )
-        except CampaignInterrupted:
-            # Seal a resumable state: the checkpoint is already flushed
-            # per batch; the manifest records the interruption (its
-            # ``complete`` flag stays false so nothing mistakes a partial
-            # run for a finished one).
-            if writer is not None:
-                report.manifest_path = writer.write_manifest(
-                    {"kind": kind, "batches": len(plan), "interrupted": True},
-                    complete=False,
-                )
-            raise
-        finally:
-            if writer is not None:
-                writer.close()
-            report.elapsed_s = time.perf_counter() - t0
-
-    return [_assemble(b, done, combine) for b in plan], report
-
-
-# ----------------------------------------------------------------------
-# Resume plumbing
-# ----------------------------------------------------------------------
-def _load_resume(resume, fingerprint, done, report, rec) -> None:
-    if not os.path.exists(resume):
+            return
+        data = load_checkpoint(resume)
+        if data.fingerprint is not None and data.fingerprint != self.fingerprint:
+            raise CheckpointError(
+                f"checkpoint {resume!r} belongs to a different campaign "
+                f"(fingerprint {data.fingerprint} != {self.fingerprint})"
+            )
+        if data.corrupt_lines:
+            self.report.corrupt_checkpoint_lines = data.corrupt_lines
+            rec.decision(
+                "exec", "checkpoint_corrupt", subject=resume,
+                reason="corrupt checkpoint lines skipped; their blocks will "
+                "be recomputed",
+                lines=data.corrupt_lines, detail=data.corrupt_detail[:5],
+            )
+        self.done.update(data.entries)
         rec.decision(
             "exec", "resume", subject=resume,
-            reason="checkpoint missing; starting fresh", entries=0,
+            reason="completed ranges loaded from checkpoint",
+            entries=len(data.entries), corrupt_lines=data.corrupt_lines,
         )
-        return
-    data = load_checkpoint(resume)
-    if data.fingerprint is not None and data.fingerprint != fingerprint:
-        raise CheckpointError(
-            f"checkpoint {resume!r} belongs to a different campaign "
-            f"(fingerprint {data.fingerprint} != {fingerprint})"
+
+    def bank(self, start: int, size: int, payload: Any, source: str) -> None:
+        if (start, size) in self.done:
+            return  # a raced re-dispatch finished the same block
+        self.done[(start, size)] = payload
+        self.report.partials += 1
+        if self.board is not None:
+            self.board.block_done(start, size, source)
+        rec = self.rec
+        if rec.enabled:
+            rec.counter("exec_partials_total").inc(source=source)
+        writer = self.writer
+        if writer is not None:
+            writer.record(start, size, payload)
+            limit = getattr(self.chaos, "interrupt_after_partials", None)
+            if limit is not None and writer.batches_written >= limit:
+                rec.decision(
+                    "exec", "interrupted", subject=self.kind,
+                    reason="chaos: interrupt_after_partials reached",
+                    partials_written=writer.batches_written,
+                )
+                raise CampaignInterrupted(
+                    f"chaos interrupt after {writer.batches_written} "
+                    f"checkpointed partials"
+                )
+        self.guard.check(rec, self.kind)
+
+    def seal(self, complete: bool, **extra) -> None:
+        """Publish the manifest: ``complete`` or an interrupted run's."""
+        if self.writer is None:
+            return
+        document = {"kind": self.kind, **extra}
+        if not complete:
+            document["interrupted"] = True
+        self.report.manifest_path = self.writer.write_manifest(
+            document, complete=complete
         )
-    if data.corrupt_lines:
-        report.corrupt_checkpoint_lines = data.corrupt_lines
-        rec.decision(
-            "exec", "checkpoint_corrupt", subject=resume,
-            reason="corrupt checkpoint lines skipped; their batches will "
-            "be recomputed",
-            lines=data.corrupt_lines, detail=data.corrupt_detail[:5],
-        )
-    done.update(data.entries)
-    rec.decision(
-        "exec", "resume", subject=resume,
-        reason="completed batches loaded from checkpoint",
-        entries=len(data.entries), corrupt_lines=data.corrupt_lines,
-    )
+
+    def close(self) -> None:
+        if self.writer is not None:
+            self.writer.close()
 
 
+# ----------------------------------------------------------------------
+# Coverage and assembly over banked ranges
+# ----------------------------------------------------------------------
 def _find_chain(
     batch: Batch, done: dict
 ) -> list[tuple[int, int]] | None:
     """Adjacent ``done`` ranges tiling ``batch`` exactly, or None.
 
     ``done`` can hold overlapping decompositions of the same range —
-    e.g. a resumed checkpoint's ``(0, 3)`` alongside split-produced
-    ``(0, 2)``/``(2, 2)`` for a planned batch ``[0, 4)`` — so a greedy
-    walk can dead-end on a valid cover.  Search all decompositions,
-    visiting each reachable position once (coverage from a position is
-    independent of how it was reached).
+    e.g. a resumed checkpoint's ``(0, 3)`` alongside ``(0, 2)``/``(2, 2)``
+    for a block ``[0, 4)`` — so a greedy walk can dead-end on a valid
+    cover.  Search all decompositions, visiting each reachable position
+    once (coverage from a position is independent of how it was reached).
     """
     stack: list[tuple[int, list[tuple[int, int]]]] = [(batch.start, [])]
     seen = {batch.start}
@@ -502,7 +348,7 @@ def _assemble(batch: Batch, done: dict, combine: Combine | None) -> Any:
     chain = _find_chain(batch, done) if combine is not None else None
     if chain is None:
         raise ExecutionError(
-            f"cannot assemble batch [{batch.start},{batch.stop}) from "
+            f"cannot assemble range [{batch.start},{batch.stop}) from "
             f"completed ranges {sorted(done)}"
         )
     payload = None
@@ -512,294 +358,148 @@ def _assemble(batch: Batch, done: dict, combine: Combine | None) -> Any:
     return payload
 
 
-# ----------------------------------------------------------------------
-# Batch-size calibration
-# ----------------------------------------------------------------------
-_CALIBRATION_PROBE = 32
+def uncovered_ranges(
+    start: int,
+    size: int,
+    done: dict,
+    combine: Combine | None,
+    block: int = LEASE_BLOCK_TRIALS,
+) -> list[tuple[int, int]]:
+    """Block-aligned sub-ranges of ``[start, start+size)`` not in ``done``.
 
-
-def _calibrated_plan(
-    task, trials, seed, policy, done, combine, complete, report, rec
-) -> tuple[Batch, ...] | None:
-    """Size pooled batches from a short serial probe, or None to skip.
-
-    Runs the first ``min(trials, 32)`` trials in-process, times them, and
-    sizes the remaining batches to roughly ``policy.target_batch_s`` of
-    wall time each (clamped so every worker still gets at least one
-    batch).  The probe's payload is kept via ``complete`` — calibration
-    costs no redundant trials.  Skipped (returns ``None``) when the run
-    is too small to parallelise or a resumed checkpoint already covers
-    the probe range (timing checkpointed work would measure nothing).
+    Consecutive uncovered blocks merge into one contiguous range (one
+    lease can serve them in a single pass).  Coverage is judged per
+    block via the chain search, so checkpoint entries written at any
+    size count as long as they tile whole blocks; an entry that
+    straddles a block boundary or spans several blocks is recomputed.
     """
-    probe = min(trials, _CALIBRATION_PROBE)
-    if trials - probe <= 0:
-        return None
-    probe_batch = Batch(0, probe)
-    if _covered(probe_batch, done, combine):
-        rec.decision(
-            "exec", "calibrate", subject="batch_size",
-            reason="probe range already covered by checkpoint; "
-            "using static default batch size",
-            probe_trials=probe,
+    missing: list[tuple[int, int]] = []
+    for bstart, bsize in block_ranges(start, size, block):
+        if _covered(Batch(bstart, bsize), done, combine):
+            continue
+        if missing and missing[-1][0] + missing[-1][1] == bstart:
+            last_start, last_size = missing[-1]
+            missing[-1] = (last_start, last_size + bsize)
+        else:
+            missing.append((bstart, bsize))
+    return missing
+
+
+def run_inline(
+    task: BatchTask,
+    seed: int,
+    start: int,
+    size: int,
+    ledger: Ledger,
+    combine: Combine | None,
+    block: int,
+    source: str,
+) -> int:
+    """Run the uncovered blocks of ``[start, start+size)`` in this process.
+
+    Blocks run in trial order and each is banked as it completes, so an
+    interrupt loses at most the block in flight.  Returns the number of
+    blocks run.  The in-process supervisor and the lease supervisor's
+    serial rescue both use this loop.
+    """
+    ran = 0
+    for ustart, usize in uncovered_ranges(start, size, ledger.done, combine, block):
+        for bstart, bsize in block_ranges(ustart, usize, block):
+            ledger.bank(bstart, bsize, task(bstart, bsize, seed), source)
+            ran += 1
+    return ran
+
+
+# ----------------------------------------------------------------------
+# The entry point
+# ----------------------------------------------------------------------
+def run_supervised(
+    task: BatchTask,
+    *,
+    trials: int,
+    seed: int,
+    kind: str,
+    params: dict | None = None,
+    policy: ExecPolicy | None = None,
+    combine: Combine | None = None,
+    checkpoint: str | None = None,
+    resume: str | None = None,
+    chaos=None,
+    block: int = LEASE_BLOCK_TRIALS,
+) -> tuple[list[Any], ExecReport]:
+    """Run ``task`` over every block of a campaign, supervised.
+
+    ``task(start, size, seed)`` must be a pure function of its arguments
+    (per-trial RNGs via :func:`~repro.exec.batching.derive_seed`, or
+    whole ``block``-aligned RNG blocks) returning a JSON-serializable
+    payload; ``combine`` merges the payloads of two *adjacent* trial
+    ranges.  It is required with ``workers >= 2`` and lets resume reuse
+    checkpoint entries that subdivide a block.  ``chaos`` is a
+    :class:`~repro.exec.chaos.ShardChaos`.
+
+    Returns ``(payloads, report)`` with payloads in trial order: one per
+    block in-process, one per lease-supervisor shard when pooled.
+    """
+    policy = policy or ExecPolicy()
+    if trials < 1:
+        raise ExecutionError(f"trials must be >= 1, got {trials}")
+    if block < 1:
+        raise ExecutionError(f"block must be >= 1, got {block}")
+    if policy.workers >= 2:
+        from repro.exec.shards import run_sharded
+
+        # One shard per block, so an idle slot always pulls the next one.
+        return run_sharded(
+            task,
+            trials=trials,
+            seed=seed,
+            kind=kind,
+            params=params,
+            policy=policy,
+            shards=-(-trials // block),
+            combine=combine,
+            checkpoint=checkpoint,
+            resume=resume,
+            chaos=chaos,
+            block=block,
         )
-        return None
+    fingerprint = campaign_fingerprint(kind, seed, trials, params or {})
+    rec = current()
+    report = ExecReport(trials=trials, block=block, workers=policy.workers)
     t0 = time.perf_counter()
-    payload = task(probe_batch.start, probe_batch.size, seed)
-    elapsed = time.perf_counter() - t0
-    complete(probe_batch, payload, "calibration")
-    per_trial = max(elapsed / probe, 1e-9)
-    remaining = trials - probe
-    per_worker = (remaining + policy.workers - 1) // policy.workers
-    size = max(1, min(int(policy.target_batch_s / per_trial), per_worker))
-    report.calibrated_batch_size = size
-    report.batch_size = size
-    rec.decision(
-        "exec", "calibrate", subject="batch_size",
-        reason="batch size derived from serial probe timing",
-        probe_trials=probe,
-        probe_s=round(elapsed, 6),
-        per_trial_s=round(per_trial, 9),
-        batch_size=size,
-    )
-    return (probe_batch,) + tuple(
-        Batch(start, min(size, trials - start))
-        for start in range(probe, trials, size)
-    )
-
-
-# ----------------------------------------------------------------------
-# The worker pool
-# ----------------------------------------------------------------------
-def _run_pool(
-    task, seed, todo, policy, chaos, complete, done, report, rec, guard=None
-) -> None:
-    """Dispatch ``todo`` over a supervised pool (see module docstring)."""
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        rec.decision(
-            "exec", "pool_abandoned", reason="fork start method unavailable",
-        )
-        report.pool_abandoned = True
-        for batch in todo:
-            complete(batch, task(batch.start, batch.size, seed), "serial")
-        return
-
-    jitter_rng = random.Random(derive_seed(seed, 0, purpose="jitter"))
-    failure_budget = policy.resolved_failure_budget()
-    workers: dict[int, _Worker] = {}
-    next_worker_id = 0
-    pending: list[tuple[Batch, int]] = [(batch, 1) for batch in todo]
-    pending.reverse()  # pop() from the end -> dispatch in plan order
-    retry_heap: list[tuple[float, int, Batch, int]] = []
-    retry_tiebreak = 0
-    failures = 0
-    abandoned = False
-
-    def spawn() -> _Worker:
-        nonlocal next_worker_id
-        worker = _Worker(next_worker_id, ctx, task, seed, chaos)
-        workers[worker.id] = worker
-        next_worker_id += 1
-        return worker
-
-    def serial_fallback(batch: Batch) -> None:
-        report.serial_fallbacks += 1
-        rec.decision(
-            "exec", "serial_fallback", subject=f"[{batch.start},{batch.stop})",
-            reason="pool attempts exhausted; running batch in-process",
+    with rec.span(
+        "exec.supervise",
+        kind=kind,
+        trials=trials,
+        block=block,
+        workers=policy.workers,
+        fingerprint=fingerprint,
+    ), InterruptGuard() as guard:
+        ledger = Ledger(
+            kind=kind, trials=trials, seed=seed, fingerprint=fingerprint,
+            report=report, guard=guard, chaos=chaos,
         )
         try:
-            payload = task(batch.start, batch.size, seed)
-        except Exception as exc:
-            raise ExecutionError(
-                f"batch [{batch.start},{batch.stop}) failed even in serial "
-                f"fallback: {exc}"
-            ) from exc
-        complete(batch, payload, "serial")
-
-    def handle_failure(batch: Batch, attempt: int, cause: str) -> None:
-        nonlocal retry_tiebreak
-        if attempt >= policy.max_attempts:
-            if batch.size > 1:
-                left, right = batch.split()
-                report.splits += 1
-                rec.decision(
-                    "exec", "split",
-                    subject=f"[{batch.start},{batch.stop})",
-                    reason=f"{cause}; attempts exhausted, shrinking batch",
-                    left=left.size, right=right.size,
-                )
-                pending.append((right, 1))
-                pending.append((left, 1))
-            else:
-                serial_fallback(batch)
-            return
-        report.retries += 1
-        delay = min(
-            policy.backoff_max,
-            policy.backoff_base * (2 ** (attempt - 1)),
-        )
-        delay *= 1.0 + policy.backoff_jitter * jitter_rng.random()
-        rec.decision(
-            "exec", "retry", subject=f"[{batch.start},{batch.stop})",
-            reason=f"{cause}; retrying with backoff",
-            attempt=attempt + 1, delay_s=round(delay, 4),
-        )
-        if rec.enabled:
-            rec.counter("exec_retries_total").inc()
-        retry_tiebreak += 1
-        heapq.heappush(
-            retry_heap,
-            (time.monotonic() + delay, retry_tiebreak, batch, attempt + 1),
-        )
-
-    def fail_worker(worker: _Worker, cause: str) -> None:
-        nonlocal failures
-        failures += 1
-        assignment = worker.assignment
-        worker.clear()
-        worker.kill()
-        del workers[worker.id]
-        if assignment is not None:
-            batch, attempt = assignment
-            handle_failure(batch, attempt, cause)
-
-    def crash(worker: _Worker) -> None:
-        worker.process.join(_JOIN_GRACE_S)
-        report.worker_crashes += 1
-        if worker.assignment is not None:
-            batch, _ = worker.assignment
-            subject = f"[{batch.start},{batch.stop})"
-            detail = "mid-batch"
-        else:
-            subject = f"worker-{worker.id}"
-            detail = "while idle"
-        rec.decision(
-            "exec", "worker_crash", subject=subject,
-            reason=f"worker {worker.id} exited "
-            f"(code {worker.process.exitcode}) {detail}",
-        )
-        if rec.enabled:
-            rec.counter("exec_worker_crashes_total").inc()
-        fail_worker(worker, "worker crash")
-
-    try:
-        for _ in range(min(policy.workers, len(pending))):
-            spawn()
-        while pending or retry_heap or any(
-            not w.idle for w in workers.values()
-        ):
-            if guard is not None:
-                guard.check(rec, "pool")
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _, _, batch, attempt = heapq.heappop(retry_heap)
-                pending.append((batch, attempt))
-
-            if not abandoned and failures >= failure_budget:
-                abandoned = True
-                report.pool_abandoned = True
-                rec.decision(
-                    "exec", "pool_abandoned",
-                    reason=f"{failures} worker failures >= budget "
-                    f"{failure_budget}; finishing serially",
-                )
-                # Reclaim every in-flight and scheduled batch: a broken
-                # pool must not hold the campaign hostage.
-                for worker in list(workers.values()):
-                    if worker.assignment is not None:
-                        pending.append(worker.assignment)
-                        worker.clear()
-                    worker.kill()
-                    del workers[worker.id]
-                while retry_heap:
-                    _, _, batch, attempt = heapq.heappop(retry_heap)
-                    pending.append((batch, attempt))
-
-            if abandoned:
-                while pending:
-                    batch, _ = pending.pop()
-                    serial_fallback(batch)
-                break
-
-            while len(workers) < policy.workers and pending:
-                spawn()
-            for worker in list(workers.values()):
-                if not pending:
-                    break
-                if worker.idle and worker.process.is_alive():
-                    batch, attempt = pending.pop()
-                    if (batch.start, batch.size) in done:
-                        continue  # completed by a raced late result
-                    deadline = (
-                        now + policy.trial_timeout * batch.size
-                        if policy.trial_timeout is not None
-                        else None
-                    )
-                    worker.dispatch(batch, attempt, deadline)
-
-            if workers:
-                by_conn = {w.result_recv: w for w in workers.values()}
-                ready = _mp_connection.wait(
-                    list(by_conn), timeout=_POLL_S
-                )
-            else:
-                time.sleep(_POLL_S)
-                ready = []
-            for conn in ready:
-                worker = by_conn[conn]
-                if worker.id not in workers:
-                    continue  # removed earlier in this same pass
-                try:
-                    message = worker.result_recv.recv()
-                except (EOFError, OSError):
-                    # The worker died, possibly SIGKILLed mid-send; the
-                    # torn write is confined to its own pipe.
-                    crash(worker)
-                    continue
-                status, start, size, payload = message
-                attempt = 1
-                if worker.assignment is not None:
-                    attempt = worker.assignment[1]
-                worker.clear()
-                batch = Batch(start, size)
-                if status == "ok":
-                    complete(batch, payload, "pool")
-                else:
-                    rec.decision(
-                        "exec", "batch_error",
-                        subject=f"[{start},{start + size})",
-                        reason="worker raised", detail=str(payload)[-400:],
-                    )
-                    handle_failure(batch, attempt, "error")
-
-            now = time.monotonic()
-            for worker in list(workers.values()):
-                if worker.assignment is None:
-                    continue
-                if not worker.process.is_alive():
-                    crash(worker)
-                elif worker.deadline is not None and now > worker.deadline:
-                    batch, _ = worker.assignment
-                    report.timeouts += 1
-                    rec.decision(
-                        "exec", "batch_timeout",
-                        subject=f"[{batch.start},{batch.stop})",
-                        reason=f"batch exceeded "
-                        f"{policy.trial_timeout * batch.size:.3f}s deadline; "
-                        f"killing worker {worker.id}",
-                    )
-                    if rec.enabled:
-                        rec.counter("exec_timeouts_total").inc()
-                    fail_worker(worker, "batch timeout")
-    finally:
-        for worker in list(workers.values()):
-            worker.stop()
-        deadline = time.monotonic() + _JOIN_GRACE_S
-        for worker in list(workers.values()):
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.kill()
-            else:
-                worker.close()
+            ledger.open(checkpoint, resume)
+            run_inline(task, seed, 0, trials, ledger, combine, block, "inline")
+            payloads = [
+                _assemble(Batch(start, size), ledger.done, combine)
+                for start, size in block_ranges(0, trials, block)
+            ]
+            ledger.seal(True, backend=report.backend, blocks=len(payloads))
+            rec.decision(
+                "exec", "complete", subject=kind,
+                reason="all blocks accounted for",
+                batches=len(payloads),
+                from_checkpoint=report.partials_from_checkpoint,
+            )
+        except BaseException:
+            # The checkpoint is already flushed per block; the manifest
+            # records the interruption (``complete`` stays false so
+            # nothing mistakes a partial run for a finished one).
+            ledger.seal(False, backend=report.backend)
+            raise
+        finally:
+            ledger.close()
+            report.elapsed_s = time.perf_counter() - t0
+    return payloads, report

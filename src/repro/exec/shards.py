@@ -1,62 +1,61 @@
-"""Shard-tolerant campaign execution: block-aligned leases over backends.
+"""The lease supervisor: block-aligned shard leases over backends.
 
-Where :func:`repro.exec.runner.run_supervised` survives the loss of
-single *workers*, this module survives the loss of entire *shards* —
-the grid-style step the ROADMAP's "shard campaigns across hosts" item
-asks for.  A campaign is split into :class:`Shard` s whose boundaries
-fall on :data:`~repro.exec.backend.LEASE_BLOCK_TRIALS`-trial RNG
-blocks, so **any** shard assignment, re-dispatch, partial completion or
-resume yields aggregates bit-identical to a serial run (the kernel
-simulates covering blocks whole; the scalar engine is per-trial seeded
-— neither can see the schedule).
+A campaign is split into :class:`Shard` s whose boundaries fall on
+``block``-trial RNG blocks, so **any** shard assignment, re-dispatch,
+partial completion or resume yields aggregates bit-identical to an
+in-process run (the kernel simulates covering blocks whole; per-trial
+seeded tasks cannot see the schedule).  Pooled ``run_supervised`` runs
+land here too, with one shard per block over forked slots.
 
 The supervisor (:func:`run_sharded`) grants each shard's uncovered
 range as a **lease** to a backend slot and tracks liveness by
 heartbeat: workers stream one partial aggregate per block (each partial
 doubles as a heartbeat), and a lease whose slot goes silent past
 ``ExecPolicy.heartbeat_timeout`` is *expired* — the slot is killed and
-the lease's **uncovered remainder** re-dispatched through the PR 3
-retry/backoff plumbing.  Completed blocks are never re-run: every
-partial is banked in the standard NDJSON checkpoint
-(:mod:`repro.exec.checkpoint`, same fingerprint as the batch runner),
+the lease's **uncovered remainder** re-dispatched with exponential
+backoff and deterministic jitter.  Completed blocks are never re-run:
+every partial is banked through the shared
+:class:`~repro.exec.runner.Ledger` into the standard NDJSON checkpoint,
 so a supervisor crash mid-campaign resumes without repeating finished
-shards, and a checkpoint written by the sharded path resumes under the
-batch runner (and vice versa).
+blocks, in-process or pooled.
 
-Escalation mirrors the supervised runner's ladder: per-lease attempts
-exhaust into in-process serial rescue of the remaining blocks, and a
-backend exceeding the pool failure budget is abandoned wholesale — the
-campaign still completes serially.  Every step is a typed ``exec``
-decision event (``lease_grant`` / ``lease_expired`` / ``redispatch`` /
-``shard_crash`` / ``backend_abandoned``) on the ambient recorder.
+The recovery ladder: per-lease attempts exhaust into in-process serial
+rescue of the remaining blocks (:func:`~repro.exec.runner.run_inline`),
+and a backend exceeding the pool failure budget is abandoned wholesale —
+the campaign still completes in-process.  Every step is a typed
+``exec`` decision event (``lease_grant`` / ``lease_expired`` /
+``redispatch`` / ``shard_crash`` / ``serial_fallback`` /
+``backend_abandoned``) on the ambient recorder.  A completed campaign
+says ``bye`` to its slots, so remote TCP workers exit instead of
+re-dialing; interrupted and abandoned runs send ``shutdown``.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ExecutionError
+from repro.errors import CampaignInterrupted, ExecutionError
 from repro.exec.backend import (
     LEASE_BLOCK_TRIALS,
     ExecBackend,
-    block_ranges,
     build_task,
     make_backend,
     note_torn_line,
 )
 from repro.exec.batching import Batch, available_cpus, derive_seed
-from repro.exec.checkpoint import CheckpointWriter, campaign_fingerprint
+from repro.exec.checkpoint import campaign_fingerprint
 from repro.exec.runner import (
     ExecPolicy,
+    ExecReport,
     InterruptGuard,
+    Ledger,
     _assemble,
-    _covered,
-    _load_resume,
+    run_inline,
+    uncovered_ranges,
 )
 from repro.obs import current
 from repro.obs.telemetry import (
@@ -113,68 +112,6 @@ def plan_shards(
     return tuple(plan)
 
 
-def uncovered_ranges(
-    start: int,
-    size: int,
-    done: dict,
-    combine: Callable | None,
-    block: int = LEASE_BLOCK_TRIALS,
-) -> list[tuple[int, int]]:
-    """Block-aligned sub-ranges of ``[start, start+size)`` not in ``done``.
-
-    Consecutive uncovered blocks merge into one contiguous range (one
-    lease can serve them in a single pass).  Coverage is judged per
-    block via the runner's chain search, so checkpoint entries written
-    at any batch size count as long as they tile whole blocks.
-    """
-    missing: list[tuple[int, int]] = []
-    for bstart, bsize in block_ranges(start, size, block):
-        if _covered(Batch(bstart, bsize), done, combine):
-            continue
-        if missing and missing[-1][0] + missing[-1][1] == bstart:
-            last_start, last_size = missing[-1]
-            missing[-1] = (last_start, last_size + bsize)
-        else:
-            missing.append((bstart, bsize))
-    return missing
-
-
-@dataclass
-class ShardReport:
-    """What the shard supervisor did to complete one campaign."""
-
-    trials: int
-    shards: int
-    block: int
-    slots: int
-    backend: str
-    leases_granted: int = 0
-    redispatches: int = 0
-    lease_expiries: int = 0
-    shard_crashes: int = 0
-    serial_rescue_blocks: int = 0
-    partials: int = 0
-    partials_from_checkpoint: int = 0
-    heartbeats: int = 0
-    backend_abandoned: bool = False
-    corrupt_checkpoint_lines: int = 0
-    protocol_torn_lines: int = 0
-    generation_fenced_lines: int = 0
-    checkpoint_path: str | None = None
-    manifest_path: str | None = None
-    elapsed_s: float = 0.0
-    run_id: str | None = None
-    telemetry_batches: int = 0
-    worker_spans: int = 0
-    status_file: str | None = None
-    telemetry_stream_path: str | None = None
-
-    @property
-    def workers(self) -> int:
-        """Slot count, under the name the CLI report plumbing expects."""
-        return self.slots
-
-
 @dataclass
 class _Lease:
     id: int
@@ -218,14 +155,13 @@ def run_sharded(
     run_id: str | None = None,
     listen: str | None = None,
     profile: float | None = None,
-) -> tuple[list[Any], ShardReport]:
+) -> tuple[list[Any], ExecReport]:
     """Run a campaign as shard leases over an execution backend.
 
     ``task``/``task_spec`` follow :func:`~repro.exec.backend.make_backend`;
     ``combine`` is required (partial aggregates arrive per block and must
     merge).  Returns ``(payloads, report)`` with one payload per planned
-    shard, in trial order — the same shape ``run_supervised`` returns
-    for its batch plan, so campaign aggregation code is shared.
+    shard, in trial order.
 
     When the ambient recorder is enabled (or ``telemetry_stream`` is
     set), the supervisor mints a run id, ships trace context to every
@@ -250,12 +186,12 @@ def run_sharded(
     local_task = task if task is not None else build_task(task_spec or {})
     fingerprint = campaign_fingerprint(kind, seed, trials, params or {})
     rec = current()
-    report = ShardReport(
+    report = ExecReport(
         trials=trials,
-        shards=len(plan),
         block=block,
-        slots=slots,
+        workers=slots,
         backend=backend if isinstance(backend, str) else backend.name,
+        shards=len(plan),
     )
     telemetry_on = (
         rec.enabled or telemetry_stream is not None or profile is not None
@@ -277,8 +213,6 @@ def run_sharded(
         status_file=status_file,
     )
 
-    done: dict[tuple[int, int], Any] = {}
-    writer: CheckpointWriter | None = None
     t0 = time.perf_counter()
     with rec.span(
         "exec.shards",
@@ -300,98 +234,45 @@ def run_sharded(
             else None
         )
         board.maybe_write(force=True)
-        if resume is not None:
-            _load_resume(resume, fingerprint, done, report, rec)
-            report.partials_from_checkpoint = len(done)
-        checkpoint_path = checkpoint or resume
-        if checkpoint_path is not None:
-            fresh = not (
-                resume is not None
-                and os.path.exists(resume)
-                and checkpoint_path == resume
-            )
-            writer = CheckpointWriter(
-                checkpoint_path, fingerprint, trials, seed, fresh=fresh
-            )
-            report.checkpoint_path = checkpoint_path
-
-        def bank(start: int, size: int, payload: Any, source: str) -> None:
-            if (start, size) in done:
-                return  # a raced re-dispatch finished the same block
-            done[(start, size)] = payload
-            report.partials += 1
-            board.block_done(start, size, source)
-            if rec.enabled:
-                rec.counter("exec_partials_total").inc(source=source)
-            if writer is not None:
-                writer.record(start, size, payload)
-                if (
-                    chaos is not None
-                    and getattr(chaos, "interrupt_after_partials", None)
-                    is not None
-                    and writer.batches_written >= chaos.interrupt_after_partials
-                ):
-                    from repro.errors import CampaignInterrupted
-
-                    rec.decision(
-                        "exec", "interrupted", subject=kind,
-                        reason="chaos: interrupt_after_partials reached",
-                        partials_written=writer.batches_written,
-                    )
-                    raise CampaignInterrupted(
-                        f"chaos interrupt after {writer.batches_written} "
-                        f"checkpointed partials"
-                    )
-            guard.check(rec, kind)
-
-        rec.decision(
-            "exec", "shard_plan", subject=kind,
-            reason="campaign split into block-aligned shard leases",
-            shards=len(plan), block=block, slots=slots,
-            backend=report.backend,
+        ledger = Ledger(
+            kind=kind, trials=trials, seed=seed, fingerprint=fingerprint,
+            report=report, guard=guard, chaos=chaos, board=board,
         )
+        manifest = {"shards": len(plan), "backend": report.backend}
         try:
+            ledger.open(checkpoint, resume)
+            rec.decision(
+                "exec", "shard_plan", subject=kind,
+                reason="campaign split into block-aligned shard leases",
+                shards=len(plan), block=block, slots=slots,
+                backend=report.backend,
+            )
             _supervise(
                 plan, policy, backend, task, task_spec, local_task, seed,
-                chaos, block, combine, done, bank, report, rec, guard,
+                chaos, block, combine, ledger, report, rec, guard,
                 telemetry, merger, board, listen,
             )
             # Every shard must now assemble from banked ranges.
             payloads = [
-                _assemble(Batch(s.start, s.size), done, combine) for s in plan
+                _assemble(Batch(s.start, s.size), ledger.done, combine)
+                for s in plan
             ]
-            if writer is not None:
-                report.manifest_path = writer.write_manifest(
-                    {
-                        "kind": kind,
-                        "shards": len(plan),
-                        "backend": report.backend,
-                    }
-                )
+            ledger.seal(True, **manifest)
             rec.decision(
                 "exec", "complete", subject=kind,
                 reason="all shards accounted for",
+                batches=len(plan),
                 shards=len(plan),
                 redispatches=report.redispatches,
                 from_checkpoint=report.partials_from_checkpoint,
             )
             board.maybe_write(complete=True, force=True)
         except BaseException:
-            if writer is not None:
-                report.manifest_path = writer.write_manifest(
-                    {
-                        "kind": kind,
-                        "shards": len(plan),
-                        "backend": report.backend,
-                        "interrupted": True,
-                    },
-                    complete=False,
-                )
+            ledger.seal(False, **manifest)
             board.maybe_write(force=True)
             raise
         finally:
-            if writer is not None:
-                writer.close()
+            ledger.close()
             if merger is not None:
                 report.telemetry_batches = merger.batches
                 report.worker_spans = merger.worker_spans
@@ -404,33 +285,34 @@ def run_sharded(
 
 def _supervise(
     plan, policy, backend, task, task_spec, local_task, seed, chaos, block,
-    combine, done, bank, report, rec, guard,
+    combine, ledger, report, rec, guard,
     telemetry=None, merger=None, board=None, listen=None,
 ) -> None:
     """The lease event loop (see module docstring for the policy)."""
     jitter_rng = random.Random(derive_seed(seed, 0, purpose="lease-jitter"))
     failure_budget = policy.resolved_failure_budget()
     heartbeat_timeout = policy.heartbeat_timeout
+    done = ledger.done
 
     def rescue(start: int, size: int, reason: str, shard: int = -1) -> None:
-        """Run a range serially in-process, banking per-block partials."""
+        """Run a range in-process, banking per-block partials."""
         rec.decision(
             "exec", "serial_fallback", subject=f"[{start},{start + size})",
             reason=reason, shard=shard,
         )
         if board is not None:
             board.rescuing(shard)
-        for bstart, bsize in uncovered_ranges(start, size, done, combine, block):
-            for pstart, psize in block_ranges(bstart, bsize, block):
-                try:
-                    payload = local_task(pstart, psize, seed)
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"block [{pstart},{pstart + psize}) failed even in "
-                        f"serial rescue: {exc}"
-                    ) from exc
-                report.serial_rescue_blocks += 1
-                bank(pstart, psize, payload, "serial")
+        try:
+            report.serial_rescue_blocks += run_inline(
+                local_task, seed, start, size, ledger, combine, block, "serial"
+            )
+        except CampaignInterrupted:
+            raise
+        except Exception as exc:
+            raise ExecutionError(
+                f"range [{start},{start + size}) failed even in serial "
+                f"rescue: {exc}"
+            ) from exc
 
     # Work queue: (shard_id, start, size, attempt); pop() -> plan order.
     pending: list[tuple[int, int, int, int]] = []
@@ -511,6 +393,7 @@ def _supervise(
                 ),
             )
 
+    completed = False
     try:
         abandoned = False
         while pending or retry_heap or inflight:
@@ -550,7 +433,7 @@ def _supervise(
 
             # Keep enough live slots for the work still queued.
             want = min(
-                report.slots, len(inflight) + len(pending) + len(retry_heap)
+                report.workers, len(inflight) + len(pending) + len(retry_heap)
             )
             while len(exec_backend.live_slots()) < want:
                 exec_backend.spawn_slot()
@@ -652,7 +535,7 @@ def _supervise(
                     if board is not None:
                         board.heartbeat(lease.shard)
                 elif mtype == "partial":
-                    bank(
+                    ledger.bank(
                         message["start"], message["size"],
                         message["payload"], "lease",
                     )
@@ -702,6 +585,7 @@ def _supervise(
                         board.expired(lease.shard)
                     exec_backend.kill(lease.slot)
                     fail_lease(lease, "lease heartbeat expired")
+        completed = True
     finally:
         # Fold in lines the transport itself discarded (supervisor-side
         # torn frames, generation-fenced zombie traffic).
@@ -709,6 +593,6 @@ def _supervise(
         report.generation_fenced_lines += getattr(
             exec_backend, "fenced_lines", 0
         )
-        exec_backend.shutdown()
+        exec_backend.shutdown(bye=completed)
         if merger is not None:
             merger.settle_all()

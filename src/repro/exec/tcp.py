@@ -60,8 +60,9 @@ from repro.exec.transport import (
     _JOIN_GRACE_S,
     _READ_CHUNK,
     _StderrTail,
+    _farewell,
     _worker_env,
-    shard_worker_main,
+    serve_session,
 )
 
 #: Socket I/O timeout.  Bounds every blocking send/recv so a wedged
@@ -399,13 +400,12 @@ class TcpBackend(ExecBackend):
         if victim.stderr_tail is not None:
             victim.stderr_tail.close()
 
-    def shutdown(self) -> None:
+    def shutdown(self, bye: bool = False) -> None:
         if self._closed:
             return
         self._closed = True
-        shutdown_line = b'{"type": "shutdown"}\n'
         for slot in self._slots.values():
-            slot.write(shutdown_line)
+            slot.write(_farewell(bye))
         for slot in list(self._slots.values()):
             try:
                 self._selector.unregister(slot.conn)
@@ -448,13 +448,14 @@ def tcp_worker_main(
     """Dial a supervisor and serve leases; optionally dial again.
 
     Each successful connection runs one full
-    :func:`~repro.exec.transport.shard_worker_main` session over the
-    socket — a fresh hello, a fresh generation, a fresh slot id on the
-    supervisor side.  ``reconnect`` bounds how many times the worker
-    re-dials after a session ends (dropped connection, shutdown, or a
-    failed connect); a lost connection mid-lease is *not* an error
-    here — the supervisor already reclaimed the lease, so the worker
-    just starts over as a new slot.
+    :func:`~repro.exec.transport.serve_session` over the socket — a
+    fresh hello, a fresh generation, a fresh slot id on the supervisor
+    side.  A ``bye`` (the campaign completed) ends the worker at once.
+    Otherwise ``reconnect`` bounds how many times it re-dials after a
+    session ends (dropped connection, shutdown, or a failed connect), so
+    a worker can wait out a restarted supervisor; a lost connection
+    mid-lease is *not* an error here — the supervisor already reclaimed
+    the lease, so the worker just starts over as a new slot.
 
     Exit codes: 0 after a served session, 2 on a bad hello, 3 when the
     supervisor could never be reached.
@@ -469,19 +470,20 @@ def tcp_worker_main(
             )
         except OSError:
             if attempts_left <= 0:
-                return code if code != 3 else 3
+                return code
             attempts_left -= 1
             time.sleep(retry_delay_s)
             continue
         sock.settimeout(None)
         reader = writer = None
+        end = "lost"  # connection died mid-session; the supervisor's
+        #               lease machinery reclaims the work
         try:
             reader = sock.makefile("r", encoding="utf-8")
             writer = sock.makefile("w", encoding="utf-8")
-            code = shard_worker_main(stdin=reader, stdout=writer)
+            end = serve_session(stdin=reader, stdout=writer)
         except (OSError, ValueError):
-            code = 0  # connection died mid-session; the supervisor's
-            #           lease machinery reclaims the work
+            pass
         finally:
             for stream in (reader, writer):
                 try:
@@ -493,7 +495,8 @@ def tcp_worker_main(
                 sock.close()
             except OSError:
                 pass
-        if attempts_left <= 0:
+        code = 2 if end == "bad-hello" else 0
+        if end == "bye" or attempts_left <= 0:
             return code
         attempts_left -= 1
         time.sleep(retry_delay_s)

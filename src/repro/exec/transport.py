@@ -6,7 +6,8 @@ line-oriented JSON protocol over its stdin/stdout:
 
 * supervisor -> worker: one ``hello`` line (task spec, campaign seed,
   serialized chaos plan, block size, optional telemetry trace context),
-  then ``lease`` lines, then an optional ``shutdown``;
+  then ``lease`` lines, then ``bye`` (the campaign completed) or
+  ``shutdown`` (it was interrupted or abandoned);
 * worker -> supervisor: ``ready`` after the hello, then the
   :func:`repro.exec.backend.serve_lease` stream — ``heartbeat`` /
   ``partial`` / ``done`` / ``error`` lines, interleaved with
@@ -23,7 +24,7 @@ fork transport's private-pipe crash signal.
 :func:`shard_worker_main` is the worker side, mounted at
 ``python -m repro exec shard-worker``; it rebuilds the task from the
 spec (:func:`repro.exec.backend.build_task`) and serves leases until
-EOF or ``shutdown``.
+EOF, ``bye`` or ``shutdown``.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ class _StderrTail:
             self._pipe.close()
         except OSError:
             pass
+
+
+def _farewell(bye: bool) -> bytes:
+    """The supervisor's last line to a slot: ``bye`` after a completed
+    campaign, ``shutdown`` after an interrupted or abandoned one."""
+    return b'{"type": "bye"}\n' if bye else b'{"type": "shutdown"}\n'
 
 
 class _Slot:
@@ -275,10 +282,9 @@ class SubprocessBackend(ExecBackend):
                 pass
             victim.kill()
 
-    def shutdown(self) -> None:
-        shutdown_line = b'{"type": "shutdown"}\n'
+    def shutdown(self, bye: bool = False) -> None:
         for slot in self._slots.values():
-            slot.write(shutdown_line)
+            slot.write(_farewell(bye))
         deadline = time.monotonic() + _JOIN_GRACE_S
         for slot in list(self._slots.values()):
             try:
@@ -298,12 +304,21 @@ class SubprocessBackend(ExecBackend):
 # The worker side: python -m repro exec shard-worker
 # ----------------------------------------------------------------------
 def shard_worker_main(stdin=None, stdout=None) -> int:
-    """Serve shard leases over stdin/stdout until EOF or ``shutdown``.
+    """Serve shard leases over stdin/stdout until EOF, ``bye`` or ``shutdown``.
 
-    Exit codes: 0 on clean shutdown/EOF, 2 on a malformed hello (the
-    spec could not be rebuilt — a config error, not a trial failure).
-    Trial errors never exit; they flow back as ``error`` messages so
-    the supervisor can retry or escalate.
+    Exit codes: 0 on a clean end, 2 on a malformed hello (the spec could
+    not be rebuilt — a config error, not a trial failure).
+    """
+    return 2 if serve_session(stdin, stdout) == "bad-hello" else 0
+
+
+def serve_session(stdin=None, stdout=None) -> str:
+    """One worker session; returns how it ended.
+
+    ``"bye"`` (the supervisor's campaign completed), ``"shutdown"``,
+    ``"eof"`` or ``"bad-hello"``.  Trial errors never end a session;
+    they flow back as ``error`` messages so the supervisor can retry or
+    escalate.
 
     When the hello carries a ``generation`` (the TCP transport's
     per-connection token), every emitted message echoes it and any
@@ -326,7 +341,7 @@ def shard_worker_main(stdin=None, stdout=None) -> int:
 
     hello_line = stdin.readline()
     if not hello_line:
-        return 0
+        return "eof"
     try:
         hello = json.loads(hello_line)
         if hello.get("type") != "hello":
@@ -343,7 +358,7 @@ def shard_worker_main(stdin=None, stdout=None) -> int:
         generation = hello.get("generation")
     except Exception as exc:
         emit({"type": "error", "lease": None, "detail": f"bad hello: {exc}"})
-        return 2
+        return "bad-hello"
     emit({"type": "ready"})
     for line in stdin:
         if not line.strip():
@@ -354,8 +369,8 @@ def shard_worker_main(stdin=None, stdout=None) -> int:
             # A torn supervisor line; nothing to serve, but say so.
             emit({"type": "protocol_torn", "lease": None})
             continue
-        if message.get("type") == "shutdown":
-            return 0
+        if message.get("type") in ("bye", "shutdown"):
+            return message["type"]
         if message.get("type") != "lease":
             continue
         if (
@@ -367,4 +382,4 @@ def shard_worker_main(stdin=None, stdout=None) -> int:
             task, seed, message, emit,
             chaos=chaos, block=block, telemetry=telemetry,
         )
-    return 0
+    return "eof"

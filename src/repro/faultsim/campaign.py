@@ -8,13 +8,13 @@ affected — the quantitative version of "mapping of FCMs which influence
 each other strongly onto the same node ... so faults are not propagated
 across HW nodes" (§5.3).
 
-Campaigns execute through :mod:`repro.exec`: trials are split into
-deterministic batches with per-trial seeds
-(:func:`repro.exec.batching.derive_seed`), so the result is bit-identical
-whether the campaign runs serially, across a worker pool, or resumed
-from a checkpoint after a crash.  Pass an
-:class:`~repro.exec.runner.ExecPolicy` to parallelise and
-``checkpoint=``/``resume=`` paths to make the run crash-safe.
+Campaigns execute through :mod:`repro.exec` in block-aligned trial
+ranges: the vector kernel's 256-trial RNG blocks, or 32-trial blocks of
+per-trial seeds (:func:`repro.exec.batching.derive_seed`) on the scalar
+engine — so the result is bit-identical whether the campaign runs
+in-process, across worker slots, sharded, or resumed from a checkpoint
+after a crash.  Pass an :class:`~repro.exec.runner.ExecPolicy` to parallelise
+and ``checkpoint=``/``resume=`` paths to make the run crash-safe.
 
 ``engine=`` selects the trial simulator: the scalar per-trial oracle,
 the NumPy batch kernel (:mod:`repro.faultsim.kernel`), or ``auto``
@@ -30,9 +30,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.exec.backend import LEASE_BLOCK_TRIALS, SCALAR_BLOCK_TRIALS
 from repro.exec.batching import derive_seed
 from repro.exec.runner import ExecPolicy, ExecReport, run_supervised
-from repro.exec.shards import ShardReport, run_sharded
+from repro.exec.shards import run_sharded
 from repro.faultsim.engine import record_engine_decision, resolve_engine
 from repro.faultsim.propagation import compile_adjacency, propagate_once
 from repro.influence.influence_graph import InfluenceGraph
@@ -58,9 +59,8 @@ class CampaignResult:
         elapsed_s: Wall time of the campaign loop (``perf_counter``;
             excluded from equality so seeded reruns still compare equal).
         trials_per_s: Campaign throughput (also excluded from equality).
-        exec_report: How the supervised runner completed the campaign
-            (also excluded from equality; ``None`` on the serial fast
-            path with no checkpointing).
+        exec_report: How the supervisor completed the campaign (also
+            excluded from equality).
     """
 
     trials: int
@@ -71,7 +71,7 @@ class CampaignResult:
     engine: str = field(default="scalar", compare=False)
     elapsed_s: float = field(default=0.0, compare=False)
     trials_per_s: float = field(default=0.0, compare=False)
-    exec_report: ExecReport | ShardReport | None = field(
+    exec_report: ExecReport | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -109,9 +109,8 @@ def _combine(a: dict, b: dict) -> dict:
 def _scalar_batch_task(graph, names, cluster_of):
     """The per-trial reference path, with the adjacency hoisted out.
 
-    The compiled adjacency is captured by the closure, so worker pools
-    receive it once at fork time — per-batch messages stay
-    ``(start, size, seed)`` tuples.
+    The compiled adjacency is captured by the closure, so forked slots
+    receive it once at fork time — leases stay ``(start, size)`` ranges.
     """
     adjacency = compile_adjacency(graph)
 
@@ -223,19 +222,18 @@ def run_campaign(
     The result is a pure function of ``(trials, seed, engine)``: the
     scalar engine seeds trial ``t`` with ``derive_seed(seed, t)``, the
     vector engine draws fixed RNG blocks — neither depends on ``policy``
-    (workers, batch size), retries, or checkpoint/resume history.
+    (workers), the shard plan, retries, or checkpoint/resume history.
 
-    ``backend``/``shards`` route the campaign through the shard-lease
-    supervisor (:func:`repro.exec.shards.run_sharded`) instead of the
-    batch pool: ``backend`` picks the transport (``"local"`` forked
-    slots, ``"subprocess"`` isolated interpreters, or ``"tcp"`` workers
-    over real network connections — or a pre-built
+    ``backend``/``shards`` pick the lease supervisor's shape explicitly
+    (:func:`repro.exec.shards.run_sharded`): ``backend`` the transport
+    (``"local"`` forked slots, ``"subprocess"`` isolated interpreters,
+    or ``"tcp"`` workers over real network connections — or a pre-built
     :class:`~repro.exec.backend.ExecBackend` instance), ``shards`` the
-    block-aligned split, and ``listen`` (tcp only) a ``HOST:PORT`` to
-    await hand-started remote workers on.  Checkpoints are
-    interchangeable between the two paths (same fingerprint, same
-    record format), and the result is bit-identical either way —
-    ``chaos`` should then be a :class:`~repro.exec.chaos.ShardChaos`.
+    split into leases of 256-trial blocks, and ``listen`` (tcp only) a
+    ``HOST:PORT`` to await hand-started remote workers on.  Checkpoints
+    are interchangeable between every path (same fingerprint, same
+    record format), and ``chaos`` is a
+    :class:`~repro.exec.chaos.ShardChaos` on all of them.
 
     ``status_file``/``telemetry_stream``/``profile`` only apply on the
     sharded path: the first names a live-health JSON the supervisor
@@ -255,11 +253,13 @@ def run_campaign(
         run_batch = _vector_batch_task(
             graph, names, cluster_of, len(partition)
         )
+        block = LEASE_BLOCK_TRIALS
     else:
         run_batch = _scalar_batch_task(graph, names, cluster_of)
+        block = SCALAR_BLOCK_TRIALS
 
     rec = current()
-    policy = policy or ExecPolicy(batch_size=trials)
+    policy = policy or ExecPolicy()
     t0 = time.perf_counter()
     with rec.span(
         "faultsim.campaign",
@@ -312,6 +312,7 @@ def run_campaign(
                 checkpoint=checkpoint,
                 resume=resume,
                 chaos=chaos,
+                block=block,
             )
         spread_hist = (
             rec.histogram("faultsim_affected_fcms", buckets=DEFAULT_COUNT_BUCKETS)

@@ -164,75 +164,36 @@ def render_campaign(result, title: str = "") -> str:
 
 
 def render_exec_report(report) -> str:
-    """One-or-two-line summary of an :class:`~repro.exec.ExecReport`.
+    """Summary of an :class:`~repro.exec.ExecReport`.
 
-    Shows how the supervised runner completed a campaign: worker/batch
-    shape, checkpoint reuse, and any retries or degradations.
-    """
-    lines = [
-        f"exec: {report.batches_run}/{report.batches_total} batches run "
-        f"({report.batches_from_checkpoint} from checkpoint) · "
-        f"workers {report.workers} · batch size {report.batch_size}"
-    ]
-    events = []
-    if report.retries:
-        events.append(f"retries {report.retries}")
-    if report.worker_crashes:
-        events.append(f"worker crashes {report.worker_crashes}")
-    if report.timeouts:
-        events.append(f"timeouts {report.timeouts}")
-    if report.splits:
-        events.append(f"batch splits {report.splits}")
-    if report.serial_fallbacks:
-        events.append(f"serial fallbacks {report.serial_fallbacks}")
-    if report.pool_abandoned:
-        events.append("pool abandoned")
-    if report.corrupt_checkpoint_lines:
-        events.append(
-            f"corrupt checkpoint lines {report.corrupt_checkpoint_lines}"
-        )
-    if events:
-        lines.append("exec events: " + ", ".join(events))
-    if report.checkpoint_path:
-        lines.append(f"checkpoint: {report.checkpoint_path}")
-    return "\n".join(lines)
-
-
-def render_shard_report(report) -> str:
-    """Summary of a :class:`~repro.exec.ShardReport` (sharded campaigns).
-
-    Shows the shard/lease shape and everything the supervisor had to do
+    Shows the block shape and checkpoint reuse, the lease shape for
+    pooled or sharded runs, and everything the supervisor had to do
     beyond the happy path: expiries, re-dispatches, crashes, rescues.
     """
     lines = [
-        f"shards: {report.shards} x {report.block}-trial blocks over "
-        f"'{report.backend}' backend · slots {report.slots} · "
-        f"{report.leases_granted} leases · {report.partials} partials "
-        f"({report.partials_from_checkpoint} from checkpoint)"
+        f"exec: {report.trials} trials in {report.block}-trial blocks · "
+        f"workers {report.workers} · {report.partials} blocks run "
+        f"({report.partials_from_checkpoint} loaded from checkpoint)"
     ]
-    events = []
-    if report.lease_expiries:
-        events.append(f"lease expiries {report.lease_expiries}")
-    if report.redispatches:
-        events.append(f"redispatches {report.redispatches}")
-    if report.shard_crashes:
-        events.append(f"shard crashes {report.shard_crashes}")
-    if report.serial_rescue_blocks:
-        events.append(f"serial rescue blocks {report.serial_rescue_blocks}")
+    if report.shards:
+        lines.append(
+            f"shards: {report.shards} over '{report.backend}' backend · "
+            f"{report.leases_granted} leases"
+        )
+    counts = (
+        ("lease expiries", report.lease_expiries),
+        ("redispatches", report.redispatches),
+        ("shard crashes", report.shard_crashes),
+        ("serial rescue blocks", report.serial_rescue_blocks),
+        ("torn protocol lines", report.protocol_torn_lines),
+        ("generation-fenced lines", report.generation_fenced_lines),
+        ("corrupt checkpoint lines", report.corrupt_checkpoint_lines),
+    )
+    events = [f"{label} {count}" for label, count in counts if count]
     if report.backend_abandoned:
         events.append("backend abandoned")
-    if getattr(report, "protocol_torn_lines", 0):
-        events.append(f"torn protocol lines {report.protocol_torn_lines}")
-    if getattr(report, "generation_fenced_lines", 0):
-        events.append(
-            f"generation-fenced lines {report.generation_fenced_lines}"
-        )
-    if report.corrupt_checkpoint_lines:
-        events.append(
-            f"corrupt checkpoint lines {report.corrupt_checkpoint_lines}"
-        )
     if events:
-        lines.append("shard events: " + ", ".join(events))
+        lines.append("exec events: " + ", ".join(events))
     if report.checkpoint_path:
         lines.append(f"checkpoint: {report.checkpoint_path}")
     return "\n".join(lines)

@@ -11,9 +11,10 @@ downtime to every origin process left without a live copy.  The report
 aggregates availability per criticality class, shedding, separation
 violations, and time-to-recover percentiles.
 
-Campaigns execute through :mod:`repro.exec` with per-trial seeds, so a
-report is bit-identical whether it was computed serially, on a worker
-pool, or resumed from a checkpoint mid-run (see docs/EXECUTION.md).
+Campaigns execute through :mod:`repro.exec` with per-trial seeds in
+32-trial blocks, so a report is bit-identical whether it was computed
+in-process, on worker slots, or resumed from a checkpoint mid-run (see
+docs/EXECUTION.md).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.exec.backend import SCALAR_BLOCK_TRIALS
 from repro.exec.batching import derive_seed
 from repro.exec.runner import ExecPolicy, ExecReport, run_supervised
 from repro.allocation.constraints import ResourceRequirements
@@ -75,8 +77,8 @@ class ResilienceReport:
         elapsed_s: Wall time of the campaign loop (``perf_counter``;
             excluded from equality so seeded reruns still compare equal).
         trials_per_s: Campaign throughput (also excluded from equality).
-        exec_report: How the supervised runner completed the campaign
-            (also excluded from equality).
+        exec_report: How the supervisor completed the campaign (also
+            excluded from equality).
     """
 
     trials: int
@@ -128,8 +130,8 @@ def run_resilience_campaign(
     ``failures`` events from ``rates`` (uniform per-FCR defaults).
 
     Trial ``t`` always runs on ``random.Random(derive_seed(seed, t))``,
-    so the report does not depend on ``policy`` (workers, batch size),
-    retries, or checkpoint/resume history.
+    so the report does not depend on ``policy`` (workers), retries, or
+    checkpoint/resume history.
 
     Degraded mappings are memoized by ``(failed nodes, failed links)``:
     planning is deterministic, so a repeated failure state reuses its
@@ -188,7 +190,7 @@ def run_resilience_campaign(
         return {"records": records}
 
     rec = current()
-    exec_policy = policy or ExecPolicy(batch_size=trials)
+    exec_policy = policy or ExecPolicy()
     availability_sums = {origin: 0.0 for origin in origins}
     shed_total = 0
     shed_worst = 0
@@ -223,6 +225,7 @@ def run_resilience_campaign(
             checkpoint=checkpoint,
             resume=resume,
             chaos=chaos,
+            block=SCALAR_BLOCK_TRIALS,
         )
         for payload in payloads:
             for record in payload["records"]:

@@ -1,4 +1,4 @@
-"""Seed derivation and batch planning: the determinism contract's base."""
+"""Seed derivation and trial ranges: the determinism contract's base."""
 
 import pytest
 
@@ -6,10 +6,9 @@ from repro.errors import ExecutionError
 from repro.exec import (
     Batch,
     available_cpus,
-    default_batch_size,
     derive_seed,
-    plan_batches,
     resolve_workers,
+    run_supervised,
 )
 
 
@@ -43,18 +42,6 @@ class TestBatch:
         assert batch.stop == 15
         assert list(batch.trials()) == [10, 11, 12, 13, 14]
 
-    def test_split_covers_same_trials(self):
-        left, right = Batch(8, 7).split()
-        assert left == Batch(8, 3)
-        assert right == Batch(11, 4)
-        assert list(left.trials()) + list(right.trials()) == list(
-            Batch(8, 7).trials()
-        )
-
-    def test_single_trial_cannot_split(self):
-        with pytest.raises(ExecutionError):
-            Batch(0, 1).split()
-
     def test_invalid_batches_rejected(self):
         with pytest.raises(ExecutionError):
             Batch(-1, 5)
@@ -63,37 +50,37 @@ class TestBatch:
 
 
 class TestPlanBatches:
+    """The in-process supervisor's plan: its task blocks, in trial order."""
+
+    @staticmethod
+    def planned(trials, block):
+        calls = []
+
+        def task(start, size, seed):
+            calls.append((start, size))
+            return {}
+
+        run_supervised(task, trials=trials, seed=0, kind="plan", block=block)
+        return calls
+
     def test_covers_every_trial_exactly_once(self):
         for trials in (1, 7, 16, 100):
-            for batch_size in (1, 3, 16, 1000):
-                plan = plan_batches(trials, batch_size)
-                covered = [t for b in plan for t in b.trials()]
+            for block in (1, 3, 16, 1000):
+                covered = [
+                    t
+                    for start, size in self.planned(trials, block)
+                    for t in Batch(start, size).trials()
+                ]
                 assert covered == list(range(trials))
 
     def test_last_batch_short(self):
-        plan = plan_batches(10, 4)
-        assert [b.size for b in plan] == [4, 4, 2]
+        assert [size for _, size in self.planned(10, 4)] == [4, 4, 2]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ExecutionError):
-            plan_batches(0, 4)
+            self.planned(0, 4)
         with pytest.raises(ExecutionError):
-            plan_batches(10, 0)
-
-
-class TestDefaultBatchSize:
-    def test_serial_checkpoints_at_least_16_times(self):
-        size = default_batch_size(1000, 0)
-        assert 1 <= size <= 1000
-        assert len(plan_batches(1000, size)) >= 16
-
-    def test_parallel_gives_each_worker_about_four_batches(self):
-        size = default_batch_size(1000, 4)
-        assert len(plan_batches(1000, size)) >= 16
-
-    def test_tiny_campaigns(self):
-        assert default_batch_size(1, 0) == 1
-        assert default_batch_size(1, 8) == 1
+            self.planned(10, 0)
 
 
 class TestResolveWorkers:

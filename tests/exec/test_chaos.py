@@ -1,41 +1,22 @@
-"""The runner's own chaos self-test must pass under pytest too."""
+"""The supervisor's chaos plans and self-test must pass under pytest too."""
 
 import pytest
 
-from repro.exec import ChaosPlan, run_chaos_selftest
-
-
-class TestChaosPlan:
-    def test_slow_trials_delay_only_matching_batches(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr("time.sleep", lambda s: slept.append(s))
-        plan = ChaosPlan(slow_trials=((5, 2.0),))
-        plan.maybe_inject(0, 4, attempt=1)  # trials 0-3: no injection
-        assert slept == []
-        plan.maybe_inject(4, 4, attempt=1)  # covers trial 5
-        assert slept == [2.0]
-
-    def test_kill_once_only_first_attempt(self, monkeypatch):
-        kills = []
-        monkeypatch.setattr("os.kill", lambda pid, sig: kills.append(sig))
-        plan = ChaosPlan(kill_once_trials=frozenset({2}))
-        plan.maybe_inject(0, 4, attempt=2)
-        assert kills == []
-        plan.maybe_inject(0, 4, attempt=1)
-        assert len(kills) == 1
-
 
 class TestSelfTest:
-    @pytest.mark.timeout(180)
+    @pytest.mark.timeout(300)
     def test_selftest_passes(self, tmp_path):
-        result = run_chaos_selftest(str(tmp_path), trials=24, workers=2, seed=7)
+        # The same proofs over isolated subprocess workers: everything
+        # crossing the boundary is JSON, chaos plan included.
+        from repro.exec import run_shard_chaos_selftest
+
+        result = run_shard_chaos_selftest(str(tmp_path), backend="subprocess")
         assert result.passed, "\n".join(result.describe())
         assert result.failures == []
-        # The self-test must actually have exercised the interesting paths.
         labels = " ".join(result.checks)
-        assert "retried" in labels or "retry" in labels
-        assert "serial" in labels
-        assert "resume" in labels
+        assert "re-dispatched" in labels
+        assert "heartbeat deadline" in labels
+        assert "resumed" in labels
 
 
 class TestShardChaos:

@@ -1,4 +1,4 @@
-"""CLI surface of the supervised runner: faultsim, exec chaos, flags."""
+"""CLI surface of the campaign supervisor: faultsim, exec chaos, flags."""
 
 import json
 
@@ -16,11 +16,11 @@ class TestFaultsimCommand:
 
     @pytest.mark.timeout(120)
     def test_workers_match_serial(self, capsys):
-        assert main(["faultsim", "--trials", "60", "--seed", "5"]) == 0
+        # 600 trials are three 256-trial blocks, so the pool runs leases.
+        assert main(["faultsim", "--trials", "600", "--seed", "5"]) == 0
         serial = capsys.readouterr().out
         assert main(
-            ["faultsim", "--trials", "60", "--seed", "5",
-             "--workers", "2", "--batch-size", "7"]
+            ["faultsim", "--trials", "600", "--seed", "5", "--workers", "2"]
         ) == 0
         pooled = capsys.readouterr().out
         # Identical campaign table; the pooled run adds an exec footer.
@@ -40,13 +40,14 @@ class TestFaultsimCommand:
         assert manifest["complete"] is True
 
     def test_checkpoint_alone_batches_the_run(self, tmp_path, capsys):
-        # --checkpoint without --workers/--batch-size must still split
-        # the campaign into multiple batches: a single all-trials batch
-        # checkpoints only at completion, so a crash would lose
-        # everything and --resume could never recover partial work.
+        # --checkpoint without --workers must still checkpoint block by
+        # block: a single all-trials record is written only at
+        # completion, so a crash would lose everything and --resume
+        # could never recover partial work.  600 trials are three of the
+        # vector engine's 256-trial blocks.
         path = str(tmp_path / "granular.ndjson")
         assert main(
-            ["faultsim", "--trials", "40", "--checkpoint", path]
+            ["faultsim", "--trials", "600", "--checkpoint", path]
         ) == 0
         capsys.readouterr()
         batch_lines = [
@@ -106,23 +107,23 @@ class TestWorkersAuto:
 class TestExecChaosCommand:
     @pytest.mark.timeout(180)
     def test_chaos_selftest_passes(self, tmp_path, capsys):
-        code = main(
-            ["exec", "chaos", "--trials", "24", "--workers", "2",
-             "--workdir", str(tmp_path)]
-        )
+        # With no flags, exec chaos runs the two-shard lease self-test.
+        code = main(["exec", "chaos", "--workdir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "chaos self-test PASSED" in out
         assert "[FAIL]" not in out
+        assert "re-dispatched" in out
+        assert (tmp_path / "shard-chaos.ndjson").exists()
 
 
 class TestResilienceExecFlags:
     @pytest.mark.timeout(120)
     def test_workers_match_serial(self, capsys):
-        base_args = ["resilience", "--trials", "30", "--seed", "2"]
+        base_args = ["resilience", "--trials", "100", "--seed", "2"]
         assert main(base_args) == 0
         serial = capsys.readouterr().out
-        assert main(base_args + ["--workers", "2", "--batch-size", "5"]) == 0
+        assert main(base_args + ["--workers", "2"]) == 0
         pooled = capsys.readouterr().out
         assert serial.strip().splitlines()[:9] == pooled.strip().splitlines()[:9]
         assert "exec:" in pooled
@@ -192,3 +193,35 @@ class TestShardChaosCommand:
         assert "chaos self-test PASSED" in out
         assert "[FAIL]" not in out
         assert (tmp_path / "shard-chaos.ndjson").exists()
+
+
+class TestShardOnlyFlags:
+    """Lease-only flags are refused, not dropped, on unsharded runs."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--listen", "127.0.0.1:0"),
+            ("--status-file", "status.json"),
+            ("--telemetry-stream", "telemetry.ndjson"),
+        ],
+    )
+    def test_flag_needs_backend_or_shards(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["faultsim", "--trials", "50", flag, value])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"error: {flag} needs --backend or --shards"]
+        assert list(tmp_path.iterdir()) == []  # nothing was written
+
+    def test_listen_still_needs_the_tcp_backend(self, capsys):
+        code = main(
+            ["faultsim", "--trials", "50", "--backend", "local",
+             "--listen", "127.0.0.1:0"]
+        )
+        assert code == 2
+        assert "--listen only applies to the tcp backend" in (
+            capsys.readouterr().err
+        )

@@ -57,7 +57,7 @@ def _interruptible_campaign(path: str) -> None:
         run_supervised(
             task, trials=TRIALS, seed=SEED, kind="sigtest",
             params=SPEC["params"],
-            policy=ExecPolicy(workers=2, batch_size=20),
+            policy=ExecPolicy(workers=2), block=20,
             combine=combine_selftest, checkpoint=path,
         )
     except CampaignInterrupted:
@@ -80,7 +80,7 @@ class TestGracefulShutdown:
         task = selftest_task(SPEC["params"])
         baseline, _ = run_supervised(
             task, trials=TRIALS, seed=SEED, kind="sigtest",
-            params=SPEC["params"], combine=combine_selftest,
+            params=SPEC["params"], combine=combine_selftest, block=20,
         )
         path = str(tmp_path / "sigint.ndjson")
         ctx = multiprocessing.get_context("fork")
@@ -103,7 +103,7 @@ class TestGracefulShutdown:
         resumed, report = run_supervised(
             task, trials=TRIALS, seed=SEED, kind="sigtest",
             params=SPEC["params"],
-            policy=ExecPolicy(workers=2, batch_size=20),
+            policy=ExecPolicy(workers=2), block=20,
             combine=combine_selftest, resume=path,
         )
         merged_base = baseline[0]
@@ -113,6 +113,6 @@ class TestGracefulShutdown:
         for payload in resumed[1:]:
             merged = combine_selftest(merged, payload)
         assert merged == merged_base
-        assert report.batches_from_checkpoint >= 3
+        assert report.partials_from_checkpoint >= 3
         with open(path + ".manifest", encoding="utf-8") as handle:
             assert json.load(handle)["complete"] is True

@@ -1,11 +1,14 @@
-"""The supervised runner: pool vs. serial, retries, degradation, resume."""
+"""The supervised runner: in-process blocks, pooled leases, resume."""
+
+import os
+import signal
 
 import pytest
 
 from repro.errors import CampaignInterrupted, CheckpointError, ExecutionError
 from repro.exec import (
-    ChaosPlan,
     ExecPolicy,
+    ShardChaos,
     derive_seed,
     run_supervised,
     truncate_file,
@@ -32,28 +35,57 @@ def expected(trials, seed):
     return [derive_seed(seed, t) % 997 for t in range(trials)]
 
 
+def dies_outside(supervisor_pid):
+    """A task that SIGKILLs its process unless it runs in the supervisor."""
+
+    def task(start, size, seed):
+        if os.getpid() != supervisor_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return trial_values(start, size, seed)
+
+    return task
+
+
+def exec_actions(recorder):
+    return {d.action for d in recorder.decisions if d.category == "exec"}
+
+
 class TestSerial:
     def test_result_and_report(self):
         payloads, report = run_supervised(
             trial_values, trials=23, seed=5, kind="unit",
-            policy=ExecPolicy(batch_size=7), combine=combine,
+            combine=combine, block=7,
         )
         assert flatten(payloads) == expected(23, 5)
-        assert report.batches_total == report.batches_run == 4
-        assert report.batches_from_checkpoint == 0
-        assert report.retries == 0
+        assert len(payloads) == report.partials == 4
+        assert report.partials_from_checkpoint == 0
+        assert report.backend == "inline"
+        assert report.leases_granted == report.redispatches == 0
 
     def test_batch_size_does_not_change_result(self):
         results = [
             flatten(
                 run_supervised(
                     trial_values, trials=30, seed=9, kind="unit",
-                    policy=ExecPolicy(batch_size=bs), combine=combine,
+                    combine=combine, block=block,
                 )[0]
             )
-            for bs in (1, 7, 30)
+            for block in (1, 7, 30)
         ]
         assert results[0] == results[1] == results[2] == expected(30, 9)
+
+    def test_inline_run_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("the in-process path forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for workers in (0, 1):
+            payloads, report = run_supervised(
+                trial_values, trials=40, seed=3, kind="unit",
+                policy=ExecPolicy(workers=workers), combine=combine, block=8,
+            )
+            assert flatten(payloads) == expected(40, 3)
+            assert report.workers == workers
 
 
 class TestPool:
@@ -61,14 +93,16 @@ class TestPool:
     def test_pool_identical_to_serial(self):
         serial, _ = run_supervised(
             trial_values, trials=40, seed=3, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine,
+            combine=combine, block=5,
         )
         pooled, report = run_supervised(
             trial_values, trials=40, seed=3, kind="unit",
-            policy=ExecPolicy(workers=4, batch_size=5), combine=combine,
+            policy=ExecPolicy(workers=4), combine=combine, block=5,
         )
         assert flatten(pooled) == flatten(serial)
         assert report.workers == 4
+        assert report.backend == "local"
+        assert report.shards == report.leases_granted == 8  # one per block
 
     @pytest.mark.timeout(60)
     def test_transient_kill_recovered_by_retry(self):
@@ -77,178 +111,108 @@ class TestPool:
             payloads, report = run_supervised(
                 trial_values, trials=24, seed=1, kind="unit",
                 policy=ExecPolicy(
-                    workers=2, batch_size=6, backoff_base=0.01,
-                    backoff_max=0.05,
+                    workers=2, backoff_base=0.01, backoff_max=0.05,
                 ),
-                combine=combine,
-                chaos=ChaosPlan(kill_once_trials=frozenset({13})),
+                combine=combine, block=6,
+                chaos=ShardChaos(kill_shards=frozenset({2})),
             )
         assert flatten(payloads) == expected(24, 1)
-        assert report.worker_crashes >= 1
-        assert report.retries >= 1
-        actions = {d.action for d in recorder.decisions if d.category == "exec"}
-        assert "worker_crash" in actions
-        assert "retry" in actions
+        assert report.shard_crashes >= 1
+        assert report.redispatches >= 1
+        assert report.serial_rescue_blocks == 0
+        assert {"shard_crash", "redispatch"} <= exec_actions(recorder)
 
     @pytest.mark.timeout(60)
     def test_persistent_kill_degrades_to_serial(self):
-        payloads, report = run_supervised(
-            trial_values, trials=16, seed=2, kind="unit",
-            policy=ExecPolicy(
-                workers=2, batch_size=4, max_attempts=2,
-                backoff_base=0.01, backoff_max=0.05,
-            ),
-            combine=combine,
-            chaos=ChaosPlan(kill_trials=frozenset({5})),
-        )
+        # Every forked slot dies on its first block: each lease exhausts
+        # its attempts and its blocks are rescued in-process.
+        recorder = Recorder()
+        with use(recorder):
+            payloads, report = run_supervised(
+                dies_outside(os.getpid()), trials=16, seed=2, kind="unit",
+                policy=ExecPolicy(
+                    workers=2, max_attempts=2, pool_failure_budget=100,
+                    backoff_base=0.01, backoff_max=0.05,
+                ),
+                combine=combine, block=4,
+            )
         assert flatten(payloads) == expected(16, 2)
-        assert report.serial_fallbacks >= 1
-        assert report.splits >= 1
+        assert report.serial_rescue_blocks == 4
+        assert report.redispatches >= 1
+        assert not report.backend_abandoned
+        actions = exec_actions(recorder)
+        assert "serial_fallback" in actions
+        assert "backend_abandoned" not in actions
 
     @pytest.mark.timeout(60)
     def test_slow_batch_times_out_and_still_completes(self):
-        payloads, report = run_supervised(
-            trial_values, trials=12, seed=4, kind="unit",
-            policy=ExecPolicy(
-                workers=2, batch_size=4, trial_timeout=0.05,
-                max_attempts=2, backoff_base=0.01, backoff_max=0.05,
-            ),
-            combine=combine,
-            chaos=ChaosPlan(slow_trials=((6, 30.0),)),
-        )
+        recorder = Recorder()
+        with use(recorder):
+            payloads, report = run_supervised(
+                trial_values, trials=12, seed=4, kind="unit",
+                policy=ExecPolicy(
+                    workers=2, heartbeat_timeout=0.3,
+                    backoff_base=0.01, backoff_max=0.05,
+                ),
+                combine=combine, block=4,
+                chaos=ShardChaos(stall_shards=frozenset({1}), stall_s=30.0),
+            )
         assert flatten(payloads) == expected(12, 4)
-        assert report.timeouts >= 1
+        assert report.lease_expiries >= 1
+        assert "lease_expired" in exec_actions(recorder)
 
     @pytest.mark.timeout(60)
     def test_pool_abandoned_when_budget_exhausted(self):
         recorder = Recorder()
         with use(recorder):
             payloads, report = run_supervised(
-                trial_values, trials=16, seed=6, kind="unit",
+                dies_outside(os.getpid()), trials=16, seed=6, kind="unit",
                 policy=ExecPolicy(
-                    workers=2, batch_size=4, pool_failure_budget=1,
+                    workers=2, pool_failure_budget=1,
                     backoff_base=0.01, backoff_max=0.05,
                 ),
-                combine=combine,
-                chaos=ChaosPlan(kill_trials=frozenset({1})),
+                combine=combine, block=4,
             )
         assert flatten(payloads) == expected(16, 6)
-        assert report.pool_abandoned
-        actions = {d.action for d in recorder.decisions if d.category == "exec"}
-        assert "pool_abandoned" in actions
+        assert report.backend_abandoned
+        assert "backend_abandoned" in exec_actions(recorder)
 
     @pytest.mark.timeout(60)
     def test_always_raising_task_surfaces_execution_error(self):
         def explode(start, size, seed):
             raise ValueError("boom")
 
-        with pytest.raises(ExecutionError, match="serial fallback"):
+        with pytest.raises(ExecutionError, match="serial rescue"):
             run_supervised(
                 explode, trials=4, seed=0, kind="unit",
                 policy=ExecPolicy(
-                    workers=2, batch_size=2, max_attempts=1,
+                    workers=2, max_attempts=1,
                     backoff_base=0.01, backoff_max=0.05,
                 ),
+                combine=combine, block=2,
             )
-
-
-class TestCalibration:
-    @pytest.mark.timeout(60)
-    def test_calibrated_pool_identical_to_serial(self):
-        serial, _ = run_supervised(
-            trial_values, trials=300, seed=3, kind="unit", combine=combine,
-        )
-        recorder = Recorder()
-        with use(recorder):
-            pooled, report = run_supervised(
-                trial_values, trials=300, seed=3, kind="unit",
-                policy=ExecPolicy(workers=2), combine=combine,
-            )
-        assert flatten(pooled) == flatten(serial)
-        assert report.calibrated_batch_size is not None
-        assert report.batch_size == report.calibrated_batch_size
-        # A trivially fast task clamps to remaining/workers: probe + 2.
-        assert report.batches_total == 3
-        actions = {d.action for d in recorder.decisions if d.category == "exec"}
-        assert "calibrate" in actions
-
-    def test_explicit_batch_size_skips_calibration(self):
-        _, report = run_supervised(
-            trial_values, trials=100, seed=1, kind="unit",
-            policy=ExecPolicy(workers=2, batch_size=10), combine=combine,
-        )
-        assert report.calibrated_batch_size is None
-
-    def test_target_zero_disables_calibration(self):
-        _, report = run_supervised(
-            trial_values, trials=100, seed=1, kind="unit",
-            policy=ExecPolicy(workers=2, target_batch_s=0.0), combine=combine,
-        )
-        assert report.calibrated_batch_size is None
-
-    def test_serial_runs_never_calibrate(self):
-        _, report = run_supervised(
-            trial_values, trials=100, seed=1, kind="unit", combine=combine,
-        )
-        assert report.calibrated_batch_size is None
-
-    def test_tiny_campaign_skips_calibration(self):
-        # Nothing left to parallelise after a 32-trial probe.
-        _, report = run_supervised(
-            trial_values, trials=20, seed=1, kind="unit",
-            policy=ExecPolicy(workers=2), combine=combine,
-        )
-        assert report.calibrated_batch_size is None
-
-    def test_probe_covered_by_resume_skips_calibration(self, tmp_path):
-        # Timing checkpointed work would measure nothing, so a resumed
-        # run whose checkpoint covers the probe range keeps the static
-        # default batch size.
-        path = str(tmp_path / "cal.ndjson")
-        baseline, _ = run_supervised(
-            trial_values, trials=100, seed=13, kind="unit",
-            policy=ExecPolicy(batch_size=8), combine=combine,
-            checkpoint=path,
-        )
-        recorder = Recorder()
-        with use(recorder):
-            resumed, report = run_supervised(
-                trial_values, trials=100, seed=13, kind="unit",
-                policy=ExecPolicy(workers=2), combine=combine, resume=path,
-            )
-        assert report.calibrated_batch_size is None
-        skipped = [
-            d for d in recorder.decisions if d.action == "calibrate"
-        ]
-        assert skipped and "covered" in skipped[0].reason
-        assert flatten(resumed) == flatten(baseline)
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ExecutionError):
-            ExecPolicy(target_batch_s=-0.1)
 
 
 class TestCheckpointResume:
     def test_interrupt_then_resume_is_identical(self, tmp_path):
         baseline, _ = run_supervised(
             trial_values, trials=30, seed=11, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine,
+            combine=combine, block=5,
         )
         path = str(tmp_path / "run.ndjson")
         with pytest.raises(CampaignInterrupted):
             run_supervised(
                 trial_values, trials=30, seed=11, kind="unit",
-                policy=ExecPolicy(batch_size=5), combine=combine,
-                checkpoint=path,
-                chaos=ChaosPlan(interrupt_after_batches=3),
+                combine=combine, block=5, checkpoint=path,
+                chaos=ShardChaos(interrupt_after_partials=3),
             )
         resumed, report = run_supervised(
             trial_values, trials=30, seed=11, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine, resume=path,
+            combine=combine, block=5, resume=path,
         )
         assert flatten(resumed) == flatten(baseline)
-        assert report.batches_from_checkpoint == 3
-        assert report.batches_run == 3
+        assert report.partials_from_checkpoint == 3
+        assert report.partials == 3
         assert report.manifest_path is not None
 
     def test_corrupt_trailing_line_recomputed(self, tmp_path):
@@ -257,20 +221,19 @@ class TestCheckpointResume:
         with pytest.raises(CampaignInterrupted):
             run_supervised(
                 trial_values, trials=30, seed=11, kind="unit",
-                policy=ExecPolicy(batch_size=5), combine=combine,
-                checkpoint=path,
-                chaos=ChaosPlan(interrupt_after_batches=3),
+                combine=combine, block=5, checkpoint=path,
+                chaos=ShardChaos(interrupt_after_partials=3),
             )
         truncate_file(path, 10)
         with use(recorder):
             resumed, report = run_supervised(
                 trial_values, trials=30, seed=11, kind="unit",
-                policy=ExecPolicy(batch_size=5), combine=combine, resume=path,
+                combine=combine, block=5, resume=path,
             )
         assert flatten(resumed) == expected(30, 11)
         assert report.corrupt_checkpoint_lines == 1
-        assert report.batches_from_checkpoint == 2
-        actions = {d.action for d in recorder.decisions if d.category == "exec"}
+        assert report.partials_from_checkpoint == 2
+        actions = exec_actions(recorder)
         assert "checkpoint_corrupt" in actions
         assert "resume" in actions
 
@@ -279,63 +242,61 @@ class TestCheckpointResume:
         with pytest.raises(CampaignInterrupted):
             run_supervised(
                 trial_values, trials=30, seed=11, kind="unit",
-                policy=ExecPolicy(batch_size=3), combine=combine,
-                checkpoint=path,
-                chaos=ChaosPlan(interrupt_after_batches=4),
+                combine=combine, block=3, checkpoint=path,
+                chaos=ShardChaos(interrupt_after_partials=4),
             )
         resumed, report = run_supervised(
             trial_values, trials=30, seed=11, kind="unit",
-            policy=ExecPolicy(batch_size=6), combine=combine, resume=path,
+            combine=combine, block=6, resume=path,
         )
         assert flatten(resumed) == expected(30, 11)
-        assert report.batches_from_checkpoint == 2  # four 3-wide -> two 6-wide
+        assert report.partials_from_checkpoint == 4
+        assert report.partials == 3  # four 3-wide entries -> two 6-wide blocks
 
     def test_foreign_checkpoint_refused(self, tmp_path):
         path = str(tmp_path / "run.ndjson")
         run_supervised(
             trial_values, trials=10, seed=0, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine, checkpoint=path,
+            combine=combine, block=5, checkpoint=path,
         )
         with pytest.raises(CheckpointError, match="different campaign"):
             run_supervised(
                 trial_values, trials=10, seed=999, kind="unit",
-                policy=ExecPolicy(batch_size=5), combine=combine, resume=path,
+                combine=combine, block=5, resume=path,
             )
 
     def test_missing_resume_file_starts_fresh(self, tmp_path):
         path = str(tmp_path / "never-written.ndjson")
         payloads, report = run_supervised(
             trial_values, trials=10, seed=0, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine, resume=path,
+            combine=combine, block=5, resume=path,
         )
         assert flatten(payloads) == expected(10, 0)
-        assert report.batches_from_checkpoint == 0
+        assert report.partials_from_checkpoint == 0
         assert report.checkpoint_path == path
 
     def test_fresh_checkpoint_discards_stale_campaign(self, tmp_path):
         # Reusing a checkpoint path (without --resume) for a *different*
-        # campaign must truncate: otherwise the old campaign's batches
+        # campaign must truncate: otherwise the old campaign's blocks
         # survive alongside the new meta line and a later resume merges
         # payloads computed under the wrong seed.
         path = str(tmp_path / "run.ndjson")
         run_supervised(
             trial_values, trials=30, seed=0, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine,
-            checkpoint=path,
+            combine=combine, block=5, checkpoint=path,
         )
         with pytest.raises(CampaignInterrupted):
             run_supervised(
                 trial_values, trials=30, seed=999, kind="unit",
-                policy=ExecPolicy(batch_size=5), combine=combine,
-                checkpoint=path,
-                chaos=ChaosPlan(interrupt_after_batches=1),
+                combine=combine, block=5, checkpoint=path,
+                chaos=ShardChaos(interrupt_after_partials=1),
             )
         resumed, report = run_supervised(
             trial_values, trials=30, seed=999, kind="unit",
-            policy=ExecPolicy(batch_size=5), combine=combine, resume=path,
+            combine=combine, block=5, resume=path,
         )
         assert flatten(resumed) == expected(30, 999)
-        assert report.batches_from_checkpoint == 1
+        assert report.partials_from_checkpoint == 1
         assert report.corrupt_checkpoint_lines == 0
 
 

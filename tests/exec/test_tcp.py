@@ -193,8 +193,11 @@ class TestTcpBackend:
         assert report.backend == "tcp"
         with open(checkpoint + ".manifest", encoding="utf-8") as handle:
             assert json.load(handle)["complete"] is True
+        # The completed campaign said bye: the workers exit at once
+        # instead of spending their 400-attempt re-dial budget.
         for worker in workers:
-            worker.join(timeout=30)
+            worker.join(timeout=5)
+            assert not worker.is_alive()
 
     @pytest.mark.timeout(120)
     def test_torn_and_duplicated_lines_are_counted_and_harmless(self):

@@ -1,10 +1,13 @@
 """System-level fault-injection campaigns."""
 
+from functools import reduce
+
 import pytest
 
 from repro.errors import CheckpointError, SimulationError
-from repro.exec import ExecPolicy
+from repro.exec import build_task
 from repro.faultsim import compare_partitions, run_campaign
+from repro.faultsim.campaign import _combine, campaign_task_spec
 from repro.influence import InfluenceGraph
 
 from tests.conftest import make_process
@@ -109,14 +112,21 @@ class TestEngines:
         )
 
     def test_vector_result_invariant_under_exec_plan(self):
+        # The kernel simulates covering RNG blocks whole, so any split of
+        # the trial range — aligned to its blocks or not — must merge
+        # back to the same per-trial outcomes.
         g = coupled_graph()
+        task = build_task(campaign_task_spec(g, GOOD, "vector"))
+        whole = task(0, 700, 9)
+        for size in (33, 256, 700):
+            pieces = [
+                task(start, min(size, 700 - start), 9)
+                for start in range(0, 700, size)
+            ]
+            assert reduce(_combine, pieces) == whole
         reference = run_campaign(g, GOOD, trials=700, seed=9, engine="vector")
-        for batch_size in (33, 256, 700):
-            split = run_campaign(
-                g, GOOD, trials=700, seed=9, engine="vector",
-                policy=ExecPolicy(batch_size=batch_size),
-            )
-            assert split == reference
+        assert reference.mean_affected_fcms == sum(whole["affected"]) / 700
+        assert reference.max_affected_fcms == max(whole["affected"])
 
     def test_resume_refuses_the_other_engine(self, tmp_path):
         # The engine is part of the checkpoint fingerprint: a scalar
@@ -125,13 +135,11 @@ class TestEngines:
         g = coupled_graph()
         path = str(tmp_path / "campaign.ndjson")
         run_campaign(
-            g, GOOD, trials=200, seed=4, engine="vector",
-            policy=ExecPolicy(batch_size=50), checkpoint=path,
+            g, GOOD, trials=200, seed=4, engine="vector", checkpoint=path,
         )
         with pytest.raises(CheckpointError, match="different campaign"):
             run_campaign(
-                g, GOOD, trials=200, seed=4, engine="scalar",
-                policy=ExecPolicy(batch_size=50), resume=path,
+                g, GOOD, trials=200, seed=4, engine="scalar", resume=path,
             )
 
 

@@ -139,9 +139,10 @@ class TestExecDigest:
             run_campaign(
                 state.graph,
                 state.as_partition(),
-                trials=16,
+                trials=64,
                 seed=0,
-                policy=ExecPolicy(workers=0, batch_size=8),
+                policy=ExecPolicy(workers=0),
+                engine="scalar",
             )
         path = tmp_path / "campaign.ndjson"
         rec.write_trace(str(path))

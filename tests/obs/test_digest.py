@@ -114,9 +114,10 @@ class TestOnRealCampaign:
             run_campaign(
                 state.graph,
                 state.as_partition(),
-                trials=32,
+                trials=128,
                 seed=0,
-                policy=ExecPolicy(workers=0, batch_size=8),
+                policy=ExecPolicy(workers=0),
+                engine="scalar",
             )
         digest = digest_exec_events(rec.events())
         assert digest.completed

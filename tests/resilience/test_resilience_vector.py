@@ -84,7 +84,7 @@ class TestVectorBitIdentity:
         )
         pooled = campaign.run_resilience_campaign(
             outcome, failures=2, trials=40, seed=5,
-            policy=ExecPolicy(workers=2, batch_size=10),
+            policy=ExecPolicy(workers=2),
         )
         assert reference == pooled
 
