@@ -23,10 +23,11 @@ Subcommands:
 ``resilience`` and ``faultsim`` both take supervisor flags
 (``--workers``, ``--checkpoint``, ``--resume``, ``--heartbeat-timeout``);
 campaign results are bit-identical whichever combination is used.
-* ``trace summarize TRACE.ndjson`` — aggregate an NDJSON trace into a
-  per-stage timing table (``--tree`` renders the span tree instead).
-* ``trace critical-path TRACE.ndjson`` — dominant-path report with
-  per-span self-time vs. child-time.
+* ``report TRACE.ndjson [--tree] [--top N]`` — read an NDJSON trace:
+  per-stage timing, decision counts, the critical path (self vs. child
+  time), per-shard lease health, the sampled profile and per-process
+  resources, each section shown when the trace has data for it;
+  ``--tree`` adds the span tree, ``--top`` caps the profile tables.
 * ``trace diff A.ndjson B.ndjson`` — align spans by path and report
   per-stage wall-time / count deltas; exits 1 on regression beyond the
   noise threshold, 2 when the runs are incomparable (``--force``
@@ -34,18 +35,12 @@ campaign results are bit-identical whichever combination is used.
 * ``trace export TRACE.ndjson --format {chrome,collapsed}`` — Chrome
   trace-event JSON (Perfetto / ``chrome://tracing``) or collapsed
   stacks for flamegraph tooling.
-* ``exec digest TRACE.ndjson`` — per-batch (and, for shard-lease
-  traces, per-shard) run-health tables from the supervisor's decision
-  events.
 * ``exec watch STATUS.json`` — live refreshing per-shard health view of
   a running sharded campaign (the JSON named by ``--status-file``).
 * ``metrics export [METRICS.json] --format prom`` — render a metrics
   snapshot in Prometheus text exposition format; process-level gauges
   (RSS, CPU seconds, open fds) are always included, even with no
   snapshot file at all.
-* ``profile report TRACE.ndjson`` — top-N self-time, per-span sample
-  attribution, and per-shard peak-RSS/CPU tables from a trace's
-  ``profile`` events (record them with ``--profile``).
 * ``bench check`` — compare the latest ``BENCH_pipeline.json`` against
   the committed baseline (``bench update-baseline`` refreshes it).
 
@@ -98,8 +93,6 @@ from repro.obs import (
     Recorder,
     current,
     load_ndjson,
-    render_summary,
-    render_tree,
     stage_footer,
     use,
 )
@@ -390,12 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exec", help="supervised-runner utilities"
     )
     exec_sub = exec_cmd.add_subparsers(dest="exec_command", required=True)
-    digest = exec_sub.add_parser(
-        "digest",
-        help="aggregate a trace's exec decision events (leases, "
-        "re-dispatches, crashes, rescues) into a run-health table",
-    )
-    digest.add_argument("file", help="NDJSON trace file")
     chaos = exec_sub.add_parser(
         "chaos",
         help="run the supervisor's chaos self-test (killed shard "
@@ -462,21 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
     example.add_argument("--out", default=None, help="write JSON here (default stdout)")
     _add_obs_flags(example)
 
-    trace = sub.add_parser("trace", help="inspect NDJSON traces")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    summarize = trace_sub.add_parser(
-        "summarize", help="aggregate a trace into a per-stage timing table"
+    report = sub.add_parser(
+        "report",
+        help="read a trace: stage timing, decisions, critical path, "
+        "lease health, sampled profile and process resources",
     )
-    summarize.add_argument("file", help="NDJSON trace file")
-    summarize.add_argument(
+    report.add_argument("file", help="NDJSON trace file")
+    report.add_argument(
         "--tree", action="store_true",
-        help="render the span tree instead of the aggregate table",
+        help="add the indented span tree",
     )
-    critical = trace_sub.add_parser(
-        "critical-path",
-        help="walk the span tree's dominant path (self vs child time)",
+    report.add_argument(
+        "--top", type=int, default=15, metavar="N",
+        help="rows per sampled-profile table (default 15)",
     )
-    critical.add_argument("file", help="NDJSON trace file")
+
+    trace = sub.add_parser("trace", help="compare and convert NDJSON traces")
+    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     diff = trace_sub.add_parser(
         "diff",
         help="compare two traces per span path; exit 1 on regression",
@@ -531,23 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_export.add_argument(
         "-o", "--out", default=None, metavar="FILE",
         help="output file (default: stdout)",
-    )
-
-    profile_cmd = sub.add_parser(
-        "profile", help="inspect sampled-profile events in traces"
-    )
-    profile_sub = profile_cmd.add_subparsers(
-        dest="profile_command", required=True
-    )
-    profile_report = profile_sub.add_parser(
-        "report",
-        help="top-N self-time, per-span attribution, and per-shard "
-        "resource tables from a trace recorded with --profile",
-    )
-    profile_report.add_argument("file", help="NDJSON trace file")
-    profile_report.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="rows per table (default 15)",
     )
 
     bench = sub.add_parser(
@@ -822,12 +794,6 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         from repro.exec.transport import shard_worker_main
 
         return shard_worker_main()
-    if args.exec_command == "digest":
-        from repro.obs.analyze import digest_exec_events, render_digest
-
-        events = load_ndjson(args.file)
-        print(render_digest(digest_exec_events(events)))
-        return 0
     if args.exec_command == "watch":
         return _cmd_exec_watch(args)
 
@@ -925,14 +891,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import render_profile_report
-
-    events = load_ndjson(args.file)
-    print(render_profile_report(events, top=args.top))
-    return 0
-
-
 def _cmd_example(args: argparse.Namespace) -> int:
     system = paper_system() if args.name == "paper" else avionics_system()
     payload = system_to_dict(system)
@@ -948,19 +906,26 @@ def _cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "summarize":
-        events = load_ndjson(args.file)
-        if args.tree:
-            print(render_tree(events))
-        else:
-            print(render_summary(events))
-        return 0
-    if args.trace_command == "critical-path":
-        from repro.obs.analyze import render_critical_path
+def _read_trace(path: str):
+    """Load and index one trace file; a bad field names the file too."""
+    from repro.errors import ObservabilityError
+    from repro.obs import index_trace
 
-        print(render_critical_path(load_ndjson(args.file)))
-        return 0
+    events = load_ndjson(path)
+    try:
+        return index_trace(events)
+    except ObservabilityError as exc:
+        raise ObservabilityError(f"{path}: {exc}") from None
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs import render_report
+
+    print(render_report(_read_trace(args.file), tree=args.tree, top=args.top))
+    return 0
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "diff":
         return _cmd_trace_diff(args)
     return _cmd_trace_export(args)
@@ -973,17 +938,17 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
         render_diff,
     )
 
-    events_a = load_ndjson(args.baseline)
-    events_b = load_ndjson(args.candidate)
-    refusals, _warnings = comparability_problems(events_a, events_b)
+    index_a = _read_trace(args.baseline)
+    index_b = _read_trace(args.candidate)
+    refusals, _warnings = comparability_problems(index_a, index_b)
     if refusals and not args.force:
         for refusal in refusals:
             print(f"error: incomparable traces: {refusal}", file=sys.stderr)
         print("(use --force to diff anyway)", file=sys.stderr)
         return 2
     diff = diff_traces(
-        events_a,
-        events_b,
+        index_a,
+        index_b,
         threshold=args.threshold / 100.0,
         min_delta_s=args.min_delta_ms / 1000.0,
     )
@@ -996,11 +961,11 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 def _cmd_trace_export(args: argparse.Namespace) -> int:
     from repro.obs.analyze import to_chrome_trace, to_collapsed_stacks
 
-    events = load_ndjson(args.file)
+    index = _read_trace(args.file)
     if args.format == "chrome":
-        text = json.dumps(to_chrome_trace(events), indent=1)
+        text = json.dumps(to_chrome_trace(index), indent=1)
     else:
-        text = to_collapsed_stacks(events)
+        text = to_collapsed_stacks(index)
     if args.out:
         try:
             with open(args.out, "w") as handle:
@@ -1066,9 +1031,9 @@ def main(argv: list[str] | None = None) -> int:
         "faultsim": _cmd_faultsim,
         "exec": _cmd_exec,
         "example": _cmd_example,
+        "report": _cmd_report,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
-        "profile": _cmd_profile,
         "bench": _cmd_bench,
     }
     trace_path = getattr(args, "trace", None)

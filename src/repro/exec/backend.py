@@ -285,7 +285,7 @@ def note_torn_line(slot: int, side: str) -> None:
     arrived torn) or ``"worker"`` (the worker reported a torn supervisor
     line).  Feeds the ``protocol_torn_lines`` counter and a
     ``protocol_torn`` decision so silent frame corruption shows up in
-    ``repro exec digest`` rather than vanishing in a ``continue``.
+    ``repro report`` rather than vanishing in a ``continue``.
     """
     from repro.obs import current
 

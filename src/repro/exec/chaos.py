@@ -185,8 +185,8 @@ def run_shard_chaos_selftest(
     distributed observability under chaos: surviving workers' spans and
     profile events (sampled stacks, resource summaries) must graft into
     one valid merged trace even though a shard died mid-lease, and
-    ``repro profile report`` must surface the survivors' per-shard
-    resource figures.  The chaos checkpoint, the merged trace
+    ``repro report`` must surface the survivors' per-shard resource
+    figures.  The chaos checkpoint, the merged trace
     (``shard-trace.ndjson``) and the raw telemetry stream
     (``shard-telemetry.ndjson``) are left in ``workdir`` so CI can
     validate their structure with ``scripts/check_ndjson.py``.
@@ -194,7 +194,15 @@ def run_shard_chaos_selftest(
     from repro.errors import CampaignInterrupted, ObservabilityError
     from repro.exec.runner import ExecPolicy
     from repro.faultsim.campaign import run_campaign
-    from repro.obs import Recorder, dump_ndjson, load_ndjson, use, validate_trace
+    from repro.obs import (
+        Recorder,
+        dump_ndjson,
+        index_trace,
+        load_ndjson,
+        render_report,
+        use,
+        validate_trace,
+    )
     from repro.obs.telemetry import validate_telemetry_stream
     from repro.workloads import paper_influence_graph
 
@@ -258,19 +266,17 @@ def run_shard_chaos_selftest(
         stream_problems = [str(exc)]
     check(not stream_problems,
           "raw worker-telemetry stream written and structurally valid")
-    profile_events = [e for e in merged if e.get("type") == "profile"]
+    index = index_trace(merged)
     summaries = [
-        e for e in profile_events
+        e for e in index.profiles
         if e.get("kind") == "resource_summary" and e.get("shard") is not None
     ]
     check(bool(summaries),
           "surviving shards' profile resource summaries merged into trace")
     check(all(e.get("rss_peak_bytes", 0) > 0 for e in summaries),
           "merged per-shard resource summaries carry nonzero peak RSS")
-    from repro.obs.profile import render_profile_report
-    report_text = render_profile_report(merged)
-    check("Per-shard process resources" in report_text,
-          "profile report shows per-shard peak RSS/CPU for survivors")
+    check("Per-shard process resources" in render_report(index),
+          "trace report shows per-shard peak RSS/CPU for survivors")
 
     # --- proof 2: shard stalls past the heartbeat deadline -------------
     recorder = Recorder()

@@ -61,6 +61,7 @@ from repro.exec.transport import (
     _READ_CHUNK,
     _StderrTail,
     _farewell,
+    _reap,
     _worker_env,
     serve_session,
 )
@@ -415,20 +416,9 @@ class TcpBackend(ExecBackend):
             if slot.process is not None:
                 self._retired.append((slot.process, slot.stderr_tail))
         self._slots.clear()
-        deadline = time.monotonic() + _JOIN_GRACE_S
-        for process, tail in self._retired + self._unclaimed:
-            try:
-                process.wait(max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                process.kill()
-                try:
-                    process.wait(_JOIN_GRACE_S)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
-            if tail is not None:
-                tail.close()
-        self._retired.clear()
+        self._retired.extend(self._unclaimed)
         self._unclaimed.clear()
+        _reap(self._retired)
         try:
             self._listener.close()
         except OSError:

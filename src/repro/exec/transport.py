@@ -111,6 +111,28 @@ class _StderrTail:
             pass
 
 
+def _reap(retired: list[tuple[subprocess.Popen, _StderrTail | None]]) -> None:
+    """Reap every retired worker process and empty ``retired``.
+
+    Each process gets what is left of one shared grace period to exit
+    on its own; one still running then is killed, and waited for, so no
+    worker outlives its backend or lingers as a zombie.
+    """
+    deadline = time.monotonic() + _JOIN_GRACE_S
+    for process, tail in retired:
+        try:
+            process.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            process.kill()
+            try:
+                process.wait(_JOIN_GRACE_S)
+            except subprocess.TimeoutExpired:  # pragma: no cover - kill is final
+                pass
+        if tail is not None:
+            tail.close()
+    retired.clear()
+
+
 def _farewell(bye: bool) -> bytes:
     """The supervisor's last line to a slot: ``bye`` after a completed
     campaign, ``shutdown`` after an interrupted or abandoned one."""
@@ -194,6 +216,9 @@ class SubprocessBackend(ExecBackend):
                 f"task spec is not JSON-serializable: {exc}"
             ) from exc
         self._slots: dict[int, _Slot] = {}
+        # Processes of dropped slots, reaped at shutdown with the live
+        # ones: a worker can close stdout and still be running.
+        self._retired: list[tuple[subprocess.Popen, None]] = []
         self._next_id = 0
         self._selector = selectors.DefaultSelector()
         #: Undecodable worker lines seen by this supervisor (satellite
@@ -225,6 +250,7 @@ class SubprocessBackend(ExecBackend):
         exitcode = slot.process.poll()
         stderr = slot.stderr_tail.text()
         slot.close()
+        self._retired.append((slot.process, None))
         del self._slots[slot.id]
         events.append(
             BackendEvent("exit", slot.id, exitcode=exitcode, stderr=stderr)
@@ -285,16 +311,14 @@ class SubprocessBackend(ExecBackend):
     def shutdown(self, bye: bool = False) -> None:
         for slot in self._slots.values():
             slot.write(_farewell(bye))
-        deadline = time.monotonic() + _JOIN_GRACE_S
-        for slot in list(self._slots.values()):
-            try:
-                slot.process.wait(max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                slot.process.kill()
+        for slot in self._slots.values():
             try:
                 self._selector.unregister(slot.process.stdout)
             except (KeyError, ValueError):
                 pass
+            self._retired.append((slot.process, None))
+        _reap(self._retired)
+        for slot in self._slots.values():
             slot.close()
         self._slots.clear()
         self._selector.close()

@@ -33,7 +33,6 @@ from repro.obs.profile import (
     ResourceProbe,
     StackProfiler,
     process_metrics_snapshot,
-    render_profile_report,
 )
 from repro.obs.provenance import collect_provenance, machine_fingerprint
 from repro.obs.recorder import (
@@ -59,16 +58,8 @@ from repro.obs.telemetry import (
     validate_telemetry_stream,
     write_status,
 )
-from repro.obs.summarize import (
-    PIPELINE_STAGES,
-    StageStats,
-    decision_counts,
-    open_span_count,
-    render_summary,
-    render_tree,
-    stage_footer,
-    summarize_trace,
-)
+from repro.obs.report import TraceIndex, index_trace, render_report
+from repro.obs.summarize import PIPELINE_STAGES, stage_footer
 
 __all__ = [
     "DEFAULT_COUNT_BUCKETS",
@@ -92,25 +83,21 @@ __all__ = [
     "ShardHealth",
     "Span",
     "StackProfiler",
-    "StageStats",
     "TelemetryMerger",
+    "TraceIndex",
     "collect_provenance",
     "current",
-    "decision_counts",
     "dump_ndjson",
+    "index_trace",
     "load_ndjson",
     "load_status",
     "machine_fingerprint",
     "make_context",
     "mint_run_id",
-    "open_span_count",
     "process_metrics_snapshot",
-    "render_profile_report",
+    "render_report",
     "render_status",
-    "render_summary",
-    "render_tree",
     "stage_footer",
-    "summarize_trace",
     "trace_meta",
     "unknown_kind_counts",
     "use",

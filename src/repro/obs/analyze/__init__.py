@@ -1,25 +1,22 @@
 """repro.obs.analyze — the read side of the observability stack.
 
-PR 2 built the capture side (:mod:`repro.obs`: spans, metrics, decision
-events streamed to NDJSON); this package turns the captured artifacts
-into comparable, versioned answers:
+:mod:`repro.obs` captures spans, metrics and decision events as NDJSON,
+and :mod:`repro.obs.report` reads one trace back (``repro report``);
+this package compares and converts the captured artifacts:
 
-* :mod:`~repro.obs.analyze.critical_path` — dominant-path walk of a
-  span tree with per-span self-time vs. child-time;
 * :mod:`~repro.obs.analyze.diff` — align two traces by span path and
   report per-stage wall-time / count deltas with a noise threshold,
   refusing to compare incomparable runs (provenance check);
 * :mod:`~repro.obs.analyze.export` — Chrome trace-event JSON (loadable
   in Perfetto / ``chrome://tracing``) and collapsed-stack output for
   flamegraph tooling;
-* :mod:`~repro.obs.analyze.digest` — aggregate ``repro.exec`` decision
-  events into per-batch and per-shard run-health tables;
 * :mod:`~repro.obs.analyze.bench` — benchmark history and the
   baseline-vs-latest regression gate behind ``repro bench check``.
 
-Everything consumes the plain event dicts returned by
-:func:`repro.obs.load_ndjson` / :meth:`repro.obs.Recorder.events`, so
-the analyses run identically on live recorders and on files.
+The trace tools read the :class:`~repro.obs.report.TraceIndex` that
+:func:`repro.obs.index_trace` builds from the events of
+:func:`repro.obs.load_ndjson` or :meth:`repro.obs.Recorder.events`, so
+they run identically on live recorders and on files.
 """
 
 from repro.obs.analyze.bench import (
@@ -31,12 +28,6 @@ from repro.obs.analyze.bench import (
     render_bench_check,
     write_baseline,
 )
-from repro.obs.analyze.critical_path import (
-    CriticalPathStep,
-    critical_path,
-    render_critical_path,
-    span_tree,
-)
 from repro.obs.analyze.diff import (
     StageDelta,
     TraceDiff,
@@ -45,40 +36,24 @@ from repro.obs.analyze.diff import (
     render_diff,
     span_path_stats,
 )
-from repro.obs.analyze.digest import (
-    BatchHealth,
-    ExecDigest,
-    ShardLane,
-    digest_exec_events,
-    render_digest,
-)
 from repro.obs.analyze.export import (
     to_chrome_trace,
     to_collapsed_stacks,
 )
 
 __all__ = [
-    "BatchHealth",
     "BenchCheck",
     "BenchFinding",
-    "CriticalPathStep",
-    "ExecDigest",
-    "ShardLane",
     "StageDelta",
     "TraceDiff",
     "append_history",
     "check_bench",
     "comparability_problems",
-    "critical_path",
     "diff_traces",
-    "digest_exec_events",
     "load_baseline",
-    "render_digest",
     "render_bench_check",
-    "render_critical_path",
     "render_diff",
     "span_path_stats",
-    "span_tree",
     "to_chrome_trace",
     "to_collapsed_stacks",
     "write_baseline",

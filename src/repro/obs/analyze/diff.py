@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.analyze.critical_path import span_tree
-from repro.obs.ndjson import trace_meta
+from repro.obs.report import TraceIndex
 
 #: Default relative growth considered real (20%).
 DEFAULT_THRESHOLD = 0.20
@@ -69,27 +68,18 @@ class TraceDiff:
         return bool(self.regressions)
 
 
-def span_path_stats(events: list[dict]) -> dict[str, tuple[int, float]]:
+def span_path_stats(index: TraceIndex) -> dict[str, tuple[int, float]]:
     """``path -> (span count, total seconds)`` for one trace."""
-    roots, children = span_tree(events)
     stats: dict[str, tuple[int, float]] = {}
-
-    def visit(span: dict, prefix: str) -> None:
-        path = f"{prefix}/{span.get('name') or '?'}" if prefix else (
-            span.get("name") or "?"
-        )
+    for span, names in index.walk():
+        path = "/".join(names)
         count, total = stats.get(path, (0, 0.0))
-        stats[path] = (count + 1, total + (span.get("dur_s") or 0.0))
-        for child in children.get(span.get("sid"), ()):
-            visit(child, path)
-
-    for root in roots:
-        visit(root, "")
+        stats[path] = (count + 1, total + span.dur_s)
     return stats
 
 
 def comparability_problems(
-    events_a: list[dict], events_b: list[dict]
+    index_a: TraceIndex, index_b: TraceIndex
 ) -> tuple[list[str], list[str]]:
     """(refusals, warnings) from the two traces' meta/provenance.
 
@@ -99,7 +89,7 @@ def comparability_problems(
     """
     refusals: list[str] = []
     warnings: list[str] = []
-    meta_a, meta_b = trace_meta(events_a), trace_meta(events_b)
+    meta_a, meta_b = index_a.meta, index_b.meta
     if meta_a is None or meta_b is None:
         warnings.append("one or both traces have no meta line; provenance unchecked")
         return refusals, warnings
@@ -126,8 +116,8 @@ def comparability_problems(
 
 
 def diff_traces(
-    events_a: list[dict],
-    events_b: list[dict],
+    index_a: TraceIndex,
+    index_b: TraceIndex,
     threshold: float = DEFAULT_THRESHOLD,
     min_delta_s: float = DEFAULT_MIN_DELTA_S,
 ) -> TraceDiff:
@@ -137,9 +127,9 @@ def diff_traces(
     (the CLI refuses unless ``--force``); they are surfaced via
     :func:`comparability_problems`.
     """
-    stats_a = span_path_stats(events_a)
-    stats_b = span_path_stats(events_b)
-    _, warnings = comparability_problems(events_a, events_b)
+    stats_a = span_path_stats(index_a)
+    stats_b = span_path_stats(index_b)
+    _, warnings = comparability_problems(index_a, index_b)
 
     stages: list[StageDelta] = []
     for path in sorted(set(stats_a) | set(stats_b)):

@@ -23,44 +23,33 @@ time series as counter (``"ph": "C"``) tracks.
 
 from __future__ import annotations
 
-from repro.obs.analyze.critical_path import span_tree
-from repro.obs.ndjson import trace_meta
+from repro.obs.report import TraceIndex
 
 _US = 1_000_000.0
 
 
-def _spans(events: list[dict]) -> list[dict]:
-    return [e for e in events if e.get("type") == "span"]
-
-
-def to_chrome_trace(events: list[dict]) -> dict:
+def to_chrome_trace(index: TraceIndex) -> dict:
     """A Chrome trace-event document (``json.dump`` it to a file)."""
-    spans_by_sid = {s.get("sid"): s for s in _spans(events)}
     trace_events: list[dict] = []
-    for span in _spans(events):
-        t_start = span.get("t_start") or 0.0
-        open_span = span.get("t_end") is None
-        dur_s = 0.0 if open_span else (span.get("dur_s") or 0.0)
+    for span in index.spans:
         record = {
-            "name": span.get("name") or "?",
+            "name": span.name,
             "cat": "span",
             "ph": "X",
-            "ts": t_start * _US,
-            "dur": dur_s * _US,
+            "ts": span.t_start * _US,
+            "dur": span.dur_s * _US,
             "pid": 1,
             "tid": 1,
         }
-        args = dict(span.get("attrs") or {})
-        if open_span:
+        args = dict(span.attrs)
+        if span.open:
             args["open"] = True
         if args:
             record["args"] = args
         trace_events.append(record)
-    for event in events:
-        if event.get("type") != "decision":
-            continue
-        owner = spans_by_sid.get(event.get("span"))
-        ts = (owner.get("t_start") or 0.0) if owner else 0.0
+    for event in index.decisions:
+        owner = index.by_sid.get(event.get("span"))
+        ts = owner.t_start if owner is not None else 0.0
         trace_events.append(
             {
                 "name": f"{event.get('category', '?')}.{event.get('action', '?')}",
@@ -77,9 +66,7 @@ def to_chrome_trace(events: list[dict]) -> dict:
                 },
             }
         )
-    for event in events:
-        if event.get("type") != "profile":
-            continue
+    for event in index.profiles:
         kind = event.get("kind")
         if kind == "resource":
             trace_events.append({
@@ -127,56 +114,42 @@ def to_chrome_trace(events: list[dict]) -> dict:
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
     }
-    meta = trace_meta(events)
-    if meta is not None and meta.get("provenance"):
-        document["otherData"] = meta["provenance"]
+    if index.meta is not None and index.meta.get("provenance"):
+        document["otherData"] = index.meta["provenance"]
     return document
 
 
-def to_collapsed_stacks(events: list[dict]) -> str:
+def to_collapsed_stacks(index: TraceIndex) -> str:
     """Collapsed-stack text (``flamegraph.pl`` input), sorted by stack.
 
     Stacks with zero integer-microsecond self time are dropped — they
     would render as zero-width frames anyway.
     """
-    roots, children = span_tree(events)
     totals: dict[str, int] = {}
-
-    def visit(span: dict, prefix: str) -> None:
-        name = (span.get("name") or "?").replace(";", ",")
-        stack = f"{prefix};{name}" if prefix else name
-        kids = children.get(span.get("sid"), ())
-        child_s = sum(k.get("dur_s") or 0.0 for k in kids)
-        self_s = max((span.get("dur_s") or 0.0) - child_s, 0.0)
-        self_us = int(round(self_s * _US))
+    for span, names in index.walk():
+        stack = ";".join(name.replace(";", ",") for name in names)
+        child_s = sum(k.dur_s for k in index.children.get(span.sid, ()))
+        self_us = int(round(max(span.dur_s - child_s, 0.0) * _US))
         if self_us > 0:
             totals[stack] = totals.get(stack, 0) + self_us
-        for child in kids:
-            visit(child, stack)
-
-    for root in roots:
-        visit(root, "")
     # Sampled Python stacks from profile events land under their own
     # ``profile`` root, weighted by sample count / rate, so they never
     # distort the span tree's width invariant above.
-    span_names = {
-        s.get("sid"): (s.get("name") or "?").replace(";", ",")
-        for s in _spans(events)
-    }
-    for event in events:
-        if event.get("type") != "profile" or event.get("kind") != "stacks":
+    for event in index.profiles:
+        if event.get("kind") != "stacks":
             continue
         hz = float(event.get("hz") or 0.0)
         if hz <= 0:
             continue
         owner = event.get("span")
-        owner_name = (
-            span_names.get(owner, f"sid{owner}")
-            if owner is not None
-            else "unattributed"
-        )
+        if owner is None:
+            owner_name = "unattributed"
+        elif owner in index.by_sid:
+            owner_name = index.by_sid[owner].name.replace(";", ",")
+        else:
+            owner_name = f"sid{owner}"
         for stack, count in (event.get("stacks") or {}).items():
-            value = int(round(int(count) * _US / hz))
+            value = int(round(count * _US / hz))
             if value <= 0:
                 continue
             key = f"profile;{owner_name};{stack}"

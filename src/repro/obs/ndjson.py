@@ -93,7 +93,8 @@ def validate_trace(events: list[dict]) -> list[str]:
     """Structural problems of a parsed trace (empty list = valid).
 
     Checks: every known record ``type`` carries its required keys, span
-    parents reference emitted sids, closed spans have
+    parents reference emitted sids and never loop back (a span that is
+    its own ancestor), closed spans have
     ``t_end >= t_start``, and version-2 meta lines carry a provenance
     block (version-1 traces, which predate provenance, stay valid).
     Records with *unknown* types are tolerated — count them with
@@ -102,10 +103,13 @@ def validate_trace(events: list[dict]) -> list[str]:
     """
     problems: list[str] = []
     sids: set[int] = set()
-    for i, event in enumerate(events):
-        kind = event.get("type")
-        if kind == "span":
+    parents: dict[int, int | None] = {}
+    for event in events:
+        if event.get("type") == "span":
             sids.add(event.get("sid", -1))
+            if event.get("sid") is not None:
+                parents[event["sid"]] = event.get("parent")
+    looped = parent_cycles(parents)
     for i, event in enumerate(events):
         where = f"event {i}"
         kind = event.get("type")
@@ -138,6 +142,10 @@ def validate_trace(events: list[dict]) -> list[str]:
                 problems.append(
                     f"{where}: span {event['sid']} has unknown parent {parent}"
                 )
+            if event["sid"] in looped:
+                problems.append(
+                    f"{where}: span {event['sid']} is in a parent cycle"
+                )
             if event["t_end"] is not None and event["t_end"] < event["t_start"]:
                 problems.append(f"{where}: span {event['sid']} ends before it starts")
             attrs = event.get("attrs") or {}
@@ -166,6 +174,28 @@ def validate_trace(events: list[dict]) -> list[str]:
             continue
         # Unknown kinds are tolerated, not errors (forward compatibility).
     return problems
+
+
+def parent_cycles(parents: dict) -> set:
+    """The sids whose parent chain leads back to themselves.
+
+    ``parents`` maps each span sid to its parent sid (``None`` for a
+    root); a sid the chain reaches but that has no entry ends the walk
+    like a root does.  Descendants of a cycle are not themselves in it.
+    """
+    looped: set = set()
+    settled: set = set()
+    for start in parents:
+        chain: dict = {}
+        node = start
+        while node is not None and node in parents and node not in settled:
+            if node in chain:
+                looped.update(list(chain)[chain[node]:])
+                break
+            chain[node] = len(chain)
+            node = parents[node]
+        settled.update(chain)
+    return looped
 
 
 def unknown_kind_counts(events: list[dict]) -> dict[str, int]:

@@ -11,7 +11,7 @@ machine.  This module adds that second axis with two cooperating parts:
   recorder.  Drained samples become ``profile`` events (kind
   ``stacks``) in the trace-v2 stream, exportable through the existing
   collapsed-stack / Perfetto exporters and summarized by
-  ``repro profile report``.
+  ``repro report``.
 
 * :class:`ResourceProbe` — passive process-resource accounting: RSS
   from ``/proc/self/statm`` (``resource.getrusage`` fallback),
@@ -474,135 +474,3 @@ def process_metrics_snapshot() -> dict:
             "series": {"": float(fds)},
         }
     return {"format": "repro-metrics", "version": 1, "metrics": metrics}
-
-
-# ----------------------------------------------------------------------
-# Reporting
-# ----------------------------------------------------------------------
-def profile_events(events: list[dict]) -> list[dict]:
-    """The ``profile`` records of a trace, in stream order."""
-    return [e for e in events if e.get("type") == "profile"]
-
-
-def _shard_label(shard) -> str:
-    if shard is None or (isinstance(shard, int) and shard < 0):
-        return "sup"
-    return str(shard)
-
-
-def render_profile_report(events: list[dict], top: int = 15) -> str:
-    """The ``repro profile report`` view of a trace's profile events.
-
-    Three tables: top-``top`` functions by sampled self time (the leaf
-    frame of each collapsed stack), per-span sample attribution, and —
-    for distributed traces — per-shard peak RSS / CPU / GC from the
-    ``resource_summary`` each worker shipped.
-    """
-    from repro.metrics.report import format_table
-
-    profs = profile_events(events)
-    if not profs:
-        return (
-            "trace contains no profile events "
-            "(record one with --profile [HZ])"
-        )
-    span_names = {
-        e.get("sid"): e.get("name") or "?"
-        for e in events
-        if e.get("type") == "span"
-    }
-
-    self_samples: dict[str, int] = {}
-    span_samples: dict[str, int] = {}
-    total_samples = 0
-    hz = None
-    for event in profs:
-        if event.get("kind") != "stacks":
-            continue
-        hz = hz or event.get("hz")
-        owner = event.get("span")
-        owner_name = (
-            span_names.get(owner, f"sid {owner}")
-            if owner is not None
-            else "(no span)"
-        )
-        for stack, count in (event.get("stacks") or {}).items():
-            count = int(count)
-            leaf = stack.rsplit(";", 1)[-1] or "?"
-            self_samples[leaf] = self_samples.get(leaf, 0) + count
-            span_samples[owner_name] = span_samples.get(owner_name, 0) + count
-            total_samples += count
-
-    lines: list[str] = []
-    period = (1.0 / float(hz)) if hz else 0.0
-    if total_samples:
-        lines.append(
-            f"{total_samples} stack samples at {hz:g} Hz "
-            f"(~{total_samples * period:.2f}s of sampled execution)"
-        )
-        lines.append("")
-        rows = [
-            (
-                leaf,
-                count,
-                f"{100.0 * count / total_samples:.1f}",
-                f"{count * period:.3f}",
-            )
-            for leaf, count in sorted(
-                self_samples.items(), key=lambda kv: (-kv[1], kv[0])
-            )[:top]
-        ]
-        lines.append(format_table(
-            ["function", "samples", "self %", "est s"],
-            rows,
-            title=f"Top {min(top, len(self_samples))} functions by self time",
-        ))
-        lines.append("")
-        rows = [
-            (
-                name,
-                count,
-                f"{100.0 * count / total_samples:.1f}",
-                f"{count * period:.3f}",
-            )
-            for name, count in sorted(
-                span_samples.items(), key=lambda kv: (-kv[1], kv[0])
-            )[:top]
-        ]
-        lines.append(format_table(
-            ["span", "samples", "share %", "est s"],
-            rows,
-            title="Sample attribution by span",
-        ))
-    else:
-        lines.append("no stack samples recorded (run too short for the rate?)")
-
-    # Last-wins per (shard, pid): workers ship a cumulative summary.
-    summaries: dict[tuple, dict] = {}
-    for event in profs:
-        if event.get("kind") != "resource_summary":
-            continue
-        key = (event.get("shard"), event.get("pid"))
-        summaries[key] = event
-    if summaries:
-        rows = []
-        for key in sorted(
-            summaries, key=lambda k: (k[0] is None, k[0] or 0, k[1] or 0)
-        ):
-            s = summaries[key]
-            rows.append((
-                _shard_label(s.get("shard")),
-                s.get("pid") or "-",
-                f"{(s.get('rss_peak_bytes') or 0) / 1e6:.1f}",
-                f"{s.get('cpu_s') or 0.0:.3f}",
-                s.get("gc_collections") or 0,
-                f"{(s.get('gc_pause_s') or 0.0) * 1000:.1f}",
-                s.get("samples") or 0,
-            ))
-        lines.append("")
-        lines.append(format_table(
-            ["shard", "pid", "peak rss MB", "cpu s", "gc", "gc ms", "samples"],
-            rows,
-            title="Per-shard process resources",
-        ))
-    return "\n".join(lines)

@@ -1,195 +1,12 @@
-"""Trace aggregation: per-stage timing tables, span trees, CLI footers.
+"""The ``-v`` stage-timing footer, read off the live recorder.
 
-Consumes the NDJSON event dicts produced by
-:meth:`~repro.obs.recorder.Recorder.events` (or loaded back with
-:func:`~repro.obs.ndjson.load_ndjson`) and renders them for humans:
-``repro trace summarize`` uses :func:`render_summary`, the ``-v`` timing
-footer uses :func:`stage_footer`.
+Recorded traces are read back by :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: The pipeline stage spans, in execution order, used by the footer.
 PIPELINE_STAGES = ("audit", "expand", "condense", "map", "score")
-
-
-@dataclass(frozen=True)
-class StageStats:
-    """Aggregate timing of all spans sharing one name."""
-
-    name: str
-    count: int
-    total_s: float
-    mean_s: float
-    max_s: float
-    #: Spans of this name flushed with ``t_end: null`` (still open when
-    #: the trace was written); their duration counts as 0.
-    open_count: int = 0
-
-
-def _spans(events: list[dict]) -> list[dict]:
-    return [e for e in events if e.get("type") == "span"]
-
-
-def _decisions(events: list[dict]) -> list[dict]:
-    return [e for e in events if e.get("type") == "decision"]
-
-
-def open_span_count(events: list[dict]) -> int:
-    """Spans written with ``t_end: null`` (trace captured mid-run)."""
-    return sum(1 for s in _spans(events) if s.get("t_end") is None)
-
-
-def summarize_trace(events: list[dict]) -> list[StageStats]:
-    """Per-span-name timing aggregates, ordered by total time descending.
-
-    Tolerant of hand-written or truncated traces: spans missing a
-    ``name`` aggregate under ``"?"``, and still-open spans (``t_end``
-    null) contribute a duration of 0 but are counted in ``open_count``.
-    """
-    totals: dict[str, list[float]] = {}
-    open_counts: dict[str, int] = {}
-    for span in _spans(events):
-        name = span.get("name") or "?"
-        totals.setdefault(name, []).append(span.get("dur_s") or 0.0)
-        if span.get("t_end") is None:
-            open_counts[name] = open_counts.get(name, 0) + 1
-    stats = [
-        StageStats(
-            name=name,
-            count=len(durs),
-            total_s=sum(durs),
-            mean_s=sum(durs) / len(durs),
-            max_s=max(durs),
-            open_count=open_counts.get(name, 0),
-        )
-        for name, durs in totals.items()
-    ]
-    return sorted(stats, key=lambda s: (-s.total_s, s.name))
-
-
-def decision_counts(events: list[dict]) -> dict[tuple[str, str], int]:
-    """(category, action) -> number of decision events."""
-    counts: dict[tuple[str, str], int] = {}
-    for event in _decisions(events):
-        key = (event.get("category", "?"), event.get("action", "?"))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def render_summary(events: list[dict]) -> str:
-    """The ``repro trace summarize`` report: timing table + decisions.
-
-    Degrades cleanly instead of tracebacking: an empty file, a
-    meta-only trace and a trace of still-open spans each produce a
-    one-line message (plus an open-span note where applicable).
-    """
-    from repro.metrics.report import format_table
-
-    if not events:
-        return "trace is empty (no events)"
-    stats = summarize_trace(events)
-    if not stats:
-        return "trace contains no spans"
-    rows = [
-        (
-            s.name + (f" ({s.open_count} open)" if s.open_count else ""),
-            s.count,
-            f"{s.total_s * 1000:.2f}",
-            f"{s.mean_s * 1000:.2f}",
-            f"{s.max_s * 1000:.2f}",
-        )
-        for s in stats
-    ]
-    lines = [
-        format_table(
-            ["span", "count", "total ms", "mean ms", "max ms"],
-            rows,
-            title="Per-stage timing",
-        )
-    ]
-    open_spans = open_span_count(events)
-    if open_spans:
-        lines.append("")
-        lines.append(
-            f"note: {open_spans} span(s) still open when the trace was "
-            "written; their durations count as 0"
-        )
-    counts = decision_counts(events)
-    if counts:
-        decision_rows = [
-            (category, action, count)
-            for (category, action), count in sorted(counts.items())
-        ]
-        lines.append("")
-        lines.append(
-            format_table(
-                ["category", "action", "decisions"],
-                decision_rows,
-                title="Decision events",
-            )
-        )
-    profiles = sum(1 for e in events if e.get("type") == "profile")
-    if profiles:
-        lines.append("")
-        lines.append(
-            f"note: trace carries {profiles} profile event(s) — see "
-            "'repro profile report'"
-        )
-    from repro.obs.ndjson import unknown_kind_counts
-
-    unknown = unknown_kind_counts(events)
-    if unknown:
-        detail = ", ".join(
-            f"{kind} x{count}" for kind, count in sorted(unknown.items())
-        )
-        lines.append("")
-        lines.append(
-            f"note: {sum(unknown.values())} event(s) of unknown kind "
-            f"skipped ({detail}) — written by a newer repro?"
-        )
-    return "\n".join(lines)
-
-
-def render_tree(events: list[dict]) -> str:
-    """Indented span tree with durations and decision attachment counts.
-
-    Spans whose parent sid never appears in the trace (truncated files)
-    are treated as roots; still-open spans are marked ``(open)``.
-    """
-    if not events:
-        return "trace is empty (no events)"
-    spans = sorted(_spans(events), key=lambda s: s.get("t_start") or 0.0)
-    known_sids = {s.get("sid") for s in spans}
-    children: dict[int | None, list[dict]] = {}
-    for span in spans:
-        parent = span.get("parent")
-        if parent not in known_sids:
-            parent = None
-        children.setdefault(parent, []).append(span)
-    decisions_per_span: dict[int | None, int] = {}
-    for event in _decisions(events):
-        key = event.get("span")
-        decisions_per_span[key] = decisions_per_span.get(key, 0) + 1
-
-    lines: list[str] = []
-
-    def walk(parent: int | None, indent: int) -> None:
-        for span in children.get(parent, ()):
-            duration = (span.get("dur_s") or 0.0) * 1000
-            suffix = " (open)" if span.get("t_end") is None else ""
-            n_dec = decisions_per_span.get(span.get("sid"), 0)
-            if n_dec:
-                suffix += f"  [{n_dec} decision{'s' if n_dec != 1 else ''}]"
-            name = span.get("name") or "?"
-            lines.append(f"{'  ' * indent}{name}  {duration:.2f}ms{suffix}")
-            if span.get("sid") is not None:
-                walk(span["sid"], indent + 1)
-
-    walk(None, 0)
-    return "\n".join(lines) if lines else "trace contains no spans"
 
 
 def stage_footer(recorder) -> str:

@@ -21,8 +21,7 @@ This module closes the loop in both directions:
   (worker span times are relative to the worker's ``perf_counter``
   epoch; the offset between the two ``epoch_unix`` anchors maps them
   onto the supervisor's timeline), so the merged trace is one tree that
-  ``trace summarize`` / ``critical-path`` / ``exec digest`` read
-  whole-campaign.
+  ``repro report`` reads whole-campaign.
 
 * **Live health** — :class:`HealthBoard` maintains a per-shard
   :class:`ShardHealth` model (blocks covered, trials/s, heartbeat lag,

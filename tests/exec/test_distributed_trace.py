@@ -2,9 +2,8 @@
 
 The tentpole contract under test: a sharded campaign with telemetry on
 produces ONE merged trace-format-v2 file containing spans from every
-engaged worker, readable by ``trace summarize``/``critical-path``/
-``exec digest`` — and the campaign result is bit-identical to the
-telemetry-off run.
+engaged worker, readable by ``repro report`` — and the campaign result
+is bit-identical to the telemetry-off run.
 """
 
 import json
@@ -14,8 +13,16 @@ import pytest
 from repro.cli import main
 from repro.exec import ExecPolicy, ShardChaos, run_sharded
 from repro.exec.backend import combine_selftest, selftest_spec, selftest_task
-from repro.obs import Recorder, dump_ndjson, load_ndjson, use, validate_trace
-from repro.obs.analyze import critical_path, digest_exec_events, span_tree
+from repro.obs import (
+    Recorder,
+    dump_ndjson,
+    index_trace,
+    load_ndjson,
+    render_report,
+    use,
+    validate_trace,
+)
+from repro.obs.report import critical_path, exec_health
 from repro.obs.telemetry import (
     LeaseTelemetry,
     TelemetryMerger,
@@ -129,7 +136,7 @@ class TestMergedTrace:
 
 
 class TestAnalyzeMergedTrace:
-    """summarize --tree / critical-path over merged multi-process traces."""
+    """``repro report`` over merged multi-process traces."""
 
     def merged_trace_file(self, tmp_path, recorder):
         path = str(tmp_path / "merged.ndjson")
@@ -169,17 +176,16 @@ class TestAnalyzeMergedTrace:
         rec = self.skewed_recorder(offsets=(4.0, -1e6))
         events = rec.events()
         assert validate_trace(events) == []
-        roots, children = span_tree(events)
+        index = index_trace(events)
         shards_span = next(
-            s for s in roots if s["name"] == "exec.shards"
+            s for s in index.roots if s.name == "exec.shards"
         )
-        leases = children.get(shards_span["sid"], [])
+        leases = index.children.get(shards_span.sid, [])
         # Both workers land under the one supervisor span.
-        assert [s["name"] for s in leases] == ["worker.lease"] * 2
-        assert all(s["t_start"] >= 0.0 for s in leases)  # skew clamped
+        assert [s.name for s in leases] == ["worker.lease"] * 2
+        assert all(s.t_start >= 0.0 for s in leases)  # skew clamped
         path = self.merged_trace_file(tmp_path, rec)
-        assert main(["trace", "summarize", path, "--tree"]) == 0
-        assert main(["trace", "critical-path", path]) == 0
+        assert main(["report", path, "--tree"]) == 0
 
     def test_out_of_order_batches_still_build_the_tree(self, tmp_path):
         # The lease root arrives before the blocks it parents.
@@ -195,15 +201,13 @@ class TestAnalyzeMergedTrace:
             if s.name == "worker.block" and s.attrs.get("remote")
         )
         assert block.parent == lease.sid
-        assert main(
-            ["trace", "critical-path", self.merged_trace_file(tmp_path, rec)]
-        ) == 0
+        assert main(["report", self.merged_trace_file(tmp_path, rec)]) == 0
 
     @pytest.mark.timeout(60)
     def test_critical_path_descends_into_worker_spans(self):
         recorder = Recorder()
         sharded(1024, 11, recorder=recorder)
-        steps = critical_path(recorder.events())
+        steps = critical_path(index_trace(recorder.events()))
         names = [step.name for step in steps]
         assert "exec.shards" in names
         assert "worker.lease" in names
@@ -212,11 +216,11 @@ class TestAnalyzeMergedTrace:
     def test_digest_reads_shard_lanes_from_merged_trace(self):
         recorder = Recorder()
         sharded(1024, 11, recorder=recorder)
-        digest = digest_exec_events(recorder.events())
-        assert set(digest.shards) == {0, 1}
-        assert all(lane.leases >= 1 for lane in digest.shards.values())
-        assert digest.backend == "local"
-        assert digest.shard_plan == 2
+        health = exec_health(index_trace(recorder.events()))
+        assert set(health.lanes) == {0, 1}
+        assert all(lane.leases >= 1 for lane in health.lanes.values())
+        assert health.backend == "local"
+        assert health.shard_plan == 2
 
     @pytest.mark.timeout(60)
     def test_digest_counts_chaos_lease_outcomes(self):
@@ -225,11 +229,11 @@ class TestAnalyzeMergedTrace:
             1024, 5, recorder=recorder,
             chaos=ShardChaos(kill_shards=frozenset({1})),
         )
-        digest = digest_exec_events(recorder.events())
-        lane = digest.shards[1]
+        health = exec_health(index_trace(recorder.events()))
+        lane = health.lanes[1]
         assert lane.crashes >= 1
         assert lane.redispatches + lane.rescues >= 1
-        assert digest.shards[0].crashes == 0
+        assert health.lanes[0].crashes == 0
 
 
 class TestWatchAndMetricsCli:
@@ -321,8 +325,6 @@ class TestProfiledSharded:
 
     @pytest.mark.timeout(60)
     def test_profiled_stream_validates_and_reports(self, tmp_path):
-        from repro.obs.profile import render_profile_report
-
         stream = str(tmp_path / "telemetry.ndjson")
         recorder = Recorder()
         sharded(1024, 11, recorder=recorder, profile=251.0,
@@ -332,7 +334,7 @@ class TestProfiledSharded:
             e for e in load_ndjson(stream) if e.get("type") == "profile"
         ]
         assert batches, "no profile batches reached the telemetry stream"
-        report = render_profile_report(recorder.events())
+        report = render_report(index_trace(recorder.events()))
         assert "Per-shard process resources" in report
 
     @pytest.mark.timeout(60)

@@ -142,3 +142,36 @@ class TestSubprocessBackend:
             "last-words-for-tail" in (d.attrs.get("stderr_tail") or "")
             for d in crashes
         )
+
+    @pytest.mark.timeout(30)
+    def test_worker_that_closes_stdout_is_reaped_at_shutdown(self, monkeypatch):
+        """EOF on stdout drops the slot while its process still runs;
+        shutdown must still wait for that process."""
+        import subprocess
+        import sys
+        import time
+        from types import SimpleNamespace
+
+        from repro.exec import transport
+
+        child = (
+            "import os, sys, time; sys.stdin.readline(); os.close(1); "
+            "time.sleep(0.5)"
+        )
+        monkeypatch.setattr(transport, "subprocess", SimpleNamespace(
+            PIPE=subprocess.PIPE,
+            TimeoutExpired=subprocess.TimeoutExpired,
+            Popen=lambda _argv, **kw: subprocess.Popen(
+                [sys.executable, "-c", child], **kw
+            ),
+        ))
+        backend = SubprocessBackend(selftest_spec(), seed=0)
+        slot = backend.spawn_slot()
+        process = backend._slots[slot].process
+        events = []
+        deadline = time.monotonic() + 10.0
+        while not events and time.monotonic() < deadline:
+            events = backend.poll(0.05)
+        assert [(e.kind, e.slot) for e in events] == [("exit", slot)]
+        backend.shutdown()
+        assert process.returncode is not None

@@ -218,7 +218,7 @@ class TestObservabilityFlags:
         trace = tmp_path / "t.ndjson"
         assert main(["integrate", "--workload", "paper", "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["trace", "summarize", str(trace)]) == 0
+        assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "Per-stage timing" in out
         for stage in ("audit", "expand", "condense", "map", "score"):
@@ -229,8 +229,8 @@ class TestObservabilityFlags:
         trace = tmp_path / "t.ndjson"
         assert main(["integrate", "--workload", "paper", "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["trace", "summarize", str(trace), "--tree"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        assert main(["report", str(trace), "--tree"]) == 0
+        lines = capsys.readouterr().out.split("Span tree\n")[1].splitlines()
         assert lines[0].startswith("pipeline")
         assert any(line.startswith("  condense") for line in lines)
 
@@ -252,7 +252,7 @@ class TestObservabilityFlags:
     def test_malformed_trace_summarize_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ndjson"
         bad.write_text("not json\n")
-        assert main(["trace", "summarize", str(bad)]) == 2
+        assert main(["report", str(bad)]) == 2
         assert "malformed NDJSON" in capsys.readouterr().err
 
     def test_verbose_prints_stage_footer(self, capsys):

@@ -1,6 +1,6 @@
 """CLI surface of the trace-analytics layer.
 
-``repro trace critical-path/diff/export``, ``repro exec digest`` and
+``repro report``, ``repro trace diff/export`` and
 ``repro bench check/update-baseline``.
 """
 
@@ -48,15 +48,16 @@ class TestCriticalPath:
         # Both recorded stages are empty, so a GC pause in ``audit`` could
         # make it the dominant child; inflating ``condense`` pins the path.
         trace_file = _write_trace(tmp_path / "a.ndjson", condense_s=0.050)
-        assert main(["trace", "critical-path", trace_file]) == 0
+        assert main(["report", trace_file]) == 0
         out = capsys.readouterr().out
-        assert "pipeline" in out
-        assert "condense" in out
+        path = out.split("Critical path (dominant child at every level)\n")[1]
+        assert path.splitlines()[2].startswith("pipeline")
+        assert path.splitlines()[3].startswith("  condense")
 
     def test_meta_only_trace(self, tmp_path, capsys):
         path = tmp_path / "empty.ndjson"
         Recorder().write_trace(str(path))
-        assert main(["trace", "critical-path", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         assert "no spans" in capsys.readouterr().out
 
 
@@ -146,12 +147,14 @@ class TestExecDigest:
             )
         path = tmp_path / "campaign.ndjson"
         rec.write_trace(str(path))
-        assert main(["exec", "digest", str(path)]) == 0
-        assert "completed: 2 batches" in capsys.readouterr().out
+        assert main(["report", str(path)]) == 0
+        assert "exec: completed: 2 batches" in capsys.readouterr().out
 
     def test_digest_of_non_exec_trace(self, trace_file, capsys):
-        assert main(["exec", "digest", trace_file]) == 0
-        assert "no exec decision events" in capsys.readouterr().out
+        assert main(["report", trace_file]) == 0
+        out = capsys.readouterr().out
+        assert "condense  merge   1" in out
+        assert "exec" not in out
 
 
 class TestBenchCLI:

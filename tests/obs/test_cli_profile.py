@@ -1,5 +1,5 @@
-"""CLI surface of the profiler: ``--profile``, ``repro profile report``,
-and the process gauges in ``repro metrics export``."""
+"""CLI surface of the profiler: ``--profile``, the profile sections of
+``repro report``, and the process gauges in ``repro metrics export``."""
 
 import json
 
@@ -58,15 +58,18 @@ class TestProfileReportCommand:
             "--profile", "--trace", str(trace),
         ]) == 0
         capsys.readouterr()
-        assert main(["profile", "report", str(trace)]) == 0
+        assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "Per-shard process resources" in out
+        assert "profile events: " in out
 
     def test_report_on_unprofiled_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.ndjson"
         Recorder().write_trace(str(trace))
-        assert main(["profile", "report", str(trace)]) == 0
-        assert "no profile events" in capsys.readouterr().out
+        assert main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "profile events" not in out
+        assert "Per-shard process resources" not in out
 
 
 class TestMetricsExportProcessGauges:

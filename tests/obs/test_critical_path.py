@@ -1,7 +1,11 @@
-"""Critical-path analysis: dominant-path walk, self vs child time."""
+"""The report's critical path: dominant-path walk, self vs child time."""
 
-from repro.obs import Recorder, use
-from repro.obs.analyze import critical_path, render_critical_path, span_tree
+from repro.obs import Recorder, index_trace, render_report, use
+from repro.obs.report import critical_path as _critical_path
+
+
+def critical_path(events):
+    return _critical_path(index_trace(events))
 
 
 def _span(sid, parent, name, t0, t1, depth=0):
@@ -53,12 +57,12 @@ class TestCriticalPath:
 
     def test_empty_trace(self):
         assert critical_path([]) == []
-        assert render_critical_path([]) == "trace is empty (no events)"
+        assert render_report(index_trace([])) == "trace is empty (no events)"
 
     def test_meta_only_trace(self):
         events = [{"type": "meta", "format": "repro-trace", "version": 1}]
         assert critical_path(events) == []
-        assert render_critical_path(events) == "trace contains no spans"
+        assert render_report(index_trace(events)) == "trace contains no spans"
 
     def test_open_spans_count_as_zero(self):
         events = [
@@ -71,12 +75,11 @@ class TestCriticalPath:
 
     def test_orphan_parent_promoted_to_root(self):
         events = [_span(7, 99, "orphan", 0.0, 0.004)]
-        roots, children = span_tree(events)
-        assert [r["name"] for r in roots] == ["orphan"]
+        assert [r.name for r in index_trace(events).roots] == ["orphan"]
         assert critical_path(events)[0].name == "orphan"
 
     def test_render_includes_hottest_self_time(self):
-        text = render_critical_path(_tree_events())
+        text = render_report(index_trace(_tree_events()))
         assert "Critical path" in text
         assert "hottest self-time: a1" in text
 

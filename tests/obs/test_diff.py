@@ -1,12 +1,22 @@
 """Trace diffing: path alignment, noise gating, provenance refusal."""
 
-from repro.obs import Recorder, use
-from repro.obs.analyze import (
-    comparability_problems,
-    diff_traces,
-    render_diff,
-    span_path_stats,
-)
+from repro.obs import Recorder, index_trace, use
+from repro.obs.analyze import render_diff
+from repro.obs.analyze import comparability_problems as _comparability
+from repro.obs.analyze import diff_traces as _diff_traces
+from repro.obs.analyze import span_path_stats as _span_path_stats
+
+
+def span_path_stats(events):
+    return _span_path_stats(index_trace(events))
+
+
+def comparability_problems(events_a, events_b):
+    return _comparability(index_trace(events_a), index_trace(events_b))
+
+
+def diff_traces(events_a, events_b):
+    return _diff_traces(index_trace(events_a), index_trace(events_b))
 
 
 def _span(sid, parent, name, t0, t1):

@@ -2,8 +2,17 @@
 
 import json
 
-from repro.obs import Recorder, use
-from repro.obs.analyze import to_chrome_trace, to_collapsed_stacks
+from repro.obs import Recorder, index_trace
+from repro.obs.analyze import to_chrome_trace as _to_chrome_trace
+from repro.obs.analyze import to_collapsed_stacks as _to_collapsed_stacks
+
+
+def to_chrome_trace(events):
+    return _to_chrome_trace(index_trace(events))
+
+
+def to_collapsed_stacks(events):
+    return _to_collapsed_stacks(index_trace(events))
 
 
 def _recorded():

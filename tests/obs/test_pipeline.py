@@ -7,11 +7,9 @@ from repro.core.framework import FrameworkOptions, Heuristic, IntegrationFramewo
 from repro.obs import (
     PIPELINE_STAGES,
     Recorder,
-    decision_counts,
-    render_summary,
-    render_tree,
+    index_trace,
+    render_report,
     stage_footer,
-    summarize_trace,
     use,
     validate_trace,
 )
@@ -46,9 +44,9 @@ class TestPipelineSpans:
         assert len(recorded_pipeline.decisions) >= 3
 
     def test_condense_and_map_decisions_present(self, recorded_pipeline):
-        counts = decision_counts(recorded_pipeline.events())
-        assert counts.get(("condense", "merge"), 0) >= 1
-        assert counts.get(("map", "place"), 0) >= 1
+        text = render_report(index_trace(recorded_pipeline.events()))
+        assert "condense  merge" in text
+        assert "map       place" in text
 
     def test_campaign_span_and_metrics(self, recorded_pipeline):
         spans = {s.name for s in recorded_pipeline.spans}
@@ -79,19 +77,22 @@ class TestPipelineSpans:
 
 class TestSummaries:
     def test_summarize_orders_by_total_time(self, recorded_pipeline):
-        stats = summarize_trace(recorded_pipeline.events())
-        totals = [s.total_s for s in stats]
+        text = render_report(index_trace(recorded_pipeline.events()))
+        rows = text.split("Per-stage timing\n")[1].split("\n\n")[0]
+        rows = [line.split() for line in rows.splitlines()[2:]]
+        totals = [float(row[2]) for row in rows]
         assert totals == sorted(totals, reverse=True)
-        assert stats[0].name == "pipeline"  # the root span dominates
+        assert rows[0][0] == "pipeline"  # the root span dominates
 
     def test_render_summary_has_stage_rows(self, recorded_pipeline):
-        text = render_summary(recorded_pipeline.events())
+        text = render_report(index_trace(recorded_pipeline.events()))
         for stage in PIPELINE_STAGES:
             assert stage in text
         assert "Decision events" in text
 
     def test_render_tree_indents_children(self, recorded_pipeline):
-        lines = render_tree(recorded_pipeline.events()).splitlines()
+        text = render_report(index_trace(recorded_pipeline.events()), tree=True)
+        lines = text.split("Span tree\n")[1].splitlines()
         assert lines[0].startswith("pipeline")
         assert any(line.startswith("  audit") for line in lines)
 

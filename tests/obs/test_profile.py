@@ -3,8 +3,8 @@
 Covers the ``repro.obs.profile`` primitives (frame collapsing, the
 resource probe's per-span deltas and GC accounting, the sampler's
 drain/reset contract), the bundled :class:`Profiler` session against a
-live recorder, the zero-cost-when-disabled guarantees, and the
-``repro profile report`` renderer.
+live recorder, the zero-cost-when-disabled guarantees, and the profile
+sections of ``repro report``.
 """
 
 import gc
@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import Recorder, use, validate_trace
+from repro.obs import Recorder, index_trace, render_report, use, validate_trace
 from repro.obs.profile import (
     Profiler,
     ResourceProbe,
@@ -25,8 +25,11 @@ from repro.obs.profile import (
     open_fd_count,
     process_metrics_snapshot,
     read_rss_bytes,
-    render_profile_report,
 )
+
+
+def render_profile_report(events, top=15):
+    return render_report(index_trace(events), top=top)
 
 
 def _busy(seconds: float) -> int:
@@ -289,7 +292,8 @@ class TestProfileReport:
         with rec.span("quiet"):
             pass
         report = render_profile_report(rec.events())
-        assert "no profile events" in report
+        assert "profile" not in report
+        assert "Per-shard process resources" not in report
 
     def test_report_respects_top(self):
         events = [
