@@ -346,8 +346,8 @@ def run(quick: bool = False) -> list[dict]:
     ]
     # The same sharded campaign over the TCP transport: real sockets,
     # spawned --connect worker interpreters, generation-fenced frames.
-    # TCP pays connection setup and JSON-over-socket framing that the
-    # fork pool's private pipes do not, so its speedup floor is looser
+    # TCP pays connection setup and a fresh worker interpreter per slot
+    # that the fork pool does not, so its speedup floor is looser
     # (committed per-entry tolerance); the identical gates stay hard.
     tcp_entry = bench_sharded_campaign(
         "generated-200-tcp",

@@ -15,8 +15,9 @@ Sniffs each file's first meta line and dispatches:
   epoch anchors, and well-formed inner span/decision/profile events
   (see :func:`repro.obs.telemetry.validate_telemetry_stream`).
 * anything else — trace validation: every line must parse as JSON,
-  and span/decision/profile records must carry the required keys with
-  a consistent parent structure
+  span/decision/profile records must carry the required keys, every
+  field ``repro report`` reads must have its type, and span sids must
+  be unique with a consistent parent structure
   (see :func:`repro.obs.ndjson.validate_trace`).  Merged distributed
   traces validate here too: grafted worker spans must be closed
   (``remote`` spans with no ``t_end`` are flagged) and parented
@@ -38,8 +39,7 @@ import sys
 from repro.errors import ObservabilityError
 from repro.exec import validate_checkpoint
 from repro.exec.checkpoint import CHECKPOINT_FORMAT
-from repro.obs import load_ndjson, trace_meta, validate_trace
-from repro.obs.ndjson import unknown_kind_counts
+from repro.obs import index_trace, load_ndjson, trace_meta, validate_trace
 from repro.obs.telemetry import TELEMETRY_FORMAT, validate_telemetry_stream
 
 
@@ -80,10 +80,14 @@ def check_file(path: str) -> tuple[list[str], str]:
     )
     if meta is not None and meta.get("format") == TELEMETRY_FORMAT:
         return validate_telemetry_stream(events), label
-    unknown = unknown_kind_counts(events)
-    if unknown:
-        label += f", {sum(unknown.values())} unknown-kind event(s)"
-    return validate_trace(events), label
+    problems = validate_trace(events)
+    if not problems:
+        # A valid trace indexes cleanly: the index and the validator
+        # judge fields by the same table.
+        unknown = index_trace(events).unknown
+        if unknown:
+            label += f", {sum(unknown.values())} unknown-kind event(s)"
+    return problems, label
 
 
 def main(argv: list[str]) -> int:

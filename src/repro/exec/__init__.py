@@ -16,16 +16,17 @@ tolerance), with one recovery ladder for every way a campaign runs:
 * :mod:`repro.exec.checkpoint` — streamed NDJSON checkpoints with an
   atomic-rename completion manifest, tolerant of torn trailing lines,
   plus structural validation for CI;
-* :mod:`repro.exec.backend` — the pluggable execution-backend contract:
-  block-aligned lease serving, the forked-slot pool, and task specs a
-  remote worker can rebuild from JSON;
-* :mod:`repro.exec.transport` — isolated
-  ``python -m repro exec shard-worker`` subprocesses over NDJSON pipes
-  (one concrete carrier of the shard protocol);
-* :mod:`repro.exec.tcp` — the same protocol over real TCP connections
-  (``--backend tcp`` / ``--listen`` / ``--connect``), with reconnecting
-  workers, per-connection generation fencing, a ``bye`` on completion,
-  and the deterministic :class:`~repro.exec.chaos.NetChaos` fault layer;
+* :mod:`repro.exec.backend` — the slot protocol, written once: the
+  worker loop (``serve_session``), the supervisor-side backend (slot
+  record, receive loop, generation fence, one reaping teardown), the
+  forked-slot pool, and task specs a remote worker can rebuild from
+  JSON;
+* :mod:`repro.exec.transport` — slots as isolated
+  ``python -m repro exec shard-worker`` subprocesses over pipes;
+* :mod:`repro.exec.tcp` — slots as TCP connections (``--backend tcp`` /
+  ``--listen`` / ``--connect``), with reconnecting workers, a ``bye``
+  on completion, and the deterministic
+  :class:`~repro.exec.chaos.NetChaos` fault layer;
 * :mod:`repro.exec.shards` — the lease supervisor: block-aligned shard
   planning, heartbeat-based straggler expiry, re-dispatch with backoff,
   serial rescue and backend abandonment;
@@ -42,7 +43,6 @@ from repro.exec.backend import (
     BackendEvent,
     ExecBackend,
     ForkPoolBackend,
-    PipeWorker,
     block_ranges,
     build_task,
     make_backend,
@@ -98,7 +98,6 @@ __all__ = [
     "InterruptGuard",
     "LEASE_BLOCK_TRIALS",
     "NetChaos",
-    "PipeWorker",
     "SCALAR_BLOCK_TRIALS",
     "Shard",
     "ShardChaos",

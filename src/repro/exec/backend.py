@@ -1,38 +1,50 @@
-"""Pluggable execution backends for sharded campaigns.
+"""Execution backends for sharded campaigns: one slot protocol, three carriers.
 
 :mod:`repro.exec.shards` plans a campaign as block-aligned shard
 *leases*; this module defines what actually runs them.  A backend is a
-set of numbered worker **slots** behind a uniform message interface:
+set of numbered worker **slots**; each slot has one private,
+bidirectional channel and speaks one newline-delimited JSON protocol:
 
-* the supervisor ``dispatch()``-es a lease message to a slot and
-  ``poll()``-s for :class:`BackendEvent` s — streamed partial
-  aggregates (one per RNG block, doubling as heartbeats), explicit
-  heartbeats, lease completion, errors, and slot death;
-* slots can be ``kill()``-ed (straggler re-dispatch, chaos) and
-  ``spawn_slot()``-ed back; a SIGKILLed slot surfaces as an ``exit``
-  event, never a hang (see :class:`PipeWorker` for the fork transport's
-  private-pipe argument, which every transport mirrors).
+* supervisor -> worker: one ``hello`` line (campaign seed, block size,
+  serialized :class:`~repro.exec.chaos.ShardChaos` plan, optional
+  telemetry trace context, the slot's ``generation`` and — for slots
+  that cannot inherit the task closure — the task ``spec``), then
+  ``lease`` lines stamped with the generation, then ``bye`` (the
+  campaign completed) or ``shutdown`` (it was interrupted or
+  abandoned);
+* worker -> supervisor: ``ready`` after the hello, then per lease the
+  :func:`serve_lease` stream — ``heartbeat`` / ``partial`` / ``done`` /
+  ``error`` — interleaved with ``telemetry`` and ``profile`` batches
+  when the hello carried a trace context, and ``protocol_torn`` for a
+  supervisor line it could not decode.  Every worker message echoes
+  the generation.
 
-Three transports ship:
+Both ends are written once.  :func:`serve_session` is the only worker
+loop.  :class:`ExecBackend` is the only supervisor side: the slot
+record, the receive loop (select, read, split lines, count torn lines,
+fence stale generations, apply :class:`~repro.exec.chaos.NetChaos`),
+and one drop/kill/shutdown path that reaps every process it started.
+EOF on a slot's channel is that slot's ``exit`` event, so a SIGKILLed
+worker surfaces as an event on the next ``poll()``, never a hang.  The
+three backends only say how a slot is opened:
 
-* :class:`ForkPoolBackend` — forked slots over private pipes, the pool
-  behind ``--workers N``.  Tasks are closures; nothing needs to be
-  picklable or serializable.
-* :class:`~repro.exec.transport.SubprocessBackend` — "remote-like"
-  isolated ``python -m repro exec shard-worker`` processes speaking
-  NDJSON over stdin/stdout pipes.  It is the test double for future
-  SSH/container transports: everything crossing it must be
-  JSON-serializable, so a campaign that runs on it is proven ready to
-  leave the machine.
-* :class:`~repro.exec.tcp.TcpBackend` — the same protocol over TCP, so
-  slots can live on other hosts.
+* :class:`ForkPoolBackend` (``local``) — a forked process plus a
+  socketpair, the pool behind ``--workers N``.  The child keeps the
+  task closure it inherited, so its hello carries no spec.
+* :class:`~repro.exec.transport.SubprocessBackend` (``subprocess``) — a
+  fresh ``python -m repro exec shard-worker`` interpreter over
+  stdin/stdout pipes.  It rebuilds the task from the spec, so a
+  campaign that completes on it is proven ready to leave the machine.
+* :class:`~repro.exec.tcp.TcpBackend` (``tcp``) — a worker that dialed
+  the supervisor's listener, so slots can live on other hosts.
 
-Out-of-process transports rebuild the batch task from a **task spec**:
+Out-of-process slots rebuild the batch task from a **task spec**:
 ``{"entry": "repro.some.module:factory", "params": {...}}``.
 :func:`build_task` imports the entry point (``repro.``-namespaced only)
 and calls ``factory(params)`` — the factory must return a
 ``task(start, size, seed)`` that is a pure function of its arguments,
-exactly like :func:`repro.exec.runner.run_supervised` tasks.
+exactly like :func:`repro.exec.runner.run_supervised` tasks.  Payloads
+cross every channel as JSON, forked slots included.
 
 Leases are served in fixed :data:`LEASE_BLOCK_TRIALS`-trial blocks so
 any partial progress is reusable by a re-dispatch: a lease that dies
@@ -45,12 +57,18 @@ from __future__ import annotations
 
 import abc
 import importlib
+import json
+import os
+import selectors
+import socket
+import subprocess
+import sys
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ExecutionError
+from repro.errors import CampaignInterrupted, ExecutionError
 from repro.exec.batching import derive_seed
 
 #: Trials per lease block.  Matches the vector kernel's fixed RNG block
@@ -67,6 +85,11 @@ LEASE_BLOCK_TRIALS = 256
 SCALAR_BLOCK_TRIALS = 32
 
 _JOIN_GRACE_S = 1.0
+_READ_CHUNK = 65536
+
+#: Socket I/O timeout.  Bounds every blocking send so a wedged peer can
+#: never hang the supervisor.
+_IO_TIMEOUT_S = 5.0
 
 
 def block_ranges(
@@ -139,8 +162,6 @@ def selftest_task(params: dict) -> Callable[[int, int, int], dict]:
         if stderr_probe:
             # Exercised by the stderr-tail tests: a worker that talks on
             # stderr must leave those words in the supervisor's tail.
-            import sys
-
             print(
                 f"{stderr_probe} [{start},{start + size})",
                 file=sys.stderr, flush=True,
@@ -178,7 +199,7 @@ def combine_selftest(a: dict, b: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# The lease-serving worker loop (shared by every transport)
+# The worker side: one session loop for every carrier
 # ----------------------------------------------------------------------
 def serve_lease(
     task: Callable[[int, int, int], Any],
@@ -257,8 +278,105 @@ def serve_lease(
     emit({"type": "done", "lease": lease_id})
 
 
+def serve_session(stdin=None, stdout=None, task=None) -> str:
+    """One worker session over a text channel; returns how it ended.
+
+    ``"bye"`` (the supervisor's campaign completed), ``"shutdown"``,
+    ``"eof"`` or ``"bad-hello"``.  Trial errors never end a session;
+    they flow back as ``error`` messages so the supervisor can retry or
+    escalate.  ``task`` is the batch task of a slot that inherited it
+    (a forked slot); otherwise the hello's ``spec`` rebuilds it.
+
+    When the hello carries a ``generation``, every emitted message
+    echoes it and any incoming lease stamped with a *different*
+    generation is skipped — both halves of the fence that keeps a
+    zombie connection's traffic out of a fresh registration.  A torn
+    supervisor line is reported back as a ``protocol_torn`` message
+    instead of vanishing.
+    """
+    from repro.exec.chaos import ShardChaos
+
+    stdin = stdin if stdin is not None else sys.stdin
+    stdout = stdout if stdout is not None else sys.stdout
+    generation: int | None = None
+
+    def emit(message: dict) -> None:
+        if generation is not None:
+            message = {**message, "generation": generation}
+        stdout.write(json.dumps(message, sort_keys=True) + "\n")
+        stdout.flush()
+
+    hello_line = stdin.readline()
+    if not hello_line:
+        return "eof"
+    try:
+        hello = json.loads(hello_line)
+        if not isinstance(hello, dict) or hello.get("type") != "hello":
+            raise ValueError("the first line is not a hello")
+        generation = hello.get("generation")
+        if task is None:
+            task = build_task(hello["spec"])
+        seed = int(hello["seed"])
+        block = int(hello.get("block") or LEASE_BLOCK_TRIALS)
+        chaos = (
+            ShardChaos.from_dict(hello["chaos"])
+            if hello.get("chaos")
+            else None
+        )
+        telemetry = hello.get("telemetry") or None
+    except Exception as exc:
+        emit({"type": "error", "lease": None, "detail": f"bad hello: {exc}"})
+        return "bad-hello"
+    emit({"type": "ready"})
+    for line in stdin:
+        if not line.strip():
+            continue
+        try:
+            message = json.loads(line)
+        except ValueError:
+            message = None
+        if not isinstance(message, dict):
+            # A torn supervisor line; nothing to serve, but say so.
+            emit({"type": "protocol_torn", "lease": None})
+            continue
+        if message.get("type") in ("bye", "shutdown"):
+            return message["type"]
+        if message.get("type") != "lease":
+            continue
+        if (
+            generation is not None
+            and message.get("generation") not in (None, generation)
+        ):
+            continue  # a stale supervisor line meant for an old connection
+        serve_lease(
+            task, seed, message, emit,
+            chaos=chaos, block=block, telemetry=telemetry,
+        )
+    return "eof"
+
+
+def serve_socket(sock: socket.socket, task=None) -> str:
+    """Run :func:`serve_session` over a connected socket, then close it.
+
+    Returns how the session ended, or ``"lost"`` when the connection
+    broke mid-session — the supervisor has already reclaimed the lease.
+    """
+    reader = sock.makefile("r", encoding="utf-8")
+    writer = sock.makefile("w", encoding="utf-8")
+    try:
+        return serve_session(reader, writer, task=task)
+    except (OSError, ValueError):
+        return "lost"
+    finally:
+        for stream in (reader, writer, sock):
+            try:
+                stream.close()
+            except OSError:
+                pass
+
+
 # ----------------------------------------------------------------------
-# Backend events and the abstract backend
+# Backend events and the supervisor side
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BackendEvent:
@@ -313,46 +431,302 @@ def note_fenced_line(slot: int, generation: object) -> None:
     )
 
 
+class _Slot:
+    """One worker slot: its process, its private channel, receive state.
+
+    The slot id doubles as the channel's *generation*: ids are never
+    reused within a backend, so a message stamped with another id can
+    only be traffic meant for a different connection.
+    """
+
+    def __init__(
+        self, slot_id: int, channel, writer, process=None, stderr_tail=None
+    ) -> None:
+        self.id = slot_id
+        self.channel = channel  # readable end; EOF is slot death
+        self.writer = writer  # buffered binary writer to the worker
+        self.process = process  # Popen-like handle; None for remote workers
+        self.stderr_tail = stderr_tail
+        self.buffer = bytearray()
+        self.lines_seen = 0
+        self.release_at: float | None = None  # NetChaos delay gate
+        self.dup_rng = None  # NetChaos duplicate stream
+
+    def close(self) -> None:
+        for stream in (self.writer, self.channel):
+            try:
+                stream.close()
+            except (OSError, ValueError):
+                pass
+
+
+def _reap(retired: list) -> None:
+    """Reap every retired ``(process, stderr_tail)`` and empty ``retired``.
+
+    Each process gets what is left of one shared grace period to exit
+    on its own; one still running then is killed, and waited for, so no
+    worker outlives its backend or lingers as a zombie.
+    """
+    deadline = time.monotonic() + _JOIN_GRACE_S
+    for process, tail in retired:
+        try:
+            process.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            process.kill()
+            try:
+                process.wait(_JOIN_GRACE_S)
+            except subprocess.TimeoutExpired:  # pragma: no cover - kill is final
+                pass
+        if tail is not None:
+            tail.close()
+    retired.clear()
+
+
 class ExecBackend(abc.ABC):
     """A set of worker slots that serve shard leases.
 
     The supervisor owns every policy decision (lease grants, deadlines,
-    re-dispatch, escalation); a backend only moves messages and
-    processes.  Implementations must guarantee that slot death is
-    *observable* — a crashed or killed slot must produce an ``exit``
-    event on a later ``poll()``, never silently hang the supervisor.
+    re-dispatch, escalation); a backend only moves protocol lines and
+    processes.  Subclasses implement :meth:`_open`; the slot lifecycle,
+    the receive loop and teardown are shared.  ``task_spec`` goes into
+    the hello of slots that must rebuild the task.
     """
 
     name: str = "abstract"
 
-    @abc.abstractmethod
-    def spawn_slot(self) -> int:
-        """Start one worker slot; returns its id."""
+    def __init__(
+        self,
+        task_spec: dict | None,
+        seed: int,
+        chaos=None,
+        block: int = LEASE_BLOCK_TRIALS,
+        telemetry: dict | None = None,
+    ) -> None:
+        self._hello = {
+            "type": "hello",
+            "seed": seed,
+            "chaos": chaos.to_dict() if chaos is not None else None,
+            "block": block,
+            "telemetry": telemetry,
+        }
+        if task_spec is not None:
+            self._hello["spec"] = task_spec
+        try:
+            json.dumps(self._hello)
+        except (TypeError, ValueError) as exc:
+            raise ExecutionError(
+                f"task spec is not JSON-serializable: {exc}"
+            ) from exc
+        self._net_chaos = None
+        self._slots: dict[int, _Slot] = {}
+        # (process, stderr tail) of slots taken out of service, reaped
+        # together: a worker can close its channel and still be running.
+        self._retired: list = []
+        self._next_id = 0
+        self._selector = selectors.DefaultSelector()
+        self._lines_total = 0
+        self._partitioned = False
+        self._closed = False
+        #: Torn / stale-generation line counts (report + test surface).
+        self.torn_lines = 0
+        self.fenced_lines = 0
 
     @abc.abstractmethod
+    def _open(self, slot_id: int) -> _Slot:
+        """Start (or accept) one worker and return its slot record."""
+
+    # -- slot lifecycle -------------------------------------------------
+    def spawn_slot(self) -> int:
+        """Start one worker slot, send its hello; returns its id."""
+        if self._closed:
+            raise ExecutionError(f"{self.name} backend already shut down")
+        slot = self._open(self._next_id)
+        self._next_id += 1
+        self._slots[slot.id] = slot
+        self._selector.register(slot.channel, selectors.EVENT_READ, slot)
+        chaos = self._net_chaos
+        if chaos is not None and slot.id in chaos.duplicate_slots:
+            slot.dup_rng = chaos.rng_for(slot.id)
+        self._send(slot, {**self._hello, "generation": slot.id})
+        return slot.id
+
     def live_slots(self) -> list[int]:
         """Ids of slots currently believed alive."""
+        return list(self._slots)
 
-    @abc.abstractmethod
     def dispatch(self, slot: int, lease: dict) -> None:
-        """Send a lease message to a slot (best effort; death surfaces
-        as an ``exit`` event, not an exception)."""
+        """Send a lease to a slot (best effort; death surfaces as an
+        ``exit`` event, not an exception)."""
+        self._send(
+            self._slots[slot], {**lease, "type": "lease", "generation": slot}
+        )
 
-    @abc.abstractmethod
+    def _send(self, slot: _Slot, message: dict) -> None:
+        try:
+            slot.writer.write(
+                json.dumps(message, sort_keys=True).encode("utf-8") + b"\n"
+            )
+            slot.writer.flush()
+        except (OSError, ValueError):
+            pass  # the slot died; its exit event reclaims the work
+
+    # -- receive path ---------------------------------------------------
     def poll(self, timeout: float) -> list[BackendEvent]:
         """Collect pending events, waiting up to ``timeout`` seconds."""
+        events: list[BackendEvent] = []
+        for slot in self._slots.values():
+            if slot.stderr_tail is not None:
+                slot.stderr_tail.drain()
+        if not self._slots:
+            time.sleep(timeout)
+            return events
+        chaos = self._net_chaos
+        for key, _mask in self._selector.select(timeout):
+            slot: _Slot = key.data
+            if slot.id not in self._slots:
+                continue
+            if (
+                chaos is not None
+                and slot.release_at is None
+                and slot.id in chaos.delay_slots
+            ):
+                slot.release_at = time.monotonic() + chaos.delay_slots[slot.id]
+            try:
+                chunk = os.read(slot.channel.fileno(), _READ_CHUNK)
+            except (BlockingIOError, InterruptedError):
+                continue  # no data after all; never a death signal
+            except (OSError, ValueError):
+                chunk = b""
+            if not chunk:
+                self._drop(slot, events)
+                continue
+            slot.buffer.extend(chunk)
+            if (
+                slot.release_at is not None
+                and time.monotonic() < slot.release_at
+            ):
+                continue  # chaos: the wire is slow today
+            self._parse(slot, events)
+        if chaos is not None:
+            # Release delay-gated buffers whose deadline passed without
+            # fresh bytes arriving to trigger the parse above.
+            now = time.monotonic()
+            for slot in list(self._slots.values()):
+                if (
+                    slot.release_at is not None
+                    and now >= slot.release_at
+                    and slot.buffer
+                ):
+                    self._parse(slot, events)
+        return events
 
-    @abc.abstractmethod
+    def _parse(self, slot: _Slot, events: list[BackendEvent]) -> None:
+        chaos = self._net_chaos
+        while slot.id in self._slots:
+            newline = slot.buffer.find(b"\n")
+            if newline < 0:
+                return
+            line = bytes(slot.buffer[:newline])
+            del slot.buffer[: newline + 1]
+            if not line.strip():
+                continue
+            index = slot.lines_seen
+            slot.lines_seen += 1
+            self._lines_total += 1
+            copies = 1
+            if chaos is not None:
+                if chaos.tear_lines.get(slot.id) == index:
+                    line = line[: max(1, len(line) // 2)]
+                if (
+                    slot.dup_rng is not None
+                    and slot.dup_rng.random() < chaos.duplicate_rate
+                ):
+                    copies = 2
+            try:
+                message = json.loads(line)
+            except ValueError:
+                message = None
+            if not isinstance(message, dict):
+                # Usually a dying worker's last words — count them
+                # rather than lose the evidence.
+                self.torn_lines += 1
+                note_torn_line(slot.id, "supervisor")
+            elif message.get("generation") != slot.id:
+                # The fence: traffic stamped for another connection
+                # never reaches the supervisor.
+                self.fenced_lines += 1
+                note_fenced_line(slot.id, message.get("generation"))
+            else:
+                event = BackendEvent("message", slot.id, message=message)
+                events.extend([event] * copies)
+            if chaos is not None:
+                drop_at = chaos.drop_after.get(slot.id)
+                if drop_at is not None and slot.lines_seen >= drop_at:
+                    self._drop(slot, events)
+                    return
+                if (
+                    chaos.partition_after is not None
+                    and not self._partitioned
+                    and self._lines_total >= chaos.partition_after
+                ):
+                    self._partitioned = True
+                    for victim in list(self._slots.values()):
+                        self._drop(victim, events)
+                    if chaos.partition_interrupt:
+                        raise CampaignInterrupted(
+                            "net chaos: full partition severed every "
+                            "worker connection"
+                        )
+                    return
+
+    # -- teardown -------------------------------------------------------
+    def _retire(self, slot: _Slot) -> None:
+        """Take a slot out of service; its process is reaped later."""
+        del self._slots[slot.id]
+        try:
+            self._selector.unregister(slot.channel)
+        except (KeyError, ValueError):
+            pass
+        slot.close()
+        if slot.process is not None:
+            self._retired.append((slot.process, slot.stderr_tail))
+
+    def _drop(self, slot: _Slot, events: list[BackendEvent]) -> None:
+        """Retire a slot whose channel ended and report its ``exit``."""
+        stderr = (
+            slot.stderr_tail.text() if slot.stderr_tail is not None else None
+        )
+        exitcode = slot.process.poll() if slot.process is not None else None
+        self._retire(slot)
+        events.append(
+            BackendEvent("exit", slot.id, exitcode=exitcode, stderr=stderr)
+        )
+
     def kill(self, slot: int) -> None:
         """Hard-kill a slot (straggler replacement, chaos injection)."""
+        victim = self._slots.get(slot)
+        if victim is None:
+            return
+        if victim.process is not None:
+            victim.process.kill()
+        self._retire(victim)
+        _reap(self._retired)
 
-    @abc.abstractmethod
     def shutdown(self, bye: bool = False) -> None:
         """Stop every slot and release transport resources.
 
         ``bye`` marks a completed campaign: remote workers are told to
         exit instead of re-dialing for the next supervisor.
         """
+        if self._closed:
+            return
+        self._closed = True
+        farewell = {"type": "bye" if bye else "shutdown"}
+        for slot in list(self._slots.values()):
+            self._send(slot, farewell)
+            self._retire(slot)
+        _reap(self._retired)
+        self._selector.close()
 
     def __enter__(self) -> "ExecBackend":
         return self
@@ -362,57 +736,25 @@ class ExecBackend(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# The fork transport primitive
+# Backend #1: forked slots
 # ----------------------------------------------------------------------
-class PipeWorker:
-    """One forked worker process plus its private pipe pair.
+class _Forked:
+    """A forked slot process behind the ``Popen`` calls a backend makes."""
 
-    The pipes are created immediately before the fork and the child's
-    ends are closed in the supervisor immediately after, so the worker
-    holds the only write end of its result pipe: its death — however
-    abrupt — reliably reads as ``EOFError`` on the supervisor side.  A
-    shared ``multiprocessing.Queue`` would be unsafe here: its producers
-    serialize on a cross-process write lock held by a feeder thread, and
-    a worker SIGKILLed mid-write orphans that lock, deadlocking every
-    sibling.  With private pipes a torn write stays on the dead worker's
-    own channel and surfaces as a crash, not a hang.
-    """
+    def __init__(self, process) -> None:
+        self._process = process
 
-    def __init__(self, worker_id: int, ctx, main, args: tuple, name: str) -> None:
-        self.id = worker_id
-        task_recv, self.task_send = ctx.Pipe(duplex=False)
-        self.result_recv, result_send = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
-            target=main,
-            args=args + (task_recv, result_send),
-            daemon=True,
-            name=name,
-        )
-        self.process.start()
-        task_recv.close()
-        result_send.close()
+    def poll(self) -> int | None:
+        return self._process.exitcode
 
-    def send(self, item) -> None:
-        try:
-            self.task_send.send(item)
-        except (OSError, ValueError):
-            pass  # worker already dead; its exit event reclaims the work
-
-    def stop(self) -> None:
-        self.send(None)
+    def wait(self, timeout: float) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired(self._process.name, timeout)
+        return self._process.exitcode
 
     def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(_JOIN_GRACE_S)
-        self.close()
-
-    def close(self) -> None:
-        for conn in (self.task_send, self.result_recv):
-            try:
-                conn.close()
-            except OSError:
-                pass
+        self._process.kill()
 
 
 def _quiet_worker_recorder() -> None:
@@ -426,36 +768,13 @@ def _quiet_worker_recorder() -> None:
     _recorder_module._current = _recorder_module.NULL_RECORDER
 
 
-def _fork_slot_main(task, seed, chaos, block, telemetry, task_recv, result_send):
-    _quiet_worker_recorder()
-    while True:
-        try:
-            lease = task_recv.recv()
-        except (EOFError, OSError):
-            return  # supervisor went away
-        if lease is None:
-            return
-
-        def emit(message: dict) -> None:
-            try:
-                result_send.send(message)
-            except (OSError, ValueError):
-                raise SystemExit(0) from None
-
-        try:
-            serve_lease(
-                task, seed, lease, emit,
-                chaos=chaos, block=block, telemetry=telemetry,
-            )
-        except SystemExit:
-            return
-
-
 class ForkPoolBackend(ExecBackend):
-    """Shard backend #1: forked slots in this process's address space.
+    """Forked slots in this process's address space (``local``).
 
-    The task is a closure captured at fork time, so campaign payloads
-    (graphs, compiled kernels) need not be serializable.
+    Each slot is a forked process serving :func:`serve_session` over its
+    own socketpair.  The task is the closure captured at fork time, so
+    campaign inputs (graphs, compiled kernels) need not be serializable;
+    only payloads cross the channel.
     """
 
     name = "local"
@@ -470,76 +789,24 @@ class ForkPoolBackend(ExecBackend):
     ) -> None:
         import multiprocessing
 
+        super().__init__(None, seed, chaos, block, telemetry)
         self._task = task
-        self._seed = seed
-        self._chaos = chaos
-        self._block = block
-        self._telemetry = telemetry
         self._ctx = multiprocessing.get_context("fork")
-        self._slots: dict[int, PipeWorker] = {}
-        self._next_id = 0
 
-    def spawn_slot(self) -> int:
-        worker = PipeWorker(
-            self._next_id,
-            self._ctx,
-            _fork_slot_main,
-            (self._task, self._seed, self._chaos, self._block,
-             self._telemetry),
-            name=f"repro-shard-{self._next_id}",
+    def _open(self, slot_id: int) -> _Slot:
+        ours, theirs = socket.socketpair()
+
+        def main() -> None:
+            _quiet_worker_recorder()
+            serve_socket(theirs, task=self._task)
+
+        process = self._ctx.Process(
+            target=main, daemon=True, name=f"repro-shard-{slot_id}"
         )
-        self._slots[worker.id] = worker
-        self._next_id += 1
-        return worker.id
-
-    def live_slots(self) -> list[int]:
-        return list(self._slots)
-
-    def dispatch(self, slot: int, lease: dict) -> None:
-        self._slots[slot].send(lease)
-
-    def poll(self, timeout: float) -> list[BackendEvent]:
-        from multiprocessing import connection as mp_connection
-
-        events: list[BackendEvent] = []
-        by_conn = {w.result_recv: w for w in self._slots.values()}
-        if not by_conn:
-            time.sleep(timeout)
-            return events
-        for conn in mp_connection.wait(list(by_conn), timeout=timeout):
-            worker = by_conn[conn]
-            if worker.id not in self._slots:
-                continue
-            try:
-                message = worker.result_recv.recv()
-            except (EOFError, OSError):
-                worker.process.join(_JOIN_GRACE_S)
-                exitcode = worker.process.exitcode
-                worker.close()
-                del self._slots[worker.id]
-                events.append(
-                    BackendEvent("exit", worker.id, exitcode=exitcode)
-                )
-                continue
-            events.append(BackendEvent("message", worker.id, message=message))
-        return events
-
-    def kill(self, slot: int) -> None:
-        worker = self._slots.pop(slot, None)
-        if worker is not None:
-            worker.kill()
-
-    def shutdown(self, bye: bool = False) -> None:
-        for worker in self._slots.values():
-            worker.stop()
-        deadline = time.monotonic() + _JOIN_GRACE_S
-        for worker in list(self._slots.values()):
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.kill()
-            else:
-                worker.close()
-        self._slots.clear()
+        process.start()
+        theirs.close()
+        ours.settimeout(_IO_TIMEOUT_S)
+        return _Slot(slot_id, ours, ours.makefile("wb"), _Forked(process))
 
 
 BACKEND_NAMES = ("local", "subprocess", "tcp")
@@ -580,29 +847,24 @@ def make_backend(
         return ForkPoolBackend(
             task, seed, chaos=chaos, block=block, telemetry=telemetry
         )
+    if name not in ("subprocess", "tcp"):
+        raise ExecutionError(
+            f"unknown exec backend {name!r} (expected one of {BACKEND_NAMES})"
+        )
+    if task_spec is None:
+        raise ExecutionError(
+            f"the {name} backend needs a JSON-serializable task_spec "
+            "(its workers run in fresh interpreters)"
+        )
     if name == "subprocess":
         from repro.exec.transport import SubprocessBackend
 
-        if task_spec is None:
-            raise ExecutionError(
-                "the subprocess backend needs a JSON-serializable task_spec "
-                "(its workers run in fresh interpreters)"
-            )
         return SubprocessBackend(
             task_spec, seed, chaos=chaos, block=block, telemetry=telemetry
         )
-    if name == "tcp":
-        from repro.exec.tcp import TcpBackend
+    from repro.exec.tcp import TcpBackend
 
-        if task_spec is None:
-            raise ExecutionError(
-                "the tcp backend needs a JSON-serializable task_spec "
-                "(its workers run in fresh interpreters)"
-            )
-        return TcpBackend(
-            task_spec, seed, chaos=chaos, block=block, telemetry=telemetry,
-            listen=listen,
-        )
-    raise ExecutionError(
-        f"unknown exec backend {name!r} (expected one of {BACKEND_NAMES})"
+    return TcpBackend(
+        task_spec, seed, chaos=chaos, block=block, telemetry=telemetry,
+        listen=listen,
     )

@@ -17,10 +17,76 @@ from repro.errors import ObservabilityError
 _SPAN_KEYS = {"sid", "parent", "name", "depth", "t_start", "t_end", "dur_s"}
 _DECISION_KEYS = {"seq", "category", "action", "subject", "reason", "span"}
 
-#: Record types this version of the tooling understands.  Anything else
-#: is *tolerated* by validation and merely counted (forward
+_NUMBER = (int, float)
+
+#: What each checked type is called in a problem line.
+_WANT = {int: "an integer", _NUMBER: "a number", str: "a string", dict: "an object"}
+
+#: record type -> field -> accepted type, for every field a reader
+#: uses.  A missing or null field always passes and reads as its default.
+#: Its keys are the record types this version of the tooling understands;
+#: anything else is *tolerated* by validation and merely counted (forward
 #: compatibility: older tools must survive traces from newer writers).
-_KNOWN_KINDS = {"meta", "span", "decision", "profile"}
+_FIELDS = {
+    "meta": {"provenance": dict},
+    "span": {
+        "sid": int, "parent": int, "name": str, "t_start": _NUMBER,
+        "t_end": _NUMBER, "dur_s": _NUMBER, "attrs": dict,
+    },
+    "decision": {"category": str, "action": str, "span": int, "attrs": dict},
+    "profile": {
+        "kind": str, "span": int, "shard": int, "pid": int, "hz": _NUMBER,
+        "t": _NUMBER, "stacks": dict, "samples": int,
+        "rss_peak_bytes": _NUMBER, "cpu_s": _NUMBER,
+        "gc_collections": int, "gc_pause_s": _NUMBER,
+    },
+}
+
+#: ``exec`` decision attrs the lease-health section reads.
+_EXEC_ATTRS = {
+    "shard": int, "heartbeats": int, "shards": int, "entries": int,
+    "corrupt_lines": int, "lines": int, "batches": int,
+    "from_checkpoint": int, "stderr_tail": str,
+}
+
+
+def _typed(record: dict, kind: str, fields: dict, prefix: str = "") -> list[str]:
+    return [
+        f"{kind} field '{prefix}{key}' must be {_WANT[want]}, "
+        f"not {type(value).__name__}"
+        for key, want in fields.items()
+        if (value := record.get(key)) is not None
+        and (isinstance(value, bool) or not isinstance(value, want))
+    ]
+
+
+def wrong_fields(event: dict) -> list[str]:
+    """The fields of one trace record a reader could not use.
+
+    The one definition of a well-typed field, shared by
+    :func:`validate_trace` and :func:`repro.obs.report.index_trace`:
+    every field a reader uses must be null or of its type, an ``exec``
+    decision's lease-health attrs too, and a profile record's ``stacks``
+    must map to integer counts.  Each problem reads ``"<type> field
+    '<name>' must be <kind>, not <type>"``; records of unknown type
+    have none.
+    """
+    kind = event.get("type")
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        return []
+    problems = _typed(event, kind, _FIELDS[kind])
+    if problems:
+        return problems
+    if kind == "decision" and event.get("category") == "exec":
+        return _typed(event.get("attrs") or {}, kind, _EXEC_ATTRS, "attrs.")
+    if kind == "profile":
+        for count in (event.get("stacks") or {}).values():
+            if isinstance(count, bool) or not isinstance(count, int):
+                return [
+                    "profile field 'stacks' must map stacks to integer "
+                    f"counts, not {type(count).__name__}"
+                ]
+    return []
 
 
 def dump_ndjson(events, path_or_file) -> None:
@@ -92,9 +158,11 @@ def trace_meta(events: list[dict]) -> dict | None:
 def validate_trace(events: list[dict]) -> list[str]:
     """Structural problems of a parsed trace (empty list = valid).
 
-    Checks: every known record ``type`` carries its required keys, span
-    parents reference emitted sids and never loop back (a span that is
-    its own ancestor), closed spans have
+    Checks: every field a reader uses has its type (:func:`wrong_fields`;
+    a record with a wrong-typed field gets no further checks), every
+    known record ``type`` carries its required keys, no two spans share
+    a sid, span parents reference emitted sids and never loop back (a
+    span that is its own ancestor), closed spans have
     ``t_end >= t_start``, and version-2 meta lines carry a provenance
     block (version-1 traces, which predate provenance, stay valid).
     Records with *unknown* types are tolerated — count them with
@@ -102,16 +170,20 @@ def validate_trace(events: list[dict]) -> list[str]:
     written by newer versions that add event kinds.
     """
     problems: list[str] = []
-    sids: set[int] = set()
+    wrong = [wrong_fields(event) for event in events]
+    first_at: dict[int, int] = {}  # sid -> index of the span that has it
     parents: dict[int, int | None] = {}
-    for event in events:
-        if event.get("type") == "span":
-            sids.add(event.get("sid", -1))
-            if event.get("sid") is not None:
-                parents[event["sid"]] = event.get("parent")
+    for i, event in enumerate(events):
+        sid = event.get("sid")
+        if event.get("type") == "span" and not wrong[i] and sid is not None:
+            first_at.setdefault(sid, i)
+            parents[sid] = event.get("parent")
     looped = parent_cycles(parents)
     for i, event in enumerate(events):
         where = f"event {i}"
+        if wrong[i]:
+            problems.extend(f"{where}: {problem}" for problem in wrong[i])
+            continue
         kind = event.get("type")
         if kind == "meta":
             if event.get("format") != "repro-trace":
@@ -137,25 +209,27 @@ def validate_trace(events: list[dict]) -> list[str]:
             if missing:
                 problems.append(f"{where}: span missing keys {sorted(missing)}")
                 continue
+            sid = event["sid"]
+            if first_at.get(sid, i) != i:
+                problems.append(
+                    f"{where}: span {sid} reuses the sid of event {first_at[sid]}"
+                )
             parent = event["parent"]
-            if parent is not None and parent not in sids:
+            if parent is not None and parent not in first_at:
                 problems.append(
-                    f"{where}: span {event['sid']} has unknown parent {parent}"
+                    f"{where}: span {sid} has unknown parent {parent}"
                 )
-            if event["sid"] in looped:
-                problems.append(
-                    f"{where}: span {event['sid']} is in a parent cycle"
-                )
-            if event["t_end"] is not None and event["t_end"] < event["t_start"]:
-                problems.append(f"{where}: span {event['sid']} ends before it starts")
+            if sid in looped:
+                problems.append(f"{where}: span {sid} is in a parent cycle")
+            t_start, t_end = event["t_start"], event["t_end"]
+            if t_end is not None and t_start is not None and t_end < t_start:
+                problems.append(f"{where}: span {sid} ends before it starts")
             attrs = event.get("attrs") or {}
-            if attrs.get("remote") and event["t_end"] is None:
+            if attrs.get("remote") and t_end is None:
                 # Merged distributed traces must close every worker span:
                 # the supervisor's graft closes even spans the worker died
                 # inside, so an open remote span means a broken merge.
-                problems.append(
-                    f"{where}: remote span {event['sid']} never closed"
-                )
+                problems.append(f"{where}: remote span {sid} never closed")
             continue
         if kind == "decision":
             missing = _DECISION_KEYS - set(event)
@@ -167,7 +241,7 @@ def validate_trace(events: list[dict]) -> list[str]:
                 problems.append(f"{where}: profile record has no kind")
             else:
                 owner = event.get("span")
-                if owner is not None and owner not in sids:
+                if owner is not None and owner not in first_at:
                     problems.append(
                         f"{where}: profile record references unknown span {owner}"
                     )
@@ -208,7 +282,7 @@ def unknown_kind_counts(events: list[dict]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for event in events:
         kind = event.get("type")
-        if kind in _KNOWN_KINDS:
+        if isinstance(kind, str) and kind in _FIELDS:
             continue
         label = kind if isinstance(kind, str) else "<missing>"
         counts[label] = counts.get(label, 0) + 1

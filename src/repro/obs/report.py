@@ -24,48 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ObservabilityError
-from repro.obs.ndjson import parent_cycles, trace_meta
-
-_NUMBER = (int, float)
-
-#: What each checked type is called in an error message.
-_WANT = {int: "an integer", _NUMBER: "a number", str: "a string", dict: "an object"}
-
-#: record type -> field -> accepted type, for every field a reader
-#: uses.  A missing or null field always passes and reads as its default.
-_FIELDS = {
-    "meta": {"provenance": dict},
-    "span": {
-        "sid": int, "parent": int, "name": str, "t_start": _NUMBER,
-        "t_end": _NUMBER, "dur_s": _NUMBER, "attrs": dict,
-    },
-    "decision": {"category": str, "action": str, "span": int, "attrs": dict},
-    "profile": {
-        "kind": str, "span": int, "shard": int, "pid": int, "hz": _NUMBER,
-        "t": _NUMBER, "stacks": dict, "samples": int,
-        "rss_peak_bytes": _NUMBER, "cpu_s": _NUMBER,
-        "gc_collections": int, "gc_pause_s": _NUMBER,
-    },
-}
-
-#: ``exec`` decision attrs the lease-health section reads.
-_EXEC_ATTRS = {
-    "shard": int, "heartbeats": int, "shards": int, "entries": int,
-    "corrupt_lines": int, "lines": int, "batches": int,
-    "from_checkpoint": int, "stderr_tail": str,
-}
-
-
-def _check(at: int, record: dict, kind: str, fields: dict, prefix: str = "") -> None:
-    for key, want in fields.items():
-        value = record.get(key)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, want)
-        ):
-            raise ObservabilityError(
-                f"event {at}: {kind} field '{prefix}{key}' must be "
-                f"{_WANT[want]}, not {type(value).__name__}"
-            )
+from repro.obs.ndjson import parent_cycles, trace_meta, wrong_fields
 
 
 @dataclass(frozen=True)
@@ -121,9 +80,10 @@ def index_trace(events: list[dict]) -> TraceIndex:
     profiles: list[dict] = []
     unknown: dict[str, int] = {}
     for at, event in enumerate(events):
+        wrong = wrong_fields(event)
+        if wrong:
+            raise ObservabilityError(f"event {at}: {wrong[0]}")
         kind = event.get("type")
-        if kind in _FIELDS:
-            _check(at, event, kind, _FIELDS[kind])
         if kind == "span":
             still_open = event.get("t_end") is None
             spans.append(TraceSpan(
@@ -136,18 +96,10 @@ def index_trace(events: list[dict]) -> TraceIndex:
                 attrs=event.get("attrs") or {},
             ))
         elif kind == "decision":
-            if event.get("category") == "exec":
-                _check(at, event.get("attrs") or {}, kind, _EXEC_ATTRS, "attrs.")
             decisions.append(event)
             owner = event.get("span")
             per_span[owner] = per_span.get(owner, 0) + 1
         elif kind == "profile":
-            for count in (event.get("stacks") or {}).values():
-                if isinstance(count, bool) or not isinstance(count, int):
-                    raise ObservabilityError(
-                        f"event {at}: profile field 'stacks' must map "
-                        f"stacks to integer counts, not {type(count).__name__}"
-                    )
             profiles.append(event)
         elif kind != "meta":
             label = kind if isinstance(kind, str) else "<missing>"

@@ -1,4 +1,4 @@
-"""The backend contract: block splitting, task specs, fork transport."""
+"""The backend contract: block splitting, task specs, the slot transports."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.exec import (
     serve_lease,
 )
 from repro.exec.backend import (
+    BACKEND_NAMES,
     ForkPoolBackend,
     combine_selftest,
     selftest_spec,
@@ -116,10 +117,14 @@ def _drain(backend, want_types, timeout_s=20.0):
 
 
 class TestForkPoolBackend:
+    """The slot contract, over the fork pool and both other carriers."""
+
     @pytest.mark.timeout(60)
-    def test_lease_roundtrip(self):
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_lease_roundtrip(self, name):
         task = selftest_task({"modulus": 31})
-        with ForkPoolBackend(task, seed=7) as backend:
+        spec = selftest_spec(modulus=31)
+        with make_backend(name, task_spec=spec, seed=7) as backend:
             slot = backend.spawn_slot()
             assert backend.live_slots() == [slot]
             backend.dispatch(
@@ -137,9 +142,9 @@ class TestForkPoolBackend:
         assert merged == task(0, 300, 7)
 
     @pytest.mark.timeout(60)
-    def test_killed_slot_surfaces_exit_event(self):
-        task = selftest_task({"delay_s": 0.05})
-        backend = ForkPoolBackend(task, seed=1)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_killed_slot_surfaces_exit_event(self, name):
+        backend = make_backend(name, task_spec=selftest_spec(delay_s=0.05), seed=1)
         try:
             slot = backend.spawn_slot()
             backend.dispatch(
@@ -152,12 +157,41 @@ class TestForkPoolBackend:
             backend.shutdown()
 
     @pytest.mark.timeout(60)
-    def test_shutdown_with_idle_slots(self):
-        backend = ForkPoolBackend(selftest_task({}), seed=1)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_shutdown_with_idle_slots(self, name):
+        backend = make_backend(name, task_spec=selftest_spec(), seed=1)
         backend.spawn_slot()
         backend.spawn_slot()
         backend.shutdown()
         assert backend.live_slots() == []
+
+    @pytest.mark.timeout(60)
+    def test_forked_slot_answers_hello_and_stamps_its_generation(self):
+        """Forked slots speak the same protocol as the other carriers:
+        ``ready`` first, and every message echoes the slot's generation."""
+        import time
+
+        with ForkPoolBackend(selftest_task({}), seed=3) as backend:
+            slots = [backend.spawn_slot(), backend.spawn_slot()]
+            for slot in slots:
+                backend.dispatch(
+                    slot,
+                    {"id": slot, "shard": slot, "start": 0, "size": 300,
+                     "attempt": 1},
+                )
+            seen = {slot: [] for slot in slots}
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and not all(
+                messages and messages[-1]["type"] == "done"
+                for messages in seen.values()
+            ):
+                for event in backend.poll(0.05):
+                    assert event.kind == "message", event
+                    seen[event.slot].append(event.message)
+        for slot, messages in seen.items():
+            assert messages[0]["type"] == "ready"
+            assert messages[-1]["type"] == "done"
+            assert {m["generation"] for m in messages} == {slot}
 
 
 class TestMakeBackend:

@@ -202,15 +202,22 @@ class TestAcceptance:
         return rec.events()
 
     def test_injected_condense_slowdown_detected(self):
+        import copy
+
+        from repro.obs.analyze.diff import DEFAULT_MIN_DELTA_S
+
         events_a = self._record_paper_trace()
-        events_b = self._record_paper_trace()
-        # Inject a 2x slowdown into the condense stage of run B (and
-        # grow the parent pipeline span by the same delta, as a real
-        # slowdown would).
+        # B is A plus the injected regression and nothing else, so no
+        # run-to-run noise (a cold first run, a busy host) can hide it.
+        events_b = copy.deepcopy(events_a)
+        # Inject a 2x slowdown into the condense stage of B (and grow
+        # the parent pipeline span by the same delta, as a real
+        # slowdown would).  A condense recorded under the noise gate
+        # gets an absolute delta that clears it; the gate stays as is.
         for event in events_b:
             if event.get("type") == "span" and event["name"] == "condense":
-                injected = event["dur_s"]
-                event["dur_s"] *= 2.0
+                injected = max(event["dur_s"], 2 * DEFAULT_MIN_DELTA_S)
+                event["dur_s"] += injected
                 event["t_end"] += injected
         for event in events_b:
             if event.get("type") == "span" and event["name"] == "pipeline":

@@ -117,6 +117,59 @@ class TestValidateTrace:
         assert validate_trace(events) == []
 
 
+SPAN = {
+    "type": "span", "sid": 1, "parent": None, "name": "s", "depth": 0,
+    "t_start": 0.0, "t_end": 1.0, "dur_s": 1.0,
+}
+
+#: Hand-written traces that ``repro report`` cannot read, each with the
+#: one problem line the validator must print for it.
+BAD_TRACES = {
+    "list sid": (
+        [dict(SPAN, sid=[1])],
+        "event 1: span field 'sid' must be an integer, not list",
+    ),
+    "list parent": (
+        [SPAN, dict(SPAN, sid=2, parent=[1])],
+        "event 2: span field 'parent' must be an integer, not list",
+    ),
+    "string dur_s": (
+        [dict(SPAN, dur_s="1.0")],
+        "event 1: span field 'dur_s' must be a number, not str",
+    ),
+    "shared sid": (
+        [SPAN, dict(SPAN, name="t")],
+        "event 2: span 1 reuses the sid of event 1",
+    ),
+}
+
+
+class TestCheckNdjsonScript:
+    """The CI validator and the trace readers agree on what is valid."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRACES))
+    def test_bad_trace_invalid_with_one_problem_line(self, case, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        events, problem = BAD_TRACES[case]
+        path = tmp_path / "bad.ndjson"
+        dump_ndjson(Recorder().events() + events, str(path))
+        proc = subprocess.run(
+            [sys.executable, "scripts/check_ndjson.py", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            f"{path}: INVALID (repro-trace v2)",
+            f"  - {problem}",
+        ]
+
+
 class TestUnknownKinds:
     """Forward compatibility: newer writers may add event kinds."""
 
