@@ -9,20 +9,17 @@ Sniffs each file's first meta line and dispatches:
   manifest claiming completion over coverage gaps.  Torn lines are
   tolerated (the format survives crashes by design) and surfaced in
   the label.
-* ``repro-worker-telemetry`` — raw worker-telemetry batch streams as
-  written by ``--telemetry-stream``: per-lease monotonic sequence
-  numbers (``telemetry`` and ``profile`` batches share one sequence),
-  epoch anchors, and well-formed inner span/decision/profile events
-  (see :func:`repro.obs.telemetry.validate_telemetry_stream`).
 * anything else — trace validation: every line must parse as JSON,
   span/decision/profile records must carry the required keys, every
-  field ``repro report`` reads must have its type, and span sids must
-  be unique with a consistent parent structure
-  (see :func:`repro.obs.ndjson.validate_trace`).  Merged distributed
-  traces validate here too: grafted worker spans must be closed
-  (``remote`` spans with no ``t_end`` are flagged) and parented
-  inside the supervisor's tree.  Records of *unknown* type are
-  tolerated and counted in the label (forward compatibility with
+  field ``repro report`` reads must have its type, span sids must be
+  unique with a consistent parent structure, and a finished
+  version-3 trace ends with one ``metrics`` record whose counts match
+  (see :func:`repro.obs.ndjson.validate_trace`).  A version-3 trace
+  without that record is a live prefix and says so in the label.
+  Merged distributed traces validate here too: grafted worker spans
+  must be closed (``remote`` spans with no ``t_end`` are flagged) and
+  parented inside the supervisor's tree.  Records of *unknown* type
+  are tolerated and counted in the label (forward compatibility with
   newer writers).
 
 Usage::
@@ -40,7 +37,6 @@ from repro.errors import ObservabilityError
 from repro.exec import validate_checkpoint
 from repro.exec.checkpoint import CHECKPOINT_FORMAT
 from repro.obs import index_trace, load_ndjson, trace_meta, validate_trace
-from repro.obs.telemetry import TELEMETRY_FORMAT, validate_telemetry_stream
 
 
 def _sniff_format(path: str) -> str | None:
@@ -78,15 +74,15 @@ def check_file(path: str) -> tuple[list[str], str]:
         if meta is not None
         else "no meta line"
     )
-    if meta is not None and meta.get("format") == TELEMETRY_FORMAT:
-        return validate_telemetry_stream(events), label
     problems = validate_trace(events)
     if not problems:
         # A valid trace indexes cleanly: the index and the validator
         # judge fields by the same table.
-        unknown = index_trace(events).unknown
-        if unknown:
-            label += f", {sum(unknown.values())} unknown-kind event(s)"
+        index = index_trace(events)
+        if index.live:
+            label += ", live prefix (no closing metrics record)"
+        if index.unknown:
+            label += f", {sum(index.unknown.values())} unknown-kind event(s)"
     return problems, label
 
 

@@ -31,7 +31,8 @@ Subpackages:
   generators
 * ``repro.core`` — the end-to-end :class:`IntegrationFramework`
 * ``repro.analysis`` — trade-off sweeps, codesign, exact optima, annealing
-* ``repro.obs`` — tracing, metrics, decision events (``--trace``/``--metrics``)
+* ``repro.obs`` — tracing, metrics, decision events, one trace per run
+  (``--trace``)
 * ``repro.extensions`` — the OO class level (paper footnote 4)
 * ``repro.io`` — JSON round-trip, Graphviz export; ``repro.cli`` — the
   ``python -m repro`` command line

@@ -35,19 +35,21 @@ campaign results are bit-identical whichever combination is used.
 * ``trace export TRACE.ndjson --format {chrome,collapsed}`` — Chrome
   trace-event JSON (Perfetto / ``chrome://tracing``) or collapsed
   stacks for flamegraph tooling.
-* ``exec watch STATUS.json`` — live refreshing per-shard health view of
-  a running sharded campaign (the JSON named by ``--status-file``).
-* ``metrics export [METRICS.json] --format prom`` — render a metrics
-  snapshot in Prometheus text exposition format; process-level gauges
-  (RSS, CPU seconds, open fds) are always included, even with no
-  snapshot file at all.
+* ``exec watch TRACE.ndjson [--once]`` — tail the trace of a running
+  campaign and show its per-shard lease health; exits 0 once the run's
+  closing ``metrics`` record lands.
+* ``metrics export [TRACE.ndjson] --format prom`` — render the metrics
+  snapshot of a finished trace in Prometheus text exposition format;
+  process-level gauges (RSS, CPU seconds, open fds) are always
+  included, even with no trace at all.
 * ``bench check`` — compare the latest ``BENCH_pipeline.json`` against
   the committed baseline (``bench update-baseline`` refreshes it).
 
-Every subcommand accepts ``--trace FILE`` (write an NDJSON span/decision
-trace) and ``--metrics FILE`` (write a metrics-registry JSON snapshot);
-``integrate`` and ``resilience`` additionally take ``-v/--verbose`` for a
-one-line stage-timing footer.  With none of those given, the library runs
+Every subcommand that runs the library accepts ``--trace FILE``: the one
+sink of the run, an NDJSON trace written as records close and ended by
+a ``metrics`` record holding the metrics snapshot.  ``integrate`` and
+the campaign subcommands additionally take ``-v/--verbose`` for a
+one-line stage-timing footer.  With neither given, the library runs
 against the no-op recorder and records nothing.  Campaign subcommands
 also take ``--profile [HZ]``: a sampling stack/resource profiler whose
 ``profile`` events land in the trace (and, for sharded runs, stream
@@ -115,14 +117,11 @@ from repro.workloads import (
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach ``--trace`` / ``--metrics`` to one subcommand parser."""
+    """Attach ``--trace`` to one subcommand parser."""
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="write an NDJSON span/decision trace of this run here",
-    )
-    parser.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write a JSON metrics snapshot of this run here",
+        help="stream an NDJSON trace of this run here (spans, decisions, "
+        "profile events, and a closing metrics snapshot)",
     )
 
 
@@ -196,18 +195,6 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         "for remote 'repro exec shard-worker --connect' workers to dial "
         "in (default: loopback listener + self-spawned local workers)",
     )
-    parser.add_argument(
-        "--status-file", default=None, metavar="FILE",
-        help="sharded runs: atomically rewrite this JSON with live "
-        "per-shard health while the campaign runs (watch it with "
-        "'repro exec watch FILE')",
-    )
-    parser.add_argument(
-        "--telemetry-stream", default=None, metavar="FILE",
-        help="sharded runs: write the raw worker-telemetry batches "
-        "(NDJSON) here; also forces worker telemetry on even without "
-        "--trace",
-    )
 
 
 def _exec_policy(args: argparse.Namespace):
@@ -221,15 +208,8 @@ def _exec_policy(args: argparse.Namespace):
 
 def _check_shard_only_flags(args: argparse.Namespace) -> None:
     """Refuse lease-only flags on a campaign that is not sharded."""
-    if args.backend is not None or args.shards:
-        return
-    for flag, value in (
-        ("--listen", args.listen),
-        ("--status-file", args.status_file),
-        ("--telemetry-stream", args.telemetry_stream),
-    ):
-        if value is not None:
-            raise DDSIError(f"{flag} needs --backend or --shards")
+    if args.listen is not None and args.backend is None and not args.shards:
+        raise DDSIError("--listen needs --backend or --shards")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch = exec_sub.add_parser(
         "watch",
-        help="live per-shard health view of a running sharded campaign "
-        "(reads the JSON named by the campaign's --status-file)",
+        help="live per-shard lease health of a running campaign, read "
+        "from the trace it is writing; exits once the trace is finished",
     )
-    watch.add_argument("file", help="campaign status JSON file")
+    watch.add_argument("file", help="the campaign's --trace file")
     watch.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
         help="refresh period (default 1s)",
@@ -500,18 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     metrics_cmd = sub.add_parser(
-        "metrics", help="inspect metrics-registry snapshots"
+        "metrics", help="inspect the metrics snapshot of a trace"
     )
     metrics_sub = metrics_cmd.add_subparsers(dest="metrics_command", required=True)
     metrics_export = metrics_sub.add_parser(
         "export",
-        help="convert a metrics snapshot (--metrics FILE output) for "
-        "external scrapers",
+        help="convert a finished trace's metrics snapshot for external "
+        "scrapers",
     )
     metrics_export.add_argument(
         "file", nargs="?", default=None,
-        help="metrics snapshot JSON file (omit to export only the "
-        "process-level gauges)",
+        help="NDJSON trace file (omit to export only the process-level "
+        "gauges)",
     )
     metrics_export.add_argument(
         "--format", choices=["prom"], default="prom",
@@ -757,8 +737,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         engine=args.engine,
         backend=args.backend,
         shards=args.shards,
-        status_file=args.status_file,
-        telemetry_stream=args.telemetry_stream,
         listen=args.listen,
         profile=args.profile,
     )
@@ -823,29 +801,40 @@ def _cmd_exec(args: argparse.Namespace) -> int:
 
 
 def _cmd_exec_watch(args: argparse.Namespace) -> int:
-    import os
     import time as _time
 
-    from repro.obs.telemetry import load_status, render_status
+    from repro.errors import ObservabilityError
+    from repro.obs import index_trace, lease_health, load_live_trace
 
-    if args.once:
-        print(render_status(load_status(args.file)))
-        return 0
     waited_notice = False
     try:
         while True:
-            if not os.path.exists(args.file):
+            events = load_live_trace(args.file)
+            if not events:
+                if args.once:
+                    raise ObservabilityError(f"{args.file}: no trace yet")
                 if not waited_notice:
                     print(f"waiting for {args.file} ...", flush=True)
                     waited_notice = True
                 _time.sleep(args.interval)
                 continue
-            status = load_status(args.file)
+            if events[0].get("format") != "repro-trace":
+                raise ObservabilityError(f"{args.file} is not a repro trace")
+            index = index_trace(events)
+            view = (
+                f"trace {args.file}  "
+                f"[{'running' if index.live else 'ended'}]  "
+                f"{len(events)} records\n\n"
+                + (lease_health(index) or "no lease decisions yet")
+            )
+            if args.once:
+                print(view)
+                return 0
             # Clear + home, then the current view: a cheap live display
             # that works in any ANSI terminal.
             sys.stdout.write("\x1b[2J\x1b[H")
-            print(render_status(status), flush=True)
-            if status.get("complete"):
+            print(view, flush=True)
+            if not index.live:
                 return 0
             _time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -857,20 +846,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.metrics import to_prometheus_text
     from repro.obs.profile import process_metrics_snapshot
 
+    snapshot = {"format": "repro-metrics", "version": 1, "metrics": {}}
     if args.file is not None:
-        try:
-            with open(args.file) as handle:
-                snapshot = json.load(handle)
-        except OSError as exc:
-            raise DDSIError(
-                f"cannot read metrics file {args.file!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
+        record = _read_trace(args.file).metrics
+        if record is None:
             raise ObservabilityError(
-                f"metrics file {args.file!r} is not valid JSON: {exc}"
-            ) from exc
-    else:
-        snapshot = {"format": "repro-metrics", "version": 1, "metrics": {}}
+                f"{args.file}: no closing metrics record (not a finished "
+                "trace)"
+            )
+        snapshot = record.get("snapshot") or {}
     # Standard process-level gauges ride along with every export;
     # campaign metrics win on a name collision.
     if isinstance(snapshot.get("metrics"), dict):
@@ -1012,15 +996,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if check.passed else 1
 
 
-def _check_writable(path: str, what: str) -> None:
-    """Fail fast (DDSIError -> exit 2) before running a long command."""
-    try:
-        with open(path, "w"):
-            pass
-    except OSError as exc:
-        raise DDSIError(f"cannot write {what} file {path!r}: {exc}") from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1037,35 +1012,29 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
     verbose = getattr(args, "verbose", False)
     profile_hz = getattr(args, "profile", None)
     try:
-        if not (trace_path or metrics_path or verbose or profile_hz):
+        if not (trace_path or verbose or profile_hz):
             return handlers[args.command](args)
-        if trace_path:
-            _check_writable(trace_path, "trace")
-        if metrics_path:
-            _check_writable(metrics_path, "metrics")
         recorder = Recorder()
         recorder.set_provenance(
             command=args.command, workload=getattr(args, "workload", None)
         )
-        with use(recorder):
-            if profile_hz:
-                from repro.obs.profile import Profiler
-
-                # The profiler context appends its drained events to the
-                # recorder on exit — before the trace is written below.
-                with Profiler(recorder, hz=profile_hz):
-                    code = handlers[args.command](args)
-            else:
-                code = handlers[args.command](args)
         if trace_path:
-            recorder.write_trace(trace_path)
-        if metrics_path:
-            recorder.write_metrics(metrics_path)
-        return code
+            recorder.open_sink(trace_path)
+        try:
+            with use(recorder):
+                if profile_hz:
+                    from repro.obs.profile import Profiler
+
+                    # The profiler hands its drained events to the
+                    # recorder on exit — before the trace closes below.
+                    with Profiler(recorder, hz=profile_hz):
+                        return handlers[args.command](args)
+                return handlers[args.command](args)
+        finally:
+            recorder.close()
     except DDSIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

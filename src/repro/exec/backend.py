@@ -263,7 +263,6 @@ def serve_lease(
             return
         if telem is not None:
             span.__exit__(None, None, None)
-            telem.block_done(bsize)
         emit({
             "type": "partial",
             "lease": lease_id,
@@ -401,16 +400,13 @@ def note_torn_line(slot: int, side: str) -> None:
 
     ``side`` says who failed to decode: ``"supervisor"`` (a worker line
     arrived torn) or ``"worker"`` (the worker reported a torn supervisor
-    line).  Feeds the ``protocol_torn_lines`` counter and a
-    ``protocol_torn`` decision so silent frame corruption shows up in
-    ``repro report`` rather than vanishing in a ``continue``.
+    line).  A ``protocol_torn`` decision, so silent frame corruption
+    shows up in ``repro report`` rather than vanishing in a
+    ``continue``.
     """
     from repro.obs import current
 
-    rec = current()
-    if rec.enabled:
-        rec.counter("protocol_torn_lines").inc(side=side)
-    rec.decision(
+    current().decision(
         "exec", "protocol_torn", subject=f"slot {slot}",
         reason="undecodable protocol line dropped",
         slot=slot, side=side,
@@ -421,10 +417,7 @@ def note_fenced_line(slot: int, generation: object) -> None:
     """Record one stale-generation message fenced off by the transport."""
     from repro.obs import current
 
-    rec = current()
-    if rec.enabled:
-        rec.counter("protocol_fenced_lines").inc()
-    rec.decision(
+    current().decision(
         "exec", "generation_fenced", subject=f"slot {slot}",
         reason="message carried a stale connection generation; dropped",
         slot=slot, generation=generation,
@@ -489,7 +482,9 @@ class ExecBackend(abc.ABC):
     re-dispatch, escalation); a backend only moves protocol lines and
     processes.  Subclasses implement :meth:`_open`; the slot lifecycle,
     the receive loop and teardown are shared.  ``task_spec`` goes into
-    the hello of slots that must rebuild the task.
+    the hello of slots that must rebuild the task; :attr:`telemetry`,
+    the run's trace context, into every hello once the supervisor sets
+    it.
     """
 
     name: str = "abstract"
@@ -500,14 +495,12 @@ class ExecBackend(abc.ABC):
         seed: int,
         chaos=None,
         block: int = LEASE_BLOCK_TRIALS,
-        telemetry: dict | None = None,
     ) -> None:
         self._hello = {
             "type": "hello",
             "seed": seed,
             "chaos": chaos.to_dict() if chaos is not None else None,
             "block": block,
-            "telemetry": telemetry,
         }
         if task_spec is not None:
             self._hello["spec"] = task_spec
@@ -518,6 +511,9 @@ class ExecBackend(abc.ABC):
                 f"task spec is not JSON-serializable: {exc}"
             ) from exc
         self._net_chaos = None
+        #: Trace context (:func:`repro.obs.telemetry.make_context`) sent
+        #: in each hello; ``None`` keeps slots from recording.
+        self.telemetry: dict | None = None
         self._slots: dict[int, _Slot] = {}
         # (process, stderr tail) of slots taken out of service, reaped
         # together: a worker can close its channel and still be running.
@@ -547,7 +543,9 @@ class ExecBackend(abc.ABC):
         chaos = self._net_chaos
         if chaos is not None and slot.id in chaos.duplicate_slots:
             slot.dup_rng = chaos.rng_for(slot.id)
-        self._send(slot, {**self._hello, "generation": slot.id})
+        self._send(slot, {
+            **self._hello, "telemetry": self.telemetry, "generation": slot.id,
+        })
         return slot.id
 
     def live_slots(self) -> list[int]:
@@ -785,18 +783,25 @@ class ForkPoolBackend(ExecBackend):
         seed: int,
         chaos=None,
         block: int = LEASE_BLOCK_TRIALS,
-        telemetry: dict | None = None,
     ) -> None:
         import multiprocessing
 
-        super().__init__(None, seed, chaos, block, telemetry)
+        super().__init__(None, seed, chaos, block)
         self._task = task
         self._ctx = multiprocessing.get_context("fork")
 
     def _open(self, slot_id: int) -> _Slot:
         ours, theirs = socket.socketpair()
+        supervisor_ends = [ours] + [s.channel for s in self._slots.values()]
 
         def main() -> None:
+            # The child holds copies of the supervisor's end of this and
+            # every earlier channel; while any copy is open, no slot can
+            # read EOF when the supervisor dies.  Detach before closing:
+            # closing a supervisor-side writer would flush its buffer
+            # into the channel.
+            for sock in supervisor_ends:
+                os.close(sock.detach())
             _quiet_worker_recorder()
             serve_socket(theirs, task=self._task)
 
@@ -820,7 +825,6 @@ def make_backend(
     seed: int = 0,
     chaos=None,
     block: int = LEASE_BLOCK_TRIALS,
-    telemetry: dict | None = None,
     listen: str | None = None,
 ) -> ExecBackend:
     """Instantiate a backend by name.
@@ -828,9 +832,7 @@ def make_backend(
     ``local`` needs a ``task`` closure; ``subprocess`` and ``tcp`` need
     a JSON-serializable ``task_spec`` (see :func:`build_task`).  A
     caller holding only a spec can run it locally too — the spec is
-    built for exactly that symmetry.  ``telemetry`` is the optional
-    trace context shipped to every slot
-    (:func:`repro.obs.telemetry.make_context`).  ``listen`` applies to
+    built for exactly that symmetry.  ``listen`` applies to
     ``tcp`` only: a ``HOST:PORT`` to bind the lease listener on, which
     also switches the backend to waiting for hand-started remote
     workers instead of spawning loopback ones.
@@ -844,9 +846,7 @@ def make_backend(
             task = build_task(task_spec)
         if task is None:
             raise ExecutionError("the local backend needs a task or task_spec")
-        return ForkPoolBackend(
-            task, seed, chaos=chaos, block=block, telemetry=telemetry
-        )
+        return ForkPoolBackend(task, seed, chaos=chaos, block=block)
     if name not in ("subprocess", "tcp"):
         raise ExecutionError(
             f"unknown exec backend {name!r} (expected one of {BACKEND_NAMES})"
@@ -859,12 +859,9 @@ def make_backend(
     if name == "subprocess":
         from repro.exec.transport import SubprocessBackend
 
-        return SubprocessBackend(
-            task_spec, seed, chaos=chaos, block=block, telemetry=telemetry
-        )
+        return SubprocessBackend(task_spec, seed, chaos=chaos, block=block)
     from repro.exec.tcp import TcpBackend
 
     return TcpBackend(
-        task_spec, seed, chaos=chaos, block=block, telemetry=telemetry,
-        listen=listen,
+        task_spec, seed, chaos=chaos, block=block, listen=listen
     )

@@ -180,30 +180,27 @@ def run_shard_chaos_selftest(
     reproduces the baseline bit-for-bit while the decision trail shows
     the supervisor actually expired, re-dispatched, and recovered.
 
-    The kill run executes under a live recorder with a telemetry
-    stream **and the sampling profiler enabled**, so it also proves
+    The kill run executes under a live recorder streaming its trace to
+    a file **with the sampling profiler enabled**, so it also proves
     distributed observability under chaos: surviving workers' spans and
     profile events (sampled stacks, resource summaries) must graft into
     one valid merged trace even though a shard died mid-lease, and
     ``repro report`` must surface the survivors' per-shard resource
-    figures.  The chaos checkpoint, the merged trace
-    (``shard-trace.ndjson``) and the raw telemetry stream
-    (``shard-telemetry.ndjson``) are left in ``workdir`` so CI can
-    validate their structure with ``scripts/check_ndjson.py``.
+    figures.  The chaos checkpoint and the merged trace
+    (``shard-trace.ndjson``) are left in ``workdir`` so CI can validate
+    their structure with ``scripts/check_ndjson.py``.
     """
-    from repro.errors import CampaignInterrupted, ObservabilityError
+    from repro.errors import CampaignInterrupted
     from repro.exec.runner import ExecPolicy
     from repro.faultsim.campaign import run_campaign
     from repro.obs import (
         Recorder,
-        dump_ndjson,
         index_trace,
         load_ndjson,
         render_report,
         use,
         validate_trace,
     )
-    from repro.obs.telemetry import validate_telemetry_stream
     from repro.workloads import paper_influence_graph
 
     os.makedirs(workdir, exist_ok=True)
@@ -224,22 +221,24 @@ def run_shard_chaos_selftest(
     baseline = run_campaign(graph, partition, trials=trials, seed=seed)
 
     # --- proof 1: SIGKILL a whole shard worker mid-lease ---------------
-    # Traced with a telemetry stream and the profiler: chaos must not
-    # break the merge, and surviving shards' profile events must land.
+    # Traced to a file with the profiler: chaos must not break the
+    # merge, and surviving shards' profile events must land.
     trace_path = os.path.join(workdir, "shard-trace.ndjson")
-    telemetry_path = os.path.join(workdir, "shard-telemetry.ndjson")
     recorder = Recorder()
-    with use(recorder):
-        killed = run_campaign(
-            graph, partition, trials=trials, seed=seed,
-            policy=ExecPolicy(
-                workers=workers, backoff_base=0.01, backoff_max=0.05,
-            ),
-            shards=shards, backend=backend,
-            chaos=ShardChaos(kill_shards=frozenset({shards - 1})),
-            telemetry_stream=telemetry_path,
-            profile=211.0,
-        )
+    recorder.open_sink(trace_path)
+    try:
+        with use(recorder):
+            killed = run_campaign(
+                graph, partition, trials=trials, seed=seed,
+                policy=ExecPolicy(
+                    workers=workers, backoff_base=0.01, backoff_max=0.05,
+                ),
+                shards=shards, backend=backend,
+                chaos=ShardChaos(kill_shards=frozenset({shards - 1})),
+                profile=211.0,
+            )
+    finally:
+        recorder.close()
     actions = actions_of(recorder)
     check(killed == baseline,
           "kill-a-shard result identical to serial baseline")
@@ -248,9 +247,10 @@ def run_shard_chaos_selftest(
     check("redispatch" in actions,
           "dead shard's uncovered remainder re-dispatched")
     merged = recorder.events()
-    dump_ndjson(merged, trace_path)
     check(not validate_trace(merged),
           "merged trace valid despite a shard dying mid-lease")
+    check(load_ndjson(trace_path) == merged,
+          "merged trace streamed to its file as the run went")
     worker_spans = [
         e for e in merged
         if e.get("type") == "span" and (e.get("attrs") or {}).get("remote")
@@ -259,13 +259,6 @@ def run_shard_chaos_selftest(
           "worker lease spans grafted into the supervisor trace")
     check(any(e["name"] == "worker.block" for e in worker_spans),
           "worker block spans grafted into the supervisor trace")
-    try:
-        stream = load_ndjson(telemetry_path)
-        stream_problems = validate_telemetry_stream(stream)
-    except (OSError, ObservabilityError) as exc:
-        stream_problems = [str(exc)]
-    check(not stream_problems,
-          "raw worker-telemetry stream written and structurally valid")
     index = index_trace(merged)
     summaries = [
         e for e in index.profiles
@@ -351,13 +344,12 @@ def _tcp_net_chaos_proofs(
     """
     import json
 
-    from repro.errors import CampaignInterrupted, ObservabilityError
+    from repro.errors import CampaignInterrupted
     from repro.exec.runner import ExecPolicy
     from repro.exec.tcp import TcpBackend
     from repro.faultsim.campaign import campaign_task_spec, run_campaign
     from repro.faultsim.engine import resolve_engine
-    from repro.obs import Recorder, load_ndjson, use
-    from repro.obs.telemetry import validate_telemetry_stream
+    from repro.obs import Recorder, load_ndjson, use, validate_trace
 
     spec = campaign_task_spec(graph, partition, resolve_engine("auto").engine)
     policy = ExecPolicy(workers=workers, backoff_base=0.01, backoff_max=0.05)
@@ -397,29 +389,37 @@ def _tcp_net_chaos_proofs(
           "frames delayed past the deadline expired the lease")
 
     # -- proof 6: torn frame + every line delivered twice ---------------
-    tcp_telemetry = os.path.join(workdir, "tcp-telemetry.ndjson")
+    # Traced to a file: the merger must drop each replayed telemetry
+    # batch, so every grafted worker.block span is unique per lease.
+    tcp_trace = os.path.join(workdir, "tcp-trace.ndjson")
     net = NetChaos(
         seed=seed, tear_lines={0: 1},
         duplicate_slots=frozenset(range(workers)), duplicate_rate=1.0,
     )
     recorder = Recorder()
-    with use(recorder), TcpBackend(spec, seed, net_chaos=net) as tcp:
-        noisy = run_campaign(
-            graph, partition, trials=trials, seed=seed,
-            policy=policy, shards=shards, backend=tcp,
-            telemetry_stream=tcp_telemetry,
-        )
+    recorder.open_sink(tcp_trace)
+    try:
+        with use(recorder), TcpBackend(spec, seed, net_chaos=net) as tcp:
+            noisy = run_campaign(
+                graph, partition, trials=trials, seed=seed,
+                policy=policy, shards=shards, backend=tcp,
+            )
+    finally:
+        recorder.close()
     check(noisy == baseline,
           "torn+duplicated-lines result identical to serial baseline "
           "(done/partial idempotent)")
     check(noisy.exec_report.protocol_torn_lines >= 1,
           "torn TCP frame counted as a protocol_torn line")
-    try:
-        stream_problems = validate_telemetry_stream(load_ndjson(tcp_telemetry))
-    except (OSError, ObservabilityError) as exc:
-        stream_problems = [str(exc)]
-    check(not stream_problems,
-          "telemetry stream valid despite duplicated batch delivery")
+    check(not validate_trace(load_ndjson(tcp_trace)),
+          "merged trace valid despite duplicated batch delivery")
+    blocks = [
+        (span.parent, span.attrs.get("start"))
+        for span in recorder.spans
+        if span.name == "worker.block" and span.attrs.get("remote")
+    ]
+    check(bool(blocks) and len(set(blocks)) == len(blocks),
+          "no worker block grafted twice under duplicated delivery")
 
     # -- proof 7: full partition, healed by fresh connections -----------
     # Severed at 5 delivered lines: with two slots that is at most one

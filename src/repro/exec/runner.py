@@ -127,8 +127,6 @@ class ExecReport:
     run_id: str | None = None
     telemetry_batches: int = 0
     worker_spans: int = 0
-    status_file: str | None = None
-    telemetry_stream_path: str | None = None
 
 
 class InterruptGuard:
@@ -189,8 +187,8 @@ class Ledger:
 
     ``done`` maps ``(start, size)`` to a payload.  :meth:`open` loads a
     resume file and opens the checkpoint; :meth:`bank` records one
-    block (checkpoint line, counters, live-health board) and then runs
-    the interrupt checks; :meth:`seal` publishes the manifest, complete
+    block (checkpoint line and report count) and then runs the
+    interrupt checks; :meth:`seal` publishes the manifest, complete
     or interrupted.
     """
 
@@ -204,7 +202,6 @@ class Ledger:
         report: ExecReport,
         guard: InterruptGuard,
         chaos=None,
-        board=None,
     ) -> None:
         self.kind = kind
         self.trials = trials
@@ -213,7 +210,6 @@ class Ledger:
         self.report = report
         self.guard = guard
         self.chaos = chaos
-        self.board = board
         self.rec = current()
         self.done: dict[tuple[int, int], Any] = {}
         self.writer: CheckpointWriter | None = None
@@ -262,16 +258,12 @@ class Ledger:
             entries=len(data.entries), corrupt_lines=data.corrupt_lines,
         )
 
-    def bank(self, start: int, size: int, payload: Any, source: str) -> None:
+    def bank(self, start: int, size: int, payload: Any) -> None:
         if (start, size) in self.done:
             return  # a raced re-dispatch finished the same block
         self.done[(start, size)] = payload
         self.report.partials += 1
-        if self.board is not None:
-            self.board.block_done(start, size, source)
         rec = self.rec
-        if rec.enabled:
-            rec.counter("exec_partials_total").inc(source=source)
         writer = self.writer
         if writer is not None:
             writer.record(start, size, payload)
@@ -393,7 +385,6 @@ def run_inline(
     ledger: Ledger,
     combine: Combine | None,
     block: int,
-    source: str,
 ) -> int:
     """Run the uncovered blocks of ``[start, start+size)`` in this process.
 
@@ -405,7 +396,7 @@ def run_inline(
     ran = 0
     for ustart, usize in uncovered_ranges(start, size, ledger.done, combine, block):
         for bstart, bsize in block_ranges(ustart, usize, block):
-            ledger.bank(bstart, bsize, task(bstart, bsize, seed), source)
+            ledger.bank(bstart, bsize, task(bstart, bsize, seed))
             ran += 1
     return ran
 
@@ -481,7 +472,7 @@ def run_supervised(
         )
         try:
             ledger.open(checkpoint, resume)
-            run_inline(task, seed, 0, trials, ledger, combine, block, "inline")
+            run_inline(task, seed, 0, trials, ledger, combine, block)
             payloads = [
                 _assemble(Batch(start, size), ledger.done, combine)
                 for start, size in block_ranges(0, trials, block)

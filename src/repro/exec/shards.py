@@ -58,12 +58,7 @@ from repro.exec.runner import (
     uncovered_ranges,
 )
 from repro.obs import current
-from repro.obs.telemetry import (
-    HealthBoard,
-    TelemetryMerger,
-    make_context,
-    mint_run_id,
-)
+from repro.obs.telemetry import TelemetryMerger, make_context, mint_run_id
 
 _POLL_S = 0.02
 
@@ -150,8 +145,6 @@ def run_sharded(
     resume: str | None = None,
     chaos=None,
     block: int = LEASE_BLOCK_TRIALS,
-    status_file: str | None = None,
-    telemetry_stream: str | None = None,
     run_id: str | None = None,
     listen: str | None = None,
     profile: float | None = None,
@@ -163,15 +156,14 @@ def run_sharded(
     merge).  Returns ``(payloads, report)`` with one payload per planned
     shard, in trial order.
 
-    When the ambient recorder is enabled (or ``telemetry_stream`` is
-    set), the supervisor mints a run id, ships trace context to every
-    slot, and merges the worker telemetry streamed back into its own
-    trace (clock-normalized; see :mod:`repro.obs.telemetry`) — the
-    merged file reads as one distributed tree.  ``status_file`` names a
-    JSON the supervisor atomically rewrites with live per-shard health
-    (``repro exec watch`` tails it).  All of this is result-transparent:
-    payloads, seeds, and checkpoint fingerprints are byte-identical with
-    telemetry on or off.
+    When the ambient recorder is enabled, the supervisor mints a run
+    id, ships trace context to every slot, and merges the worker
+    telemetry streamed back into its own trace (clock-normalized; see
+    :mod:`repro.obs.telemetry`) — the merged file reads as one
+    distributed tree, and its ``exec`` decisions are the live lease
+    health ``repro exec watch`` reads.  All of this is
+    result-transparent: payloads, seeds, and checkpoint fingerprints are
+    byte-identical with telemetry on or off.
     """
     if combine is None:
         raise ExecutionError("run_sharded requires a combine function")
@@ -193,25 +185,13 @@ def run_sharded(
         backend=backend if isinstance(backend, str) else backend.name,
         shards=len(plan),
     )
-    telemetry_on = (
-        rec.enabled or telemetry_stream is not None or profile is not None
-    )
-    run_id = run_id or (mint_run_id() if telemetry_on else None)
-    telemetry = make_context(run_id) if telemetry_on else None
+    run_id = run_id or (mint_run_id() if rec.enabled else None)
+    telemetry = make_context(run_id) if rec.enabled else None
     if telemetry is not None and profile:
         # Workers read the sampling rate out of the trace context, so
         # profiling crosses every transport without protocol changes.
         telemetry["profile"] = float(profile)
     report.run_id = run_id
-    report.status_file = status_file
-    board = HealthBoard(
-        plan, block,
-        run_id=run_id or "-",
-        kind=kind,
-        trials=trials,
-        backend=report.backend,
-        status_file=status_file,
-    )
 
     t0 = time.perf_counter()
     with rec.span(
@@ -230,13 +210,12 @@ def run_sharded(
                 parent_sid=shards_span.sid,
                 parent_depth=shards_span.depth,
             )
-            if telemetry_on
+            if telemetry is not None
             else None
         )
-        board.maybe_write(force=True)
         ledger = Ledger(
             kind=kind, trials=trials, seed=seed, fingerprint=fingerprint,
-            report=report, guard=guard, chaos=chaos, board=board,
+            report=report, guard=guard, chaos=chaos,
         )
         manifest = {"shards": len(plan), "backend": report.backend}
         try:
@@ -250,7 +229,7 @@ def run_sharded(
             _supervise(
                 plan, policy, backend, task, task_spec, local_task, seed,
                 chaos, block, combine, ledger, report, rec, guard,
-                telemetry, merger, board, listen,
+                telemetry, merger, listen,
             )
             # Every shard must now assemble from banked ranges.
             payloads = [
@@ -266,19 +245,14 @@ def run_sharded(
                 redispatches=report.redispatches,
                 from_checkpoint=report.partials_from_checkpoint,
             )
-            board.maybe_write(complete=True, force=True)
         except BaseException:
             ledger.seal(False, **manifest)
-            board.maybe_write(force=True)
             raise
         finally:
             ledger.close()
             if merger is not None:
                 report.telemetry_batches = merger.batches
                 report.worker_spans = merger.worker_spans
-                if telemetry_stream is not None:
-                    merger.write_stream(telemetry_stream)
-                    report.telemetry_stream_path = telemetry_stream
             report.elapsed_s = time.perf_counter() - t0
     return payloads, report
 
@@ -286,7 +260,7 @@ def run_sharded(
 def _supervise(
     plan, policy, backend, task, task_spec, local_task, seed, chaos, block,
     combine, ledger, report, rec, guard,
-    telemetry=None, merger=None, board=None, listen=None,
+    telemetry=None, merger=None, listen=None,
 ) -> None:
     """The lease event loop (see module docstring for the policy)."""
     jitter_rng = random.Random(derive_seed(seed, 0, purpose="lease-jitter"))
@@ -300,11 +274,9 @@ def _supervise(
             "exec", "serial_fallback", subject=f"[{start},{start + size})",
             reason=reason, shard=shard,
         )
-        if board is not None:
-            board.rescuing(shard)
         try:
             report.serial_rescue_blocks += run_inline(
-                local_task, seed, start, size, ledger, combine, block, "serial"
+                local_task, seed, start, size, ledger, combine, block
             )
         except CampaignInterrupted:
             raise
@@ -341,10 +313,11 @@ def _supervise(
             seed=seed,
             chaos=chaos,
             block=block,
-            telemetry=telemetry,
             listen=listen,
         )
     )
+    # This run's trace context, also for a backend the caller built.
+    exec_backend.telemetry = telemetry
 
     def fail_lease(lease: _Lease, cause: str) -> None:
         nonlocal retry_tiebreak
@@ -371,11 +344,6 @@ def _supervise(
         )
         delay *= 1.0 + policy.backoff_jitter * jitter_rng.random()
         report.redispatches += len(remainder)
-        if rec.enabled:
-            rec.counter("exec_redispatch_total").inc(len(remainder))
-        if board is not None:
-            for _ in remainder:
-                board.redispatch(lease.shard)
         for start, size in remainder:
             rec.decision(
                 "exec", "redispatch", subject=f"[{start},{start + size})",
@@ -464,10 +432,6 @@ def _supervise(
                     shard=shard_id, slot=slot, attempt=attempt,
                     lease=lease.id,
                 )
-                if rec.enabled:
-                    rec.counter("exec_leases_total").inc()
-                if board is not None:
-                    board.lease_granted(shard_id)
                 exec_backend.dispatch(slot, lease.message())
 
             for event in exec_backend.poll(_POLL_S):
@@ -492,10 +456,6 @@ def _supervise(
                         heartbeats=lease.heartbeats,
                         **crash_attrs,
                     )
-                    if rec.enabled:
-                        rec.counter("exec_shard_crashes_total").inc()
-                    if board is not None:
-                        board.crashed(lease.shard)
                     fail_lease(lease, "shard slot crashed")
                     continue
                 message = event.message or {}
@@ -507,23 +467,13 @@ def _supervise(
                     report.protocol_torn_lines += 1
                     note_torn_line(event.slot, "worker")
                     continue
-                if mtype == "telemetry":
+                if mtype in ("telemetry", "profile"):
                     # Routed before the inflight check: a straggler's
                     # telemetry is still worth merging after its lease
-                    # was expired or superseded.
-                    if merger is not None:
-                        merger.add(message, event.slot)
-                    continue
-                if mtype == "profile":
-                    # Same routing as telemetry: profile batches share
+                    # was expired or superseded.  Profile batches share
                     # the per-lease sequence and the merge machinery.
                     if merger is not None:
-                        merger.add(message, event.slot)
-                    if board is not None and message.get("resources"):
-                        board.resources(
-                            message.get("shard", -1),
-                            message["resources"],
-                        )
+                        merger.add(message)
                     continue
                 lease = inflight.get(message.get("lease"))
                 if lease is None:
@@ -532,12 +482,9 @@ def _supervise(
                 if mtype == "heartbeat":
                     report.heartbeats += 1
                     lease.heartbeats += 1
-                    if board is not None:
-                        board.heartbeat(lease.shard)
                 elif mtype == "partial":
                     ledger.bank(
-                        message["start"], message["size"],
-                        message["payload"], "lease",
+                        message["start"], message["size"], message["payload"]
                     )
                 elif mtype == "done":
                     inflight.pop(lease.id, None)
@@ -579,10 +526,6 @@ def _supervise(
                         shard=lease.shard, lease=lease.id, slot=lease.slot,
                         heartbeats=lease.heartbeats,
                     )
-                    if rec.enabled:
-                        rec.counter("exec_lease_expiries_total").inc()
-                    if board is not None:
-                        board.expired(lease.shard)
                     exec_backend.kill(lease.slot)
                     fail_lease(lease, "lease heartbeat expired")
         completed = True

@@ -89,11 +89,10 @@ class TcpBackend(ExecBackend):
         seed: int,
         chaos=None,
         block: int = LEASE_BLOCK_TRIALS,
-        telemetry: dict | None = None,
         listen: str | None = None,
         net_chaos=None,
     ) -> None:
-        super().__init__(task_spec, seed, chaos, block, telemetry)
+        super().__init__(task_spec, seed, chaos, block)
         self._net_chaos = net_chaos
         self._spawn_workers = listen is None
         host, port = _parse_hostport(listen or "127.0.0.1:0", "--listen")

@@ -206,8 +206,6 @@ def run_campaign(
     engine: str = "auto",
     backend: str | None = None,
     shards: int = 0,
-    status_file: str | None = None,
-    telemetry_stream: str | None = None,
     listen: str | None = None,
     profile: float | None = None,
 ) -> CampaignResult:
@@ -235,13 +233,11 @@ def run_campaign(
     record format), and ``chaos`` is a
     :class:`~repro.exec.chaos.ShardChaos` on all of them.
 
-    ``status_file``/``telemetry_stream``/``profile`` only apply on the
-    sharded path: the first names a live-health JSON the supervisor
-    atomically rewrites (``repro exec watch``), the second an NDJSON
-    sink for the raw worker-telemetry batches (see
-    :mod:`repro.obs.telemetry`), and ``profile`` (a sampling rate in
-    Hz) turns on worker-side stack/resource profiling whose batches
-    merge into the campaign trace.  None of them affects the result.
+    ``profile`` (a sampling rate in Hz) only applies on the sharded
+    path under an enabled recorder: it turns on worker-side
+    stack/resource profiling whose batches merge into the campaign
+    trace (see :mod:`repro.obs.telemetry`).  It does not affect the
+    result.
     """
     if trials < 1:
         raise SimulationError("trials must be >= 1")
@@ -295,8 +291,6 @@ def run_campaign(
                 checkpoint=checkpoint,
                 resume=resume,
                 chaos=chaos,
-                status_file=status_file,
-                telemetry_stream=telemetry_stream,
                 listen=listen,
                 profile=profile,
             )

@@ -6,6 +6,10 @@ Three record kinds over one ambient :class:`Recorder`:
 * **metrics** — counters, gauges, fixed-bucket histograms with labels;
 * **decision events** — what the pipeline chose, with reasons.
 
+One sink per run: :meth:`Recorder.open_sink` streams the trace to a
+file as records close, and :meth:`Recorder.close` ends it with a
+``metrics`` record holding the metrics snapshot.
+
 Disabled by default: library instrumentation talks to
 :data:`NULL_RECORDER` (every call a no-op) unless a real recorder is
 installed with :func:`use`.  See ``docs/OBSERVABILITY.md`` for the trace
@@ -22,6 +26,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.ndjson import (
     dump_ndjson,
+    load_live_trace,
     load_ndjson,
     trace_meta,
     unknown_kind_counts,
@@ -45,20 +50,17 @@ from repro.obs.recorder import (
     use,
 )
 from repro.obs.telemetry import (
-    STATUS_FORMAT,
-    TELEMETRY_FORMAT,
-    HealthBoard,
     LeaseTelemetry,
-    ShardHealth,
     TelemetryMerger,
-    load_status,
     make_context,
     mint_run_id,
-    render_status,
-    validate_telemetry_stream,
-    write_status,
 )
-from repro.obs.report import TraceIndex, index_trace, render_report
+from repro.obs.report import (
+    TraceIndex,
+    index_trace,
+    lease_health,
+    render_report,
+)
 from repro.obs.summarize import PIPELINE_STAGES, stage_footer
 
 __all__ = [
@@ -67,12 +69,9 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "NULL_RECORDER",
     "PIPELINE_STAGES",
-    "STATUS_FORMAT",
-    "TELEMETRY_FORMAT",
     "Counter",
     "DecisionEvent",
     "Gauge",
-    "HealthBoard",
     "Histogram",
     "LeaseTelemetry",
     "MetricsRegistry",
@@ -80,7 +79,6 @@ __all__ = [
     "Profiler",
     "Recorder",
     "ResourceProbe",
-    "ShardHealth",
     "Span",
     "StackProfiler",
     "TelemetryMerger",
@@ -89,19 +87,17 @@ __all__ = [
     "current",
     "dump_ndjson",
     "index_trace",
+    "lease_health",
+    "load_live_trace",
     "load_ndjson",
-    "load_status",
     "machine_fingerprint",
     "make_context",
     "mint_run_id",
     "process_metrics_snapshot",
     "render_report",
-    "render_status",
     "stage_footer",
     "trace_meta",
     "unknown_kind_counts",
     "use",
-    "validate_telemetry_stream",
     "validate_trace",
-    "write_status",
 ]

@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` owns named instruments; each instrument keeps
 one series per distinct label set (labels are passed as keyword
 arguments, like ``counter.inc(rule="R2")``).  The registry snapshots to a
-single JSON-able dict with deterministic ordering, which is what
-``--metrics FILE`` writes.
+single JSON-able dict with deterministic ordering, which a trace's
+closing ``metrics`` record holds.
 
 Everything is plain stdlib — no client library, no background threads —
 because the pipeline is synchronous and single-process.
@@ -12,7 +12,6 @@ because the pipeline is synchronous and single-process.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 
 from repro.errors import ObservabilityError
@@ -206,19 +205,6 @@ class MetricsRegistry:
                 for name in self.names()
             },
         }
-
-    def write_snapshot(self, path_or_file) -> None:
-        payload = json.dumps(self.snapshot(), indent=2, sort_keys=False)
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(payload + "\n")
-            return
-        try:
-            with open(path_or_file, "w") as handle:
-                handle.write(payload + "\n")
-        except OSError as exc:
-            raise ObservabilityError(
-                f"cannot write metrics file {path_or_file!r}: {exc}"
-            ) from exc
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """NDJSON (newline-delimited JSON) trace I/O and validation.
 
 A trace file is one JSON object per line: a leading ``meta`` record,
-then ``span`` and ``decision`` records in completion order (see
+then ``span``, ``decision`` and ``profile`` records in completion order
+and, in a finished version-3 trace, one closing ``metrics`` record (see
 ``docs/OBSERVABILITY.md`` for the schema).  The loader is strict — any
 malformed line raises :class:`~repro.errors.ObservabilityError` with the
-line number — and :func:`validate_trace` performs the structural checks
-the CI gate runs over emitted traces.
+line number — except :func:`load_live_trace`, which reads the complete
+lines of a trace still being written.  :func:`validate_trace` performs
+the structural checks the CI gate runs over emitted traces.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ _FIELDS = {
         "t": _NUMBER, "stacks": dict, "samples": int,
         "rss_peak_bytes": _NUMBER, "cpu_s": _NUMBER,
         "gc_collections": int, "gc_pause_s": _NUMBER,
+    },
+    "metrics": {
+        "spans": int, "decisions": int, "profiles": int, "snapshot": dict,
     },
 }
 
@@ -121,6 +126,26 @@ def load_ndjson(path_or_file) -> list[dict]:
         ) from exc
 
 
+def load_live_trace(path) -> list[dict]:
+    """The complete lines of a trace that may still be being written.
+
+    A missing file reads as no events; an unterminated last line (a
+    record the writer has not finished) is left out.  Complete lines
+    must parse, as in :func:`load_ndjson`.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        return []
+    except OSError as exc:
+        raise ObservabilityError(
+            f"cannot read trace file {path!r}: {exc}"
+        ) from exc
+    complete = text[: text.rfind("\n") + 1]
+    return _parse(complete.splitlines(keepends=True), str(path))
+
+
 def _parse(handle, label: str) -> list[dict]:
     events: list[dict] = []
     for lineno, line in enumerate(handle, start=1):
@@ -155,6 +180,16 @@ def trace_meta(events: list[dict]) -> dict | None:
     return None
 
 
+def is_live_prefix(meta: dict | None, closed: bool) -> bool:
+    """Whether a trace is the live prefix of a run still going.
+
+    A version-3 trace is written as the run goes and ``closed`` by its
+    ``metrics`` record; older traces were written whole at exit.
+    """
+    version = (meta or {}).get("version")
+    return isinstance(version, int) and version >= 3 and not closed
+
+
 def validate_trace(events: list[dict]) -> list[str]:
     """Structural problems of a parsed trace (empty list = valid).
 
@@ -163,22 +198,31 @@ def validate_trace(events: list[dict]) -> list[str]:
     known record ``type`` carries its required keys, no two spans share
     a sid, span parents reference emitted sids and never loop back (a
     span that is its own ancestor), closed spans have
-    ``t_end >= t_start``, and version-2 meta lines carry a provenance
-    block (version-1 traces, which predate provenance, stay valid).
-    Records with *unknown* types are tolerated — count them with
-    :func:`unknown_kind_counts` — so this tooling survives traces
-    written by newer versions that add event kinds.
+    ``t_end >= t_start``, and version-2+ meta lines carry a provenance
+    block (version-1 traces, which predate provenance, stay valid).  A
+    version-3 trace's ``metrics`` record must be its last, with counts
+    that match the records before it; without one the trace is a live
+    prefix, whose spans may name parents (and profile records spans)
+    that have not closed yet.  Records with *unknown* types are
+    tolerated — count them with :func:`unknown_kind_counts` — so this
+    tooling survives traces written by newer versions that add event
+    kinds.
     """
     problems: list[str] = []
     wrong = [wrong_fields(event) for event in events]
     first_at: dict[int, int] = {}  # sid -> index of the span that has it
     parents: dict[int, int | None] = {}
+    counts = dict.fromkeys(("span", "decision", "profile", "metrics"), 0)
     for i, event in enumerate(events):
         sid = event.get("sid")
-        if event.get("type") == "span" and not wrong[i] and sid is not None:
+        kind = event.get("type")
+        if kind == "span" and not wrong[i] and sid is not None:
             first_at.setdefault(sid, i)
             parents[sid] = event.get("parent")
+        if kind in counts:
+            counts[kind] += 1
     looped = parent_cycles(parents)
+    live = is_live_prefix(trace_meta(events), counts["metrics"] > 0)
     for i, event in enumerate(events):
         where = f"event {i}"
         if wrong[i]:
@@ -215,7 +259,7 @@ def validate_trace(events: list[dict]) -> list[str]:
                     f"{where}: span {sid} reuses the sid of event {first_at[sid]}"
                 )
             parent = event["parent"]
-            if parent is not None and parent not in first_at:
+            if parent is not None and parent not in first_at and not live:
                 problems.append(
                     f"{where}: span {sid} has unknown parent {parent}"
                 )
@@ -241,9 +285,19 @@ def validate_trace(events: list[dict]) -> list[str]:
                 problems.append(f"{where}: profile record has no kind")
             else:
                 owner = event.get("span")
-                if owner is not None and owner not in first_at:
+                if owner is not None and owner not in first_at and not live:
                     problems.append(
                         f"{where}: profile record references unknown span {owner}"
+                    )
+            continue
+        if kind == "metrics":
+            if i != len(events) - 1:
+                problems.append(f"{where}: metrics record is not the last record")
+            for key in ("spans", "decisions", "profiles"):
+                if event.get(key) not in (None, counts[key[:-1]]):
+                    problems.append(
+                        f"{where}: metrics record counts {event[key]} {key}, "
+                        f"the trace holds {counts[key[:-1]]}"
                     )
             continue
         # Unknown kinds are tolerated, not errors (forward compatibility).

@@ -359,8 +359,8 @@ class Profiler:
     registers the GC callback, and launches the sampling thread;
     ``stop()`` tears everything down and returns the final drained
     events plus a ``resource_summary``.  As a context manager the final
-    events are appended to the recorder (``profile_event``), ready for
-    ``write_trace``; shard workers instead call :meth:`drain` /
+    events are appended to the recorder (``profile_event``) and so to
+    its trace; shard workers instead call :meth:`drain` /
     :meth:`stop` directly and ship the events over the telemetry
     transport (see :class:`~repro.obs.telemetry.LeaseTelemetry`).
     """

@@ -17,14 +17,16 @@ Instrumented library code never takes a recorder parameter; it asks
 :func:`current` for the ambient one.  The default is :data:`NULL_RECORDER`,
 whose every method is a storage-free no-op, so instrumentation costs one
 attribute check when observability is off.  Enable recording around any
-block with :func:`use`::
+block with :func:`use`; :meth:`Recorder.open_sink` streams the trace to
+a file as the run goes, and :meth:`Recorder.close` ends it::
 
     from repro.obs import Recorder, use
 
     recorder = Recorder()
+    recorder.open_sink("trace.ndjson")
     with use(recorder):
         IntegrationFramework(system).integrate(hw)
-    recorder.write_trace("trace.ndjson")
+    recorder.close()
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.errors import ObservabilityError
 from repro.obs.metrics import (
     NULL_INSTRUMENT,
     Counter,
@@ -40,13 +43,18 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.ndjson import dump_ndjson
 
 TRACE_FORMAT = "repro-trace"
 # Version 2 added the mandatory ``provenance`` block to the meta line
 # (git sha, python version, machine fingerprint, repro version, and the
 # workload name when one was set) so trace diffs can refuse to compare
-# incomparable runs.  Version-1 traces are still readable.
-TRACE_VERSION = 2
+# incomparable runs.  Version 3 writes the meta line first and each
+# record as it closes; the record counts the meta line used to carry
+# move to one closing ``metrics`` record, which also holds the metrics
+# snapshot.  A version-3 trace without that record is the live prefix
+# of a run still going.  Version-1 and -2 traces are still readable.
+TRACE_VERSION = 3
 
 
 @dataclass
@@ -263,11 +271,14 @@ class Recorder:
         self.decisions: list[DecisionEvent] = []
         self.metrics = MetricsRegistry()
         # Extra provenance merged over the auto-collected block when the
-        # trace is written (set_provenance(workload="paper", ...)).
+        # meta line is made (set_provenance(workload="paper", ...)).
         self.provenance: dict = {}
         # Events in completion order (spans append on close, decisions on
-        # creation), ready for NDJSON streaming.
+        # creation); each is also written to the sink when one is open.
         self._log: list[dict] = []
+        self._meta: dict | None = None
+        self._sink = None
+        self._closed = False  # set by close(): the trace has ended
         # Installed by repro.obs.profile.Profiler; when set, spans get
         # cpu_s / rss_peak_delta attrs stamped at close.  None keeps the
         # unprofiled path at one attribute check per span.
@@ -287,6 +298,59 @@ class Recorder:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _emit(self, event: dict) -> None:
+        if self._closed:
+            return
+        self._log.append(event)
+        if self._sink is not None:
+            dump_ndjson((event,), self._sink)
+
+    # ------------------------------------------------------------------
+    # The trace file
+    # ------------------------------------------------------------------
+    def open_sink(self, path) -> None:
+        """Stream the trace to ``path`` from now on.
+
+        The meta line and any records made so far are written at once;
+        then each record is appended, and flushed, as it closes: spans
+        at close, decisions when made, profile batches when handed
+        over, grafted worker telemetry when its lease settles.  Set the
+        provenance first: the meta line is final once written.
+        """
+        try:
+            sink = open(path, "w", buffering=1)
+        except OSError as exc:
+            raise ObservabilityError(
+                f"cannot write trace file {path!r}: {exc}"
+            ) from exc
+        self._meta = self._meta_record()
+        dump_ndjson([self._meta] + self._log, sink)
+        self._sink = sink
+
+    def close(self) -> None:
+        """End the trace with its closing ``metrics`` record.
+
+        Spans still open are recorded with ``t_end: null`` first; the
+        closing record holds the span, decision and profile counts and
+        the metrics snapshot.  The sink, if any, is closed, and nothing
+        recorded afterwards reaches the trace.  Idempotent.
+        """
+        if self._closed:
+            return
+        for span in self._stack:
+            self._emit(span.to_event())
+        self._emit({
+            "type": "metrics",
+            "spans": len(self.spans),
+            "decisions": len(self.decisions),
+            "profiles": self.profiles,
+            "snapshot": self.metrics.snapshot(),
+        })
+        self._closed = True
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
     # ------------------------------------------------------------------
     # Spans
@@ -318,12 +382,12 @@ class Recorder:
             dangling.t_end = span.t_end
             if probe is not None:
                 probe.close_span(dangling)
-            self._log.append(dangling.to_event())
+            self._emit(dangling.to_event())
         if self._stack:
             self._stack.pop()
         if probe is not None:
             probe.close_span(span)
-        self._log.append(span.to_event())
+        self._emit(span.to_event())
 
     def timed(self, name: str, **labels) -> _Timed:
         """Time a block into histogram ``name`` (seconds)."""
@@ -350,7 +414,7 @@ class Recorder:
             attrs=attrs,
         )
         self.decisions.append(event)
-        self._log.append(event.to_event())
+        self._emit(event.to_event())
         return event
 
     # ------------------------------------------------------------------
@@ -363,7 +427,7 @@ class Recorder:
         inside the event already use this recorder's sids (the profiler
         reads them off the live span stack).
         """
-        self._log.append(event)
+        self._emit(event)
         self.profiles += 1
 
     # ------------------------------------------------------------------
@@ -418,7 +482,7 @@ class Recorder:
                     attrs=attrs,
                 )
                 self.spans.append(span)
-                self._log.append(span.to_event())
+                self._emit(span.to_event())
             elif kind == "decision":
                 remote_span = event.get("span")
                 decision = DecisionEvent(
@@ -431,7 +495,7 @@ class Recorder:
                     attrs=dict(event.get("attrs") or {}),
                 )
                 self.decisions.append(decision)
-                self._log.append(decision.to_event())
+                self._emit(decision.to_event())
             elif kind == "profile":
                 grafted = dict(event)
                 owner = grafted.get("span")
@@ -440,7 +504,7 @@ class Recorder:
                 if "t" in grafted:
                     grafted["t"] = max(0.0, grafted["t"] + t_offset)
                 grafted["remote"] = True
-                self._log.append(grafted)
+                self._emit(grafted)
                 self.profiles += 1
         return sid_map
 
@@ -459,44 +523,38 @@ class Recorder:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def events(self) -> list[dict]:
-        """All trace events: one meta line, then completion-ordered records.
-
-        Still-open spans are flushed with ``t_end: null`` so a trace
-        written mid-run is valid NDJSON.
-        """
+    def _meta_record(self) -> dict:
         from repro.obs.provenance import collect_provenance
 
         provenance = collect_provenance()
         provenance.update(self.provenance)
-        meta = {
+        return {
             "type": "meta",
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,
             "clock": "perf_counter",
-            "spans": len(self.spans),
-            "decisions": len(self.decisions),
             "provenance": provenance,
         }
-        if self.profiles:
-            meta["profiles"] = self.profiles
-        out = [meta]
+
+    def events(self) -> list[dict]:
+        """All trace records: the meta line, then completion order.
+
+        The same records the sink writes, so a finished run's trace file
+        loads back equal to this list.  Before :meth:`close`, spans
+        still open are appended with ``t_end: null`` so a trace written
+        mid-run is valid NDJSON.
+        """
+        out = [self._meta or self._meta_record()]
         out.extend(self._log)
-        closed = {id(s) for s in self.spans if s.t_end is not None}
-        out.extend(
-            s.to_event() for s in self.spans if id(s) not in closed
-        )
+        if not self._closed:
+            out.extend(span.to_event() for span in self._stack)
         return out
 
     def write_trace(self, path_or_file) -> None:
-        """Write the trace as NDJSON (one JSON object per line)."""
-        from repro.obs.ndjson import dump_ndjson
-
+        """End the trace (:meth:`close`) and write its :meth:`events` as
+        NDJSON: a finished trace, for a recorder that streamed nowhere."""
+        self.close()
         dump_ndjson(self.events(), path_or_file)
-
-    def write_metrics(self, path_or_file) -> None:
-        """Write the metrics snapshot as a single JSON document."""
-        self.metrics.write_snapshot(path_or_file)
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,11 @@ returned by :func:`~repro.obs.ndjson.load_ndjson` or
 checks the type of every field a reader uses, and builds the span tree.
 :func:`render_report` renders each section the trace has data for from
 that index — stage timing, decisions, critical path, exec lease health,
-sampled profile, process resources and, on request, the span tree — and
+sampled profile, process resources and, on request, the span tree.
 ``trace diff`` / ``trace export`` (:mod:`repro.obs.analyze`) read the
-same index.
+same index, ``repro exec watch`` prints :func:`lease_health` of a trace
+still being written, and ``repro metrics export`` reads the closing
+``metrics`` record it keeps.
 
 Hand-written and truncated traces are tolerated: a span without a name
 reads as ``"?"``, a missing duration and a still-open span (``t_end``
@@ -24,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ObservabilityError
-from repro.obs.ndjson import parent_cycles, trace_meta, wrong_fields
+from repro.obs.ndjson import (
+    is_live_prefix,
+    parent_cycles,
+    trace_meta,
+    wrong_fields,
+)
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,14 @@ class TraceIndex:
     decisions_per_span: dict[int | None, int]
     profiles: list[dict]
     unknown: dict[str, int]
+    #: A finished version-3 trace's closing ``metrics`` record.
+    metrics: dict | None = None
+
+    @property
+    def live(self) -> bool:
+        """Whether this is a run still writing its trace (see
+        :func:`~repro.obs.ndjson.is_live_prefix`)."""
+        return is_live_prefix(self.meta, self.metrics is not None)
 
     def walk(self):
         """``(span, names)`` in tree pre-order; ``names`` is the chain of
@@ -79,6 +94,7 @@ def index_trace(events: list[dict]) -> TraceIndex:
     per_span: dict[int | None, int] = {}
     profiles: list[dict] = []
     unknown: dict[str, int] = {}
+    metrics = None
     for at, event in enumerate(events):
         wrong = wrong_fields(event)
         if wrong:
@@ -101,6 +117,8 @@ def index_trace(events: list[dict]) -> TraceIndex:
             per_span[owner] = per_span.get(owner, 0) + 1
         elif kind == "profile":
             profiles.append(event)
+        elif kind == "metrics":
+            metrics = event
         elif kind != "meta":
             label = kind if isinstance(kind, str) else "<missing>"
             unknown[label] = unknown.get(label, 0) + 1
@@ -127,6 +145,7 @@ def index_trace(events: list[dict]) -> TraceIndex:
         decisions_per_span=per_span,
         profiles=profiles,
         unknown=unknown,
+        metrics=metrics,
     )
 
 
@@ -374,7 +393,8 @@ def _critical_path(index: TraceIndex) -> str | None:
     return table + "\n\n" + summary
 
 
-def _lease_health(index: TraceIndex) -> str | None:
+def lease_health(index: TraceIndex) -> str | None:
+    """The lease-health section (``repro report``, ``repro exec watch``)."""
     from repro.metrics.report import format_table
 
     health = exec_health(index)
@@ -544,7 +564,7 @@ def render_report(index: TraceIndex, tree: bool = False, top: int = 15) -> str:
         _stage_timing(index),
         _decision_table(index),
         _critical_path(index),
-        _lease_health(index),
+        lease_health(index),
         _sampled_profile(index, top),
         _process_resources(index),
         _span_tree(index) if tree else None,

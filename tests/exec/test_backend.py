@@ -1,7 +1,14 @@
 """The backend contract: block splitting, task specs, the slot transports."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.errors import ExecutionError
 from repro.exec import (
     block_ranges,
@@ -192,6 +199,79 @@ class TestForkPoolBackend:
             assert messages[0]["type"] == "ready"
             assert messages[-1]["type"] == "done"
             assert {m["generation"] for m in messages} == {slot}
+
+
+#: A pooled campaign whose forked slots log their pids, one per block.
+_POOLED_SUPERVISOR = """
+import os, sys, time
+from repro.exec import ExecPolicy, run_supervised
+from repro.exec.backend import combine_selftest
+
+def task(start, size, seed):
+    with open(sys.argv[1], "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    time.sleep(0.05)
+    return {"values": list(range(start, start + size))}
+
+run_supervised(task, trials=400, seed=0, kind="selftest",
+               policy=ExecPolicy(workers=2), combine=combine_selftest,
+               block=1)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: ask the kernel directly
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestSupervisorDeath:
+    @pytest.mark.timeout(60)
+    def test_slots_exit_when_the_supervisor_is_killed(self, tmp_path):
+        """A forked slot must read EOF once the supervisor is gone: no
+        slot may hold the supervisor's end of any channel open."""
+        pids = tmp_path / "pids"
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _POOLED_SUPERVISOR, str(pids)],
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        slots: set[int] = set()
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(slots) < 2 and time.monotonic() < deadline:
+                assert supervisor.poll() is None, "supervisor ended early"
+                time.sleep(0.05)
+                if pids.exists():
+                    text = pids.read_text()
+                    slots = {int(p) for p in text[: text.rfind("\n") + 1].split()}
+            assert len(slots) == 2
+            supervisor.kill()
+            supervisor.wait()
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, slots)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in slots if _running(pid)] == []
+        finally:
+            if supervisor.poll() is None:
+                supervisor.kill()
+                supervisor.wait()
+            for pid in slots:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestMakeBackend:

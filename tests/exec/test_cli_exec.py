@@ -198,14 +198,7 @@ class TestShardChaosCommand:
 class TestShardOnlyFlags:
     """Lease-only flags are refused, not dropped, on unsharded runs."""
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--listen", "127.0.0.1:0"),
-            ("--status-file", "status.json"),
-            ("--telemetry-stream", "telemetry.ndjson"),
-        ],
-    )
+    @pytest.mark.parametrize("flag, value", [("--listen", "127.0.0.1:0")])
     def test_flag_needs_backend_or_shards(
         self, tmp_path, capsys, monkeypatch, flag, value
     ):

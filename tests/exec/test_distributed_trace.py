@@ -1,18 +1,25 @@
 """Distributed tracing over shard workers: merge, skew, chaos, CLI.
 
-The tentpole contract under test: a sharded campaign with telemetry on
-produces ONE merged trace-format-v2 file containing spans from every
-engaged worker, readable by ``repro report`` — and the campaign result
-is bit-identical to the telemetry-off run.
+The contract under test: a sharded campaign with telemetry on produces
+ONE merged trace file, written as the run goes, containing spans from
+every engaged worker, readable by ``repro report`` and tailed live by
+``repro exec watch`` — and the campaign result is bit-identical to the
+telemetry-off run.
 """
 
-import json
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.exec import ExecPolicy, ShardChaos, run_sharded
-from repro.exec.backend import combine_selftest, selftest_spec, selftest_task
+from repro.exec.backend import (
+    ForkPoolBackend,
+    combine_selftest,
+    selftest_spec,
+    selftest_task,
+)
 from repro.obs import (
     Recorder,
     dump_ndjson,
@@ -22,14 +29,9 @@ from repro.obs import (
     use,
     validate_trace,
 )
+from repro.obs.metrics import to_prometheus_text
 from repro.obs.report import critical_path, exec_health
-from repro.obs.telemetry import (
-    LeaseTelemetry,
-    TelemetryMerger,
-    load_status,
-    make_context,
-    validate_telemetry_stream,
-)
+from repro.obs.telemetry import LeaseTelemetry, TelemetryMerger, make_context
 
 SPEC = selftest_spec()
 TASK = selftest_task(SPEC["params"])
@@ -54,8 +56,18 @@ def sharded(trials, seed, *, recorder=None, backend="local", shards=2,
         call["task_spec"] = SPEC
     if recorder is None:
         return run_sharded(TASK, **call)
-    with use(recorder):
-        return run_sharded(TASK, **call)
+    try:
+        with use(recorder):
+            return run_sharded(TASK, **call)
+    finally:
+        recorder.close()  # a finished trace: every parent is in it
+
+
+def traced_to_file(path, trials, seed, **kwargs):
+    """A sharded run whose recorder streams its trace to ``path``."""
+    recorder = Recorder()
+    recorder.open_sink(path)
+    return recorder, sharded(trials, seed, recorder=recorder, **kwargs)
 
 
 def remote_spans(recorder, name=None):
@@ -82,37 +94,33 @@ class TestMergedTrace:
 
     @pytest.mark.timeout(120)
     def test_subprocess_backend_four_shards_end_to_end(self, tmp_path):
-        status = str(tmp_path / "status.json")
-        stream = str(tmp_path / "telemetry.ndjson")
-        recorder = Recorder()
-        payloads, report = sharded(
-            1024, 3, recorder=recorder, backend="subprocess", shards=4,
-            status_file=status, telemetry_stream=stream,
+        path = str(tmp_path / "trace.ndjson")
+        recorder, (payloads, report) = traced_to_file(
+            path, 1024, 3, backend="subprocess", shards=4,
         )
         plain, _ = sharded(1024, 3, backend="subprocess", shards=4)
         assert merge(payloads) == merge(plain)
-        assert validate_trace(recorder.events()) == []
+        events = load_ndjson(path)
+        assert events == recorder.events()
+        assert validate_trace(events) == []
         leases = remote_spans(recorder, "worker.lease")
         assert {s.attrs["shard"] for s in leases} == {0, 1, 2, 3}
-        assert validate_telemetry_stream(load_ndjson(stream)) == []
-        doc = load_status(status)
-        assert doc["complete"] is True
-        assert doc["trials_done"] == 1024
-        assert doc["run_id"] == report.run_id
-        assert report.telemetry_stream_path == stream
+        assert all(s.attrs["run_id"] == report.run_id for s in leases)
+        index = index_trace(events)
+        assert exec_health(index).completed
+        assert index.metrics["spans"] == len(recorder.spans)
 
     @pytest.mark.timeout(60)
-    def test_stream_without_recorder_still_captures_workers(self, tmp_path):
-        # --telemetry-stream with tracing off: the NullRecorder gets no
-        # grafts, but the raw stream must still be written and valid.
-        stream = str(tmp_path / "only-stream.ndjson")
-        payloads, report = sharded(512, 7, telemetry_stream=stream)
-        plain, _ = sharded(512, 7)
+    def test_prebuilt_backend_carries_the_runs_context(self):
+        recorder = Recorder()
+        with ForkPoolBackend(TASK, 11) as backend:
+            payloads, report = sharded(1024, 11, recorder=recorder,
+                                       backend=backend)
+        plain, _ = sharded(1024, 11)
         assert merge(payloads) == merge(plain)
-        events = load_ndjson(stream)
-        assert validate_telemetry_stream(events) == []
-        assert events[0]["run_id"] == report.run_id
-        assert report.worker_spans == 0  # nothing to graft into
+        leases = remote_spans(recorder, "worker.lease")
+        assert {s.attrs["shard"] for s in leases} == {0, 1}
+        assert all(s.attrs["run_id"] == report.run_id for s in leases)
 
     @pytest.mark.timeout(60)
     def test_telemetry_off_entirely_when_unobserved(self):
@@ -170,6 +178,7 @@ class TestAnalyzeMergedTrace:
                 for message in messages:
                     merger.add(message)
                 merger.settle(lease_id)
+        rec.close()
         return rec
 
     def test_clock_skewed_workers_produce_one_valid_tree(self, tmp_path):
@@ -236,69 +245,117 @@ class TestAnalyzeMergedTrace:
         assert health.lanes[0].crashes == 0
 
 
+def live_prefix(path, tmp_path):
+    """Cut a finished trace after its first ``lease_done`` decision and
+    add a torn, unterminated line: what a reader sees mid-run."""
+    lines = Path(path).read_text().splitlines(keepends=True)
+    cut = next(
+        i for i, line in enumerate(lines) if '"lease_done"' in line
+    ) + 1
+    prefix = tmp_path / "prefix.ndjson"
+    prefix.write_text("".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+    return str(prefix), lines[cut:]
+
+
 class TestWatchAndMetricsCli:
-    def status_doc(self, complete=True):
-        return {
-            "format": "repro-campaign-status",
-            "version": 1,
-            "run_id": "cafecafecafe",
-            "kind": "faultsim",
-            "backend": "subprocess",
-            "trials": 512,
-            "trials_done": 512 if complete else 256,
-            "elapsed_s": 1.5,
-            "trials_per_s": 341.3,
-            "complete": complete,
-            "updated_unix": 0,
-            "shards": [{
-                "shard": 0, "start": 0, "size": 512, "blocks_total": 2,
-                "blocks_done": 2, "trials_done": 512, "trials_per_s": 341.3,
-                "heartbeat_lag_s": 0.05, "leases": 1, "redispatches": 0,
-                "expiries": 0, "crashes": 0, "rescued_blocks": 0,
-                "heartbeats": 2, "state": "done",
-            }],
-        }
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        """The trace of a 2-shard faultsim campaign run by the CLI."""
+        path = str(tmp_path_factory.mktemp("watch") / "trace.ndjson")
+        assert main([
+            "faultsim", "--workload", "paper", "--trials", "1024",
+            "--seed", "3", "--shards", "2", "--backend", "local",
+            "--workers", "2", "--trace", path,
+        ]) == 0
+        return path
 
-    def test_watch_once_renders_status(self, tmp_path, capsys):
-        path = tmp_path / "status.json"
-        path.write_text(json.dumps(self.status_doc()))
-        assert main(["exec", "watch", str(path), "--once"]) == 0
+    def test_watch_once_renders_status(self, finished, capsys):
+        assert main(["exec", "watch", finished, "--once"]) == 0
         out = capsys.readouterr().out
-        assert "run cafecafecafe" in out
-        assert "[complete]" in out
-        assert "beat lag" in out
+        assert "[ended]" in out
+        assert "Per-shard lease health (backend: local)" in out
+        assert "completed: 2 batches" in out
 
-    def test_watch_once_rejects_non_status_file(self, tmp_path, capsys):
+    def test_watch_once_on_torn_live_prefix(self, finished, tmp_path, capsys):
+        prefix, _ = live_prefix(finished, tmp_path)
+        assert main(["exec", "watch", prefix, "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "[running]" in out
+        assert "[ended]" not in out
+        assert "Per-shard lease health (backend: local)" in out
+        assert "completed: NO" in out
+
+    @pytest.mark.timeout(30)
+    def test_watch_exits_when_the_metrics_record_lands(
+        self, finished, tmp_path, capsys
+    ):
+        prefix, rest = live_prefix(finished, tmp_path)
+        codes = []
+        watcher = threading.Thread(daemon=True, target=lambda: codes.append(
+            main(["exec", "watch", prefix, "--interval", "0.05"])
+        ))
+        watcher.start()
+        watcher.join(0.3)
+        assert watcher.is_alive()  # still running: no metrics record yet
+        with open(prefix, "a") as handle:
+            handle.write(rest[0][len(rest[0]) // 2:] + "".join(rest[1:]))
+        watcher.join(10)
+        assert not watcher.is_alive() and codes == [0]
+        assert "[ended]" in capsys.readouterr().out
+
+    @pytest.mark.timeout(30)
+    def test_watch_reads_a_v2_trace_as_finished(self, tmp_path, capsys):
+        # Version-2 traces were written whole at exit: nothing to wait for.
+        path = str(tmp_path / "v2.ndjson")
+        dump_ndjson([
+            {"type": "meta", "format": "repro-trace", "version": 2},
+            {"type": "decision", "category": "exec", "action": "lease_grant",
+             "attrs": {"shard": 0}},
+        ], path)
+        assert main(["exec", "watch", path, "--interval", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "[ended]" in out and "Per-shard lease health" in out
+
+    def test_watch_once_rejects_non_trace_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
-        path.write_text("{}")
+        path.write_text("{}\n")
         assert main(["exec", "watch", str(path), "--once"]) != 0
 
-    def test_metrics_export_prom(self, tmp_path, capsys):
-        rec = Recorder()
-        rec.counter("faultsim_trials_total").inc(512, engine="scalar")
-        metrics_file = tmp_path / "metrics.json"
-        metrics_file.write_text(json.dumps(rec.metrics.snapshot()))
+    def test_metrics_export_prom(self, finished, tmp_path, capsys):
         out_file = tmp_path / "metrics.prom"
         assert main([
-            "metrics", "export", str(metrics_file),
-            "--format", "prom", "-o", str(out_file),
+            "metrics", "export", finished, "--format", "prom",
+            "-o", str(out_file),
         ]) == 0
         text = out_file.read_text()
-        assert "# TYPE faultsim_trials_total counter" in text
-        assert 'faultsim_trials_total{engine="scalar"} 512.0' in text
+        run = to_prometheus_text(load_ndjson(finished)[-1]["snapshot"])
+        assert "# TYPE faultsim_trials_total counter" in run
+        assert set(run.splitlines()) <= set(text.splitlines())
+        assert "# TYPE process_resident_memory_bytes gauge" in text
 
     def test_metrics_export_to_stdout(self, tmp_path, capsys):
+        path = str(tmp_path / "trace.ndjson")
         rec = Recorder()
+        rec.open_sink(path)
         rec.gauge("g").set(1.0)
-        metrics_file = tmp_path / "metrics.json"
-        metrics_file.write_text(json.dumps(rec.metrics.snapshot()))
-        assert main(["metrics", "export", str(metrics_file)]) == 0
-        assert "# TYPE g gauge" in capsys.readouterr().out
+        rec.close()
+        assert main(["metrics", "export", path]) == 0
+        assert "# TYPE g gauge\ng 1.0" in capsys.readouterr().out
 
     def test_metrics_export_rejects_untagged_json(self, tmp_path, capsys):
         path = tmp_path / "other.json"
         path.write_text('{"not": "metrics"}')
         assert main(["metrics", "export", str(path)]) != 0
+
+    def test_metrics_export_needs_a_finished_trace(
+        self, finished, tmp_path, capsys
+    ):
+        prefix, _ = live_prefix(finished, tmp_path)
+        (tmp_path / "whole.ndjson").write_text(
+            Path(prefix).read_text().rsplit("\n", 1)[0] + "\n"
+        )
+        assert main(["metrics", "export", str(tmp_path / "whole.ndjson")]) == 2
+        assert "no closing metrics record" in capsys.readouterr().err
 
 
 class TestProfiledSharded:
@@ -325,16 +382,14 @@ class TestProfiledSharded:
 
     @pytest.mark.timeout(60)
     def test_profiled_stream_validates_and_reports(self, tmp_path):
-        stream = str(tmp_path / "telemetry.ndjson")
-        recorder = Recorder()
-        sharded(1024, 11, recorder=recorder, profile=251.0,
-                telemetry_stream=stream)
-        assert validate_telemetry_stream(load_ndjson(stream)) == []
-        batches = [
-            e for e in load_ndjson(stream) if e.get("type") == "profile"
-        ]
-        assert batches, "no profile batches reached the telemetry stream"
-        report = render_report(index_trace(recorder.events()))
+        path = str(tmp_path / "trace.ndjson")
+        traced_to_file(path, 1024, 11, profile=251.0)
+        events = load_ndjson(path)
+        assert validate_trace(events) == []
+        profiles = [e for e in events if e.get("type") == "profile"]
+        assert profiles, "no profile batches reached the trace"
+        assert events[-1]["profiles"] == len(profiles)
+        report = render_report(index_trace(events))
         assert "Per-shard process resources" in report
 
     @pytest.mark.timeout(60)
@@ -358,15 +413,11 @@ class TestProfiledSharded:
         assert any(e.get("shard") == 0 for e in summaries)
 
     @pytest.mark.timeout(60)
-    def test_profile_without_recorder_flows_to_stream(self, tmp_path):
-        # --profile + --telemetry-stream but no ambient recorder: the
-        # supervisor still turns telemetry on so the batches reach disk.
-        stream = str(tmp_path / "telemetry.ndjson")
-        payloads, report = sharded(
-            1024, 11, profile=251.0, telemetry_stream=stream,
-        )
+    def test_profile_without_recorder_ships_nothing(self):
+        # No recorder, no trace context: workers neither record nor
+        # profile, and the result is the same.
+        payloads, report = sharded(1024, 11, profile=251.0)
         plain, _ = sharded(1024, 11)
         assert merge(payloads) == merge(plain)
-        records = load_ndjson(stream)
-        assert validate_telemetry_stream(records) == []
-        assert any(e.get("type") == "profile" for e in records)
+        assert report.run_id is None
+        assert report.telemetry_batches == 0

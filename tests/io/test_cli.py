@@ -185,18 +185,7 @@ class TestResilience:
 class TestObservabilityFlags:
     def test_integrate_writes_trace_and_metrics(self, tmp_path, capsys):
         trace = tmp_path / "t.ndjson"
-        metrics = tmp_path / "m.json"
-        code = main(
-            [
-                "integrate",
-                "--workload",
-                "paper",
-                "--trace",
-                str(trace),
-                "--metrics",
-                str(metrics),
-            ]
-        )
+        code = main(["integrate", "--workload", "paper", "--trace", str(trace)])
         assert code == 0
         from repro.obs import load_ndjson, validate_trace
 
@@ -206,7 +195,10 @@ class TestObservabilityFlags:
         assert {"pipeline", "audit", "expand", "condense", "map", "score"} <= names
         decisions = [e for e in events if e["type"] == "decision"]
         assert len(decisions) >= 3
-        snap = json.loads(metrics.read_text())
+        closing = events[-1]
+        assert closing["type"] == "metrics"
+        assert closing["decisions"] == len(decisions)
+        snap = closing["snapshot"]
         assert snap["format"] == "repro-metrics"
         assert "condense_steps_total" in snap["metrics"]
 

@@ -1,8 +1,6 @@
 """CLI surface of the profiler: ``--profile``, the profile sections of
 ``repro report``, and the process gauges in ``repro metrics export``."""
 
-import json
-
 from repro.cli import main
 from repro.obs import Recorder, load_ndjson, validate_trace
 from repro.obs.profile import DEFAULT_PROFILE_HZ
@@ -24,7 +22,7 @@ class TestProfileFlag:
         )
         assert summary["hz"] == DEFAULT_PROFILE_HZ
         assert summary["rss_peak_bytes"] > 0
-        assert events[0]["profiles"] == len(profs)
+        assert events[-1]["profiles"] == len(profs)
 
     def test_profile_accepts_custom_rate(self, tmp_path):
         trace = tmp_path / "trace.ndjson"
@@ -47,7 +45,7 @@ class TestProfileFlag:
         ]) == 0
         events = load_ndjson(str(trace))
         assert not any(e.get("type") == "profile" for e in events)
-        assert "profiles" not in events[0]
+        assert events[-1]["profiles"] == 0
 
 
 class TestProfileReportCommand:
@@ -81,11 +79,12 @@ class TestMetricsExportProcessGauges:
         assert "process_resident_memory_bytes " in text
 
     def test_campaign_metrics_win_name_collisions(self, tmp_path, capsys):
+        path = tmp_path / "trace.ndjson"
         rec = Recorder()
+        rec.open_sink(str(path))
         rec.gauge("process_resident_memory_bytes").set(123.0)
         rec.counter("faultsim_trials_total").inc(7)
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(rec.metrics.snapshot()))
+        rec.close()
         assert main(["metrics", "export", str(path), "--format", "prom"]) == 0
         text = capsys.readouterr().out
         assert "process_resident_memory_bytes 123.0" in text

@@ -20,7 +20,14 @@ def recorded():
             pass
         with rec.span("condense"):
             rec.decision("condense", "merge", subject="p1 + p2", reason="H1")
+    rec.close()  # a finished trace: every parent is in it
     return rec
+
+
+def before_closing(rec, *records):
+    """``rec``'s finished trace with ``records`` before its closing one."""
+    events = rec.events()
+    return events[:-1] + list(records) + events[-1:]
 
 
 class TestRoundTrip:
@@ -103,18 +110,20 @@ class TestValidateTrace:
         assert any("no kind" in p for p in problems)
 
     def test_profile_event_span_must_exist(self, recorded):
-        events = recorded.events() + [
-            {"type": "profile", "kind": "stacks", "span": 999,
-             "hz": 97.0, "samples": 1, "stacks": {"a;b": 1}},
-        ]
+        events = before_closing(recorded, {
+            "type": "profile", "kind": "stacks", "span": 999,
+            "hz": 97.0, "samples": 1, "stacks": {"a;b": 1},
+        })
         assert any("unknown span" in p for p in validate_trace(events))
 
-    def test_profile_event_unattributed_span_ok(self, recorded):
-        events = recorded.events() + [
-            {"type": "profile", "kind": "stacks", "span": None,
-             "hz": 97.0, "samples": 1, "stacks": {"a;b": 1}},
-        ]
-        assert validate_trace(events) == []
+    def test_profile_event_unattributed_span_ok(self):
+        rec = Recorder()
+        with rec.span("s"):
+            pass
+        rec.profile_event({"type": "profile", "kind": "stacks", "span": None,
+                           "hz": 97.0, "samples": 1, "stacks": {"a;b": 1}})
+        rec.close()
+        assert validate_trace(rec.events()) == []
 
 
 SPAN = {
@@ -165,7 +174,7 @@ class TestCheckNdjsonScript:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.splitlines() == [
-            f"{path}: INVALID (repro-trace v2)",
+            f"{path}: INVALID (repro-trace v3)",
             f"  - {problem}",
         ]
 
@@ -174,7 +183,7 @@ class TestUnknownKinds:
     """Forward compatibility: newer writers may add event kinds."""
 
     def test_unknown_type_tolerated(self, recorded):
-        events = recorded.events() + [{"type": "mystery", "payload": 1}]
+        events = before_closing(recorded, {"type": "mystery", "payload": 1})
         assert validate_trace(events) == []
 
     def test_unknown_kinds_counted(self, recorded):
@@ -195,7 +204,7 @@ class TestUnknownKinds:
         assert unknown_kind_counts(events) == {}
 
     def test_unknown_kind_round_trips_through_ndjson(self, recorded, tmp_path):
-        events = recorded.events() + [{"type": "mystery", "payload": 1}]
+        events = before_closing(recorded, {"type": "mystery", "payload": 1})
         path = tmp_path / "future.ndjson"
         dump_ndjson(events, str(path))
         loaded = load_ndjson(str(path))

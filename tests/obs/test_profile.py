@@ -193,13 +193,13 @@ class TestProfilerSession:
             with Profiler(rec, hz=400.0):
                 with rec.span("work"):
                     _busy(0.1)
+        rec.close()
         events = rec.events()
         assert validate_trace(events) == []
         kinds = {e.get("kind") for e in events if e.get("type") == "profile"}
         assert "resource_summary" in kinds
         assert "stacks" in kinds
-        meta = events[0]
-        assert meta["profiles"] == rec.profiles > 0
+        assert events[-1]["profiles"] == rec.profiles > 0
         # the probe stamped per-span resource deltas before teardown
         work = next(s for s in rec.spans if s.name == "work")
         assert "cpu_s" in work.attrs

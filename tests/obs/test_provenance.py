@@ -28,8 +28,8 @@ class TestCollection:
 
 
 class TestMetaLine:
-    def test_version_bumped_to_2(self):
-        assert TRACE_VERSION == 2
+    def test_version_bumped_to_3(self):
+        assert TRACE_VERSION == 3
 
     def test_meta_carries_provenance(self):
         rec = Recorder()
@@ -58,6 +58,7 @@ class TestValidation:
         rec = Recorder()
         with rec.span("s"):
             pass
+        rec.close()
         assert validate_trace(rec.events()) == []
 
     def test_v2_meta_without_provenance_invalid(self):

@@ -67,10 +67,12 @@ class TestWriteTraceWithOpenSpans:
         assert len(spans) == 1
         assert spans[0]["t_end"] is not None
 
-    def test_meta_span_count_includes_open(self):
+    def test_closing_span_count_includes_open(self):
         rec = Recorder()
         with rec.span("closed"):
             pass
         rec.span("open")
-        meta = rec.events()[0]
-        assert meta["spans"] == 2
+        rec.close()
+        closing = rec.events()[-1]
+        assert closing["type"] == "metrics"
+        assert closing["spans"] == 2

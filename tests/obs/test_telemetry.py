@@ -1,25 +1,17 @@
-"""Distributed telemetry: worker capture, grafting, health, exports."""
+"""Distributed telemetry: worker capture, grafting, exports."""
 
-import json
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import Recorder, load_ndjson, validate_trace
+from repro.obs import Recorder, validate_trace
 from repro.obs.metrics import to_prometheus_text
 from repro.obs.telemetry import (
-    STATUS_FORMAT,
-    TELEMETRY_FORMAT,
-    HealthBoard,
     LeaseTelemetry,
     TelemetryMerger,
-    load_status,
     make_context,
     mint_run_id,
-    render_status,
-    validate_telemetry_stream,
-    write_status,
 )
 
 LEASE = {"id": 1, "shard": 0, "attempt": 1, "start": 0, "size": 512}
@@ -33,7 +25,6 @@ def worker_batches(lease=LEASE, blocks=2, fail_last=False):
         start = lease["start"] + index * 256
         with telem.block_span(index, start, 256):
             pass
-        telem.block_done(256)
         telem.flush()
     if fail_last:
         telem.error(lease["start"], 256, "boom")
@@ -66,7 +57,7 @@ class TestLeaseTelemetry:
         assert "worker.block" in names
         assert "worker.lease" not in names
 
-    def test_final_batch_closes_root_and_carries_counters(self):
+    def test_final_batch_closes_root(self):
         final = worker_batches(blocks=1)[-1]
         assert final["final"] is True
         roots = [
@@ -76,7 +67,7 @@ class TestLeaseTelemetry:
         assert len(roots) == 1
         assert roots[0]["t_end"] is not None
         assert roots[0]["attrs"]["status"] == "done"
-        assert final["counters"]["worker_trials_total"] == {"shard=0": 256.0}
+        assert "counters" not in final
 
     def test_sequence_numbers_increase(self):
         messages = worker_batches(blocks=3)
@@ -111,6 +102,7 @@ class TestGraftEvents:
                 parent_depth=parent.depth,
                 t_offset=t_offset,
             )
+        rec.close()
         return rec
 
     def test_worker_tree_reparents_under_supervisor_span(self):
@@ -138,6 +130,7 @@ class TestGraftEvents:
             )
         orphan = next(s for s in rec.spans if s.name == "worker.block")
         assert orphan.parent == parent.sid
+        rec.close()
         assert validate_trace(rec.events()) == []
 
     def test_clock_offset_applied_and_clamped(self):
@@ -169,6 +162,7 @@ class TestGraftEvents:
             )
         span = next(s for s in rec.spans if s.name == "worker.lease")
         assert span.t_end == span.t_start == 1.5
+        rec.close()
         assert validate_trace(rec.events()) == []
 
     def test_decisions_remap_to_grafted_spans(self):
@@ -205,10 +199,11 @@ class TestTelemetryMerger:
                 parent_depth=parent.depth,
             )
             for message in worker_batches(blocks=2):
-                merger.add(message, slot=0)
+                merger.add(message)
             assert merger.worker_spans == 0
             merger.settle(1)
         assert merger.worker_spans == 3  # lease root + two blocks
+        rec.close()
         assert validate_trace(rec.events()) == []
 
     def test_straggler_after_settle_grafts_immediately(self):
@@ -219,18 +214,21 @@ class TestTelemetryMerger:
                 parent_depth=parent.depth,
             )
             merger.settle(1)
-            merger.add(worker_batches(blocks=1)[0], slot=0)
+            merger.add(worker_batches(blocks=1)[0])
         assert merger.worker_spans == 1
+        rec.close()
         assert validate_trace(rec.events()) == []
 
-    def test_worker_counters_merge_into_supervisor_registry(self):
+    def test_replayed_batches_graft_once(self):
         rec = Recorder()
         merger = TelemetryMerger(rec, "run0")
         for message in worker_batches(blocks=2):
             merger.add(message)
+            merger.add(dict(message))  # the transport delivered it twice
         merger.settle_all()
-        assert rec.counter("worker_trials_total").value(shard="0") == 512.0
-        assert rec.counter("worker_blocks_total").value(shard="0") == 2.0
+        assert merger.batches == 3
+        blocks = [s for s in rec.spans if s.name == "worker.block"]
+        assert sorted(s.attrs["start"] for s in blocks) == [0, 256]
 
     def test_disabled_recorder_never_grafted(self):
         merger = TelemetryMerger(SimpleNamespace(enabled=False), "run0")
@@ -238,61 +236,6 @@ class TestTelemetryMerger:
             merger.add(message)
         merger.settle_all()
         assert merger.worker_spans == 0
-
-    def test_write_stream_round_trips_and_validates(self, tmp_path):
-        rec = Recorder()
-        merger = TelemetryMerger(rec, "run0")
-        for message in worker_batches(blocks=2):
-            merger.add(message, slot=3)
-        path = tmp_path / "telemetry.ndjson"
-        merger.write_stream(str(path))
-        events = load_ndjson(str(path))
-        assert validate_telemetry_stream(events) == []
-        assert events[0]["format"] == TELEMETRY_FORMAT
-        assert events[0]["run_id"] == "run0"
-        assert all(e["slot"] == 3 for e in events[1:])
-
-
-class TestValidateTelemetryStream:
-    def good_stream(self):
-        meta = {"type": "meta", "format": TELEMETRY_FORMAT, "version": 1}
-        return [meta] + worker_batches(blocks=1)
-
-    def test_good_stream_passes(self):
-        assert validate_telemetry_stream(self.good_stream()) == []
-
-    def test_empty_stream_fails(self):
-        assert validate_telemetry_stream([]) != []
-
-    def test_wrong_meta_fails(self):
-        events = self.good_stream()
-        events[0] = {"type": "meta", "format": "repro-trace", "version": 2}
-        assert any(
-            "meta line" in p for p in validate_telemetry_stream(events)
-        )
-
-    def test_sequence_regression_fails(self):
-        events = self.good_stream()
-        events.append(dict(events[1], seq=1))
-        events.append(dict(events[1], seq=1))
-        assert any(
-            "sequence went backwards" in p
-            for p in validate_telemetry_stream(events)
-        )
-
-    def test_missing_epoch_fails(self):
-        events = self.good_stream()
-        del events[1]["epoch_unix"]
-        assert any(
-            "epoch_unix" in p for p in validate_telemetry_stream(events)
-        )
-
-    def test_unknown_record_type_fails(self):
-        events = self.good_stream() + [{"type": "span"}]
-        assert any(
-            "unexpected record type" in p
-            for p in validate_telemetry_stream(events)
-        )
 
 
 class TestPrometheusExport:
@@ -327,102 +270,3 @@ class TestPrometheusExport:
         rec.counter("c").inc(rule='say "hi"')
         text = to_prometheus_text(rec.metrics.snapshot())
         assert 'rule="say \\"hi\\""' in text
-
-
-def fake_plan(sizes, block=256):
-    plan, start = [], 0
-    for shard_id, size in enumerate(sizes):
-        plan.append(SimpleNamespace(id=shard_id, start=start, size=size))
-        start += size
-    return plan
-
-
-def board(tmp_path=None, sizes=(512, 512), **kwargs):
-    status_file = str(tmp_path / "status.json") if tmp_path else None
-    return HealthBoard(
-        fake_plan(sizes), 256, run_id="run0", kind="faultsim",
-        trials=sum(sizes), backend="local", status_file=status_file,
-        **kwargs,
-    )
-
-
-class TestHealthBoard:
-    def test_shard_of_maps_block_starts_to_owners(self):
-        b = board()
-        assert b.shard_of(0) == 0
-        assert b.shard_of(256) == 0
-        assert b.shard_of(512) == 1
-        assert b.shard_of(768) == 1
-
-    def test_lifecycle_states(self):
-        b = board()
-        assert b.shards[0].state == "pending"
-        b.lease_granted(0)
-        assert b.shards[0].state == "running"
-        b.crashed(0)
-        assert b.shards[0].state == "stalled"
-        b.lease_granted(0)
-        b.block_done(0, 256, "backend")
-        b.block_done(256, 256, "serial")
-        assert b.shards[0].state == "done"
-        assert b.shards[0].rescued_blocks == 1
-
-    def test_snapshot_totals(self):
-        b = board()
-        b.lease_granted(0)
-        b.heartbeat(0)
-        b.block_done(0, 256, "backend")
-        status = b.snapshot(complete=True)
-        assert status["format"] == STATUS_FORMAT
-        assert status["trials_done"] == 256
-        assert status["complete"] is True
-        shard0 = status["shards"][0]
-        assert shard0["blocks_done"] == 1
-        assert shard0["heartbeats"] == 1
-        assert shard0["heartbeat_lag_s"] is not None
-
-    def test_status_file_written_atomically(self, tmp_path):
-        b = board(tmp_path)
-        b.maybe_write(force=True)
-        status = load_status(str(tmp_path / "status.json"))
-        assert status["run_id"] == "run0"
-        assert [s["shard"] for s in status["shards"]] == [0, 1]
-        assert not list(tmp_path.glob("*.tmp.*"))
-
-    def test_writes_throttled_between_events(self, tmp_path):
-        b = board(tmp_path, interval_s=3600.0)
-        b.maybe_write(force=True)
-        first = (tmp_path / "status.json").read_text()
-        b.lease_granted(0)  # throttled: inside the interval
-        assert (tmp_path / "status.json").read_text() == first
-        b.maybe_write(complete=True)  # completion bypasses the throttle
-        assert json.loads(
-            (tmp_path / "status.json").read_text()
-        )["complete"] is True
-
-
-class TestStatusFile:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        write_status(path, {"format": STATUS_FORMAT, "version": 1})
-        assert load_status(path)["format"] == STATUS_FORMAT
-
-    def test_load_rejects_untagged_json(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"hello": 1}\n')
-        with pytest.raises(ObservabilityError):
-            load_status(str(path))
-
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(ObservabilityError):
-            load_status(str(tmp_path / "absent.json"))
-
-    def test_render_status_shows_shard_table(self):
-        b = board()
-        b.lease_granted(0)
-        b.block_done(0, 256, "backend")
-        text = render_status(b.snapshot())
-        assert "run run0" in text
-        assert "backend=local" in text
-        assert "shard" in text and "beat lag" in text
-        assert "running" in text

@@ -52,10 +52,12 @@ class TestSpans:
         rec = Recorder()
         with rec.span("only"):
             pass
+        rec.close()
         events = rec.events()
         assert events[0]["type"] == "meta"
         assert events[0]["format"] == "repro-trace"
-        assert events[0]["spans"] == 1
+        assert events[-1]["type"] == "metrics"
+        assert events[-1]["spans"] == 1
 
     def test_open_span_flushed_with_null_end(self):
         rec = Recorder()
