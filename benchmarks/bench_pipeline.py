@@ -34,6 +34,7 @@ from repro.exec.batching import available_cpus
 from repro.faultsim.campaign import run_campaign
 from repro.obs import PIPELINE_STAGES, Recorder, collect_provenance, use
 from repro.obs.analyze import append_history
+from repro.resilience.campaign import run_resilience_campaign
 from repro.workloads import HW_NODE_COUNT, paper_system
 from repro.workloads.generators import random_system
 
@@ -41,23 +42,31 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.ndjson"
 
+#: Trials of the resilience campaigns the pooled and profiled entries
+#: time, in quick and full runs alike.  A resilience trial on
+#: generated-200 re-plans the mapping (~7 ms), so 200 trials are seven
+#: 32-trial blocks: enough to keep two slots busy.  The count differs
+#: from the baseline's 2000 fault-campaign trials, so ``bench check``
+#: does not compare these entries' wall times with it.
+RESILIENCE_TRIALS = 200
 
-def bench_scenario(name, system, hw, heuristic, trials, engine="auto", tolerance=None) -> dict:
+
+def bench_scenario(name, system, hw, heuristic, trials, tolerance=None) -> dict:
     """Integrate ``system`` on ``hw`` once, then run a fault campaign.
 
     Returns one BENCH entry: total pipeline wall time, per-stage wall
-    times (from the recorder's spans), and campaign throughput.
-    ``engine`` pins the campaign's trial simulator, so scalar and vector
-    entries track separate campaign perf trajectories; the entry records
-    which engine the campaign actually ran.
+    times (from the recorder's spans), and campaign throughput.  With
+    ``trials=0`` no campaign runs and the entry has no ``trials_per_s``.
     """
     framework = IntegrationFramework(system, FrameworkOptions(heuristic=heuristic))
     recorder = Recorder()
     t0 = time.perf_counter()
     with use(recorder):
         outcome = framework.integrate(hw)
-        campaign = framework.validate_by_campaign(
-            outcome, trials=trials, seed=0, engine=engine
+        campaign = (
+            framework.validate_by_campaign(outcome, trials=trials, seed=0)
+            if trials
+            else None
         )
     wall_s = time.perf_counter() - t0
 
@@ -69,22 +78,22 @@ def bench_scenario(name, system, hw, heuristic, trials, engine="auto", tolerance
     entry = {
         "name": name,
         "wall_s": round(wall_s, 6),
-        "trials_per_s": round(campaign.trials_per_s, 1),
         "n_processes": len(system.processes()),
         "feasible": outcome.feasible,
         "heuristic": heuristic.name,
         "hw_nodes": len(hw),
-        "campaign_trials": campaign.trials,
-        "engine": campaign.engine,
+        "campaign_trials": trials,
         "stages": {stage: round(stages.get(stage, 0.0), 6) for stage in PIPELINE_STAGES},
     }
+    if campaign is not None:
+        entry["trials_per_s"] = round(campaign.trials_per_s, 1)
     if tolerance:
         entry["tolerance"] = tolerance
     return entry
 
 
 def bench_parallel_campaign(name, system, hw, heuristic, trials, workers) -> dict:
-    """Run one fault campaign serially and pooled; record the speedup.
+    """Run one resilience campaign serially and pooled; record the speedup.
 
     The pooled run goes through the supervised runner
     (:mod:`repro.exec`), so this entry also asserts the determinism
@@ -95,26 +104,24 @@ def bench_parallel_campaign(name, system, hw, heuristic, trials, workers) -> dic
     available (``pool_engaged`` records whether >= 2 workers ran).  On a
     single-CPU machine the entry honestly reports ~1.0x instead of the
     oversubscription slowdown a forced pool would measure; the
-    ``min_speedup`` bench gate only applies when the pool engaged.  Both
-    runs pin ``engine="scalar"`` — pooling exists for the slow per-trial
-    path.  ``retries`` counts the lease supervisor's re-dispatches.
+    ``min_speedup`` bench gate only applies when the pool engaged.  The
+    campaign is a resilience campaign: its per-trial re-planning is the
+    work pooling exists for, while a fault campaign on the kernel runs
+    faster in-process.  ``retries`` counts the lease supervisor's
+    re-dispatches.
     """
     framework = IntegrationFramework(system, FrameworkOptions(heuristic=heuristic))
     outcome = framework.integrate(hw)
-    state = outcome.condensation.state
-    graph, partition = state.graph, state.as_partition()
     cpus = available_cpus()
     effective = max(1, min(workers, cpus))
 
     t0 = time.perf_counter()
-    serial = run_campaign(graph, partition, trials=trials, seed=0, engine="scalar")
+    serial = run_resilience_campaign(outcome, trials=trials, seed=0)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pooled = run_campaign(
-        graph, partition, trials=trials, seed=0,
-        policy=ExecPolicy(workers=effective),
-        engine="scalar",
+    pooled = run_resilience_campaign(
+        outcome, trials=trials, seed=0, policy=ExecPolicy(workers=effective)
     )
     pooled_s = time.perf_counter() - t0
     report = pooled.exec_report
@@ -169,7 +176,7 @@ def bench_sharded_campaign(
     effective = max(1, min(workers, cpus))
 
     t0 = time.perf_counter()
-    serial = run_campaign(graph, partition, trials=trials, seed=0, engine="scalar")
+    serial = run_campaign(graph, partition, trials=trials, seed=0)
     serial_s = time.perf_counter() - t0
 
     def sharded_run(traced: bool):
@@ -180,13 +187,13 @@ def bench_sharded_campaign(
                 out = run_campaign(
                     graph, partition, trials=trials, seed=0,
                     policy=ExecPolicy(workers=effective),
-                    engine="scalar", shards=shards, backend=backend,
+                    shards=shards, backend=backend,
                 )
         else:
             out = run_campaign(
                 graph, partition, trials=trials, seed=0,
                 policy=ExecPolicy(workers=effective),
-                engine="scalar", shards=shards, backend=backend,
+                shards=shards, backend=backend,
             )
         return out, time.perf_counter() - t0
 
@@ -232,7 +239,7 @@ def bench_sharded_campaign(
 def bench_profiled_campaign(
     name, system, hw, heuristic, trials, hz=None, tolerance=None
 ) -> dict:
-    """Run one fault campaign traced and traced-with-profiling.
+    """Run one resilience campaign traced and traced-with-profiling.
 
     Both variants run under a live :class:`~repro.obs.Recorder` (the
     tracing cost is already gated by the sharded entries), so the
@@ -248,8 +255,6 @@ def bench_profiled_campaign(
     hz = hz or DEFAULT_PROFILE_HZ
     framework = IntegrationFramework(system, FrameworkOptions(heuristic=heuristic))
     outcome = framework.integrate(hw)
-    state = outcome.condensation.state
-    graph, partition = state.graph, state.as_partition()
 
     def campaign_run(profiled: bool):
         recorder = Recorder()
@@ -257,15 +262,9 @@ def bench_profiled_campaign(
         with use(recorder):
             if profiled:
                 with Profiler(recorder, hz=hz):
-                    out = run_campaign(
-                        graph, partition, trials=trials, seed=0,
-                        engine="scalar",
-                    )
+                    out = run_resilience_campaign(outcome, trials=trials, seed=0)
             else:
-                out = run_campaign(
-                    graph, partition, trials=trials, seed=0,
-                    engine="scalar",
-                )
+                out = run_resilience_campaign(outcome, trials=trials, seed=0)
         profile_events = recorder.profiles
         samples = sum(
             e.get("samples", 0)
@@ -300,17 +299,16 @@ def bench_profiled_campaign(
 def run(quick: bool = False) -> list[dict]:
     trials = 200 if quick else 2000
     entries = [
-        # paper-8 pins the scalar engine: on an 8-FCM graph the vector
-        # kernel's throughput is all fixed setup cost, which swings ~17x
-        # between --quick and full runs — ungateable.  Scalar per-trial
-        # cost is flat, so this entry tracks the reference path's perf.
+        # paper-8 runs no campaign: on an 8-FCM graph the kernel's
+        # throughput is all fixed setup cost, which swings ~17x between
+        # --quick and full runs — ungateable.  generated-200-vector's
+        # trials/s gate covers the kernel.
         bench_scenario(
             "paper-8",
             paper_system(),
             fully_connected(HW_NODE_COUNT),
             Heuristic.H1,
-            trials,
-            engine="scalar",
+            trials=0,
         ),
         bench_scenario(
             "generated-200",
@@ -320,7 +318,6 @@ def run(quick: bool = False) -> list[dict]:
             fully_connected(40),
             Heuristic.TIMING_PACK,
             trials,
-            engine="scalar",
         ),
         bench_parallel_campaign(
             "parallel-campaign-200",
@@ -329,7 +326,7 @@ def run(quick: bool = False) -> list[dict]:
             ),
             fully_connected(40),
             Heuristic.TIMING_PACK,
-            trials,
+            RESILIENCE_TRIALS,
             workers=4,
         ),
         bench_sharded_campaign(
@@ -379,13 +376,13 @@ def run(quick: bool = False) -> list[dict]:
             ),
             fully_connected(40),
             Heuristic.TIMING_PACK,
-            trials,
+            RESILIENCE_TRIALS,
         )
     )
-    # The vector kernel amortizes graph compilation over the whole
-    # campaign, so its trials/s swings more between --quick and full
-    # runs than the scalar engines' — hence the looser per-entry
-    # throughput tolerance (committed into the baseline).
+    # The kernel amortizes graph compilation over the whole campaign, so
+    # its trials/s swings between --quick and full runs — hence the
+    # looser per-entry throughput tolerance (committed into the
+    # baseline).
     entries.append(
         bench_scenario(
             "generated-200-vector",
@@ -395,7 +392,6 @@ def run(quick: bool = False) -> list[dict]:
             fully_connected(40),
             Heuristic.TIMING_PACK,
             trials,
-            engine="vector",
             # trials/s swings on the compile amortization (above);
             # the absolute caps pin the tentpole perf promises: the
             # whole vector pipeline under 0.2s end-to-end, the
@@ -449,10 +445,14 @@ def main(argv=None) -> int:
                 f"{stage}={entry['stages'][stage] * 1000:.1f}ms"
                 for stage in PIPELINE_STAGES
             )
+            throughput = (
+                f", {entry['trials_per_s']:.0f} trials/s"
+                if "trials_per_s" in entry
+                else ""
+            )
             print(
-                f"{entry['name']}: {entry['wall_s']:.3f}s total, "
-                f"{entry['trials_per_s']:.0f} trials/s "
-                f"[{entry['engine']}] ({stage_text})"
+                f"{entry['name']}: {entry['wall_s']:.3f}s total"
+                f"{throughput} ({stage_text})"
             )
         elif "profiled_wall_s" in entry:
             overhead = entry.get("profile_overhead")

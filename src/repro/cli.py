@@ -247,13 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=MappingApproach.IMPORTANCE.value,
     )
     integrate.add_argument(
-        "--engine",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="trial engine of the --validate-trials campaign: 'scalar' "
-        "per-trial oracle, 'vector' NumPy batch kernel, 'auto' vector",
-    )
-    integrate.add_argument(
         "--out", default=None, help="write the outcome as JSON here"
     )
     integrate.add_argument(
@@ -342,13 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mapping",
         choices=[m.value for m in MappingApproach],
         default=MappingApproach.IMPORTANCE.value,
-    )
-    faultsim.add_argument(
-        "--engine",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="trial engine: 'scalar' per-trial oracle, 'vector' NumPy "
-        "batch kernel, 'auto' vector",
     )
     faultsim.add_argument(
         "-v", "--verbose", action="store_true",
@@ -601,8 +587,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     campaign = None
     if args.validate_trials > 0:
         campaign = framework.validate_by_campaign(
-            outcome, trials=args.validate_trials, seed=args.seed,
-            engine=args.engine,
+            outcome, trials=args.validate_trials, seed=args.seed
         )
     print(render_clusters(outcome.condensation.state))
     print()
@@ -734,7 +719,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         policy=_exec_policy(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
-        engine=args.engine,
         backend=args.backend,
         shards=args.shards,
         listen=args.listen,
@@ -753,8 +737,7 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         _print_stage_footer()
         print(
             f"campaign: {result.elapsed_s:.3f}s · "
-            f"{result.trials_per_s:.0f} trials/s · "
-            f"engine {result.engine}"
+            f"{result.trials_per_s:.0f} trials/s"
         )
     return 0
 

@@ -147,23 +147,19 @@ class IntegrationFramework:
         outcome: IntegrationOutcome,
         trials: int = 1000,
         seed: int = 0,
-        engine: str = "auto",
     ):
         """Independent validation: seed faults, measure cross-node escapes.
 
         Returns the :class:`~repro.faultsim.campaign.CampaignResult` and
         appends a one-line note to the outcome — the analytic goodness
         score and the simulated escape rate together close the loop the
-        paper's §5.3 containment criterion asks for.  ``engine`` selects
-        the trial simulator (``auto``/``scalar``/``vector``, see
-        :func:`repro.faultsim.engine.resolve_engine`).
+        paper's §5.3 containment criterion asks for.
         """
         from repro.faultsim.campaign import run_campaign
 
         state = outcome.condensation.state
         campaign = run_campaign(
-            state.graph, state.as_partition(), trials=trials, seed=seed,
-            engine=engine,
+            state.graph, state.as_partition(), trials=trials, seed=seed
         )
         outcome.notes.append(
             f"campaign validation ({trials} faults): "

@@ -77,11 +77,11 @@ from repro.exec.batching import derive_seed
 #: or partial completion yields ranges the kernel simulates identically.
 LEASE_BLOCK_TRIALS = 256
 
-#: Trials per block for per-trial-seeded tasks (scalar faultsim,
-#: resilience).  Their results do not depend on how trials are grouped,
-#: so the block is only the unit of checkpointing and load balance: a
-#: resilience trial costs 0.6-6 ms, and 256-trial blocks are too coarse
-#: to keep two slots evenly busy.
+#: Trials per block for per-trial-seeded tasks: resilience campaigns,
+#: whose trial ``t`` runs on ``derive_seed(seed, t)``.  Their results do
+#: not depend on how trials are grouped, so the block is only the unit
+#: of checkpointing and load balance: a resilience trial costs 0.6-6 ms,
+#: and 256-trial blocks are too coarse to keep two slots evenly busy.
 SCALAR_BLOCK_TRIALS = 32
 
 _JOIN_GRACE_S = 1.0

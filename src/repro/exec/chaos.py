@@ -348,10 +348,9 @@ def _tcp_net_chaos_proofs(
     from repro.exec.runner import ExecPolicy
     from repro.exec.tcp import TcpBackend
     from repro.faultsim.campaign import campaign_task_spec, run_campaign
-    from repro.faultsim.engine import resolve_engine
     from repro.obs import Recorder, load_ndjson, use, validate_trace
 
-    spec = campaign_task_spec(graph, partition, resolve_engine("auto").engine)
+    spec = campaign_task_spec(graph, partition)
     policy = ExecPolicy(workers=workers, backoff_base=0.01, backoff_max=0.05)
 
     # -- proof 4: connection hard-dropped mid-lease ---------------------

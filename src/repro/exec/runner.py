@@ -11,12 +11,12 @@ trial ranges:
   erroring workers go through the one recovery ladder (re-dispatch with
   backoff, serial rescue, backend abandonment).
 
-A **block** is the task's RNG alignment: the vector kernel's fixed
+A **block** is the task's RNG alignment: the fault kernel's fixed
 :data:`~repro.exec.backend.LEASE_BLOCK_TRIALS`-trial RNG block, or
 :data:`~repro.exec.backend.SCALAR_BLOCK_TRIALS` for per-trial-seeded
-tasks, whose results cannot depend on how trials are grouped.  So the
-result is bit-identical for any worker count, shard plan, retry history
-or interrupt/resume schedule.
+tasks (resilience), whose results cannot depend on how trials are
+grouped.  So the result is bit-identical for any worker count, shard
+plan, retry history or interrupt/resume schedule.
 
 Both supervisors keep their books in one :class:`Ledger`: the resume
 load, the streamed NDJSON checkpoint (one line per banked block), the

@@ -1,10 +1,11 @@
 """Fault-injection simulator: propagation, estimation, campaigns.
 
-Two interchangeable trial engines back every campaign and estimator:
-the scalar per-trial oracle (:mod:`repro.faultsim.propagation`) and the
-NumPy batch kernel (:mod:`repro.faultsim.kernel`), selected with
-``engine="auto" | "scalar" | "vector"`` (see
-:func:`repro.faultsim.engine.resolve_engine`).
+One trial engine backs every campaign and estimator: the NumPy batch
+kernel (:mod:`repro.faultsim.kernel`).  Its oracles are the exact hit
+probabilities of :func:`~repro.faultsim.propagation.exact_hit_probabilities`
+(every outcome of a small graph's edges, enumerated) and the per-trial
+walk :func:`~repro.faultsim.propagation.propagate_once`, which a shared
+draw matrix must drive to the kernel's affected sets.
 """
 
 from repro.faultsim.campaign import (
@@ -12,7 +13,6 @@ from repro.faultsim.campaign import (
     compare_partitions,
     run_campaign,
 )
-from repro.faultsim.engine import ENGINES, EngineChoice, resolve_engine
 from repro.faultsim.events import PairEstimate, TrialRecord
 from repro.faultsim.kernel import (
     DEFAULT_BLOCK_SIZE,
@@ -36,9 +36,11 @@ from repro.faultsim.monte_carlo import (
     max_estimation_error,
 )
 from repro.faultsim.propagation import (
+    MAX_EXACT_EDGES,
     ScalarAdjacency,
     affected_counts,
     compile_adjacency,
+    exact_hit_probabilities,
     expected_affected,
     propagate_once,
 )
@@ -48,8 +50,7 @@ __all__ = [
     "CompiledGraph",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CONTAINMENT",
-    "ENGINES",
-    "EngineChoice",
+    "MAX_EXACT_EDGES",
     "MultiLevelResult",
     "PairEstimate",
     "ScalarAdjacency",
@@ -63,12 +64,12 @@ __all__ = [
     "estimate_influence",
     "estimate_separation",
     "estimate_transitive_influence",
+    "exact_hit_probabilities",
     "expected_affected",
     "hierarchy_value",
     "max_estimation_error",
     "propagate_once",
     "propagate_with_draws",
-    "resolve_engine",
     "run_multilevel_campaign",
     "run_campaign",
     "simulate_range",

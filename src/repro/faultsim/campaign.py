@@ -8,36 +8,32 @@ affected — the quantitative version of "mapping of FCMs which influence
 each other strongly onto the same node ... so faults are not propagated
 across HW nodes" (§5.3).
 
-Campaigns execute through :mod:`repro.exec` in block-aligned trial
-ranges: the vector kernel's 256-trial RNG blocks, or 32-trial blocks of
-per-trial seeds (:func:`repro.exec.batching.derive_seed`) on the scalar
-engine — so the result is bit-identical whether the campaign runs
-in-process, across worker slots, sharded, or resumed from a checkpoint
-after a crash.  Pass an :class:`~repro.exec.runner.ExecPolicy` to parallelise
-and ``checkpoint=``/``resume=`` paths to make the run crash-safe.
-
-``engine=`` selects the trial simulator: the scalar per-trial oracle,
-the NumPy batch kernel (:mod:`repro.faultsim.kernel`), or ``auto``
-(vector when numpy is importable).  Each engine is deterministic on its
-own stream; the resolved engine is baked into the checkpoint fingerprint
-so resume never mixes streams.
+Trials run on the NumPy batch kernel (:mod:`repro.faultsim.kernel`),
+through :mod:`repro.exec` in the kernel's 256-trial RNG blocks, so the
+result is bit-identical whether the campaign runs in-process, across
+worker slots, sharded, or resumed from a checkpoint after a crash.  Pass
+an :class:`~repro.exec.runner.ExecPolicy` to parallelise and
+``checkpoint=``/``resume=`` paths to make the run crash-safe.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SimulationError
-from repro.exec.backend import LEASE_BLOCK_TRIALS, SCALAR_BLOCK_TRIALS
-from repro.exec.batching import derive_seed
 from repro.exec.runner import ExecPolicy, ExecReport, run_supervised
 from repro.exec.shards import run_sharded
-from repro.faultsim.engine import record_engine_decision, resolve_engine
-from repro.faultsim.propagation import compile_adjacency, propagate_once
+from repro.faultsim import kernel
 from repro.influence.influence_graph import InfluenceGraph
 from repro.obs import DEFAULT_COUNT_BUCKETS, current
+
+#: The kernel's RNG stream, as the checkpoint fingerprint and the shard
+#: task spec name it.  A checkpoint or spec of the retired per-trial
+#: engine says ``"scalar"`` and is refused, not mixed into this stream.
+_STREAM = "vector"
 
 
 @dataclass(frozen=True)
@@ -53,9 +49,6 @@ class CampaignResult:
         max_affected_fcms: Worst single trial.
         cross_cluster_rate: Fraction of trials in which the fault escaped
             the seed's cluster.
-        engine: Which trial simulator produced the result (``scalar`` or
-            ``vector``; excluded from equality — engines are compared
-            statistically, not bit-wise).
         elapsed_s: Wall time of the campaign loop (``perf_counter``;
             excluded from equality so seeded reruns still compare equal).
         trials_per_s: Campaign throughput (also excluded from equality).
@@ -68,7 +61,6 @@ class CampaignResult:
     mean_affected_clusters: float
     max_affected_fcms: int
     cross_cluster_rate: float
-    engine: str = field(default="scalar", compare=False)
     elapsed_s: float = field(default=0.0, compare=False)
     trials_per_s: float = field(default=0.0, compare=False)
     exec_report: ExecReport | None = field(
@@ -106,46 +98,19 @@ def _combine(a: dict, b: dict) -> dict:
     }
 
 
-def _scalar_batch_task(graph, names, cluster_of):
-    """The per-trial reference path, with the adjacency hoisted out.
+def _batch_task(graph, cluster_of, clusters):
+    """Whole batches of trials as matrix operations on the kernel.
 
-    The compiled adjacency is captured by the closure, so forked slots
-    receive it once at fork time — leases stay ``(start, size)`` ranges.
+    The kernel's functions are looked up on the module at call time, so
+    a wrapper installed there (the benchmark's span hooks) sees them.
     """
-    adjacency = compile_adjacency(graph)
-
-    def run_batch(start: int, size: int, campaign_seed: int) -> dict:
-        affected: list[int] = []
-        cluster_hits: list[int] = []
-        for trial in range(start, start + size):
-            rng = random.Random(derive_seed(campaign_seed, trial))
-            source = names[rng.randrange(len(names))]
-            record = propagate_once(
-                graph, source, rng, trial, adjacency=adjacency
-            )
-            others = record.affected - {source}
-            seed_cluster = cluster_of[source]
-            hit = {cluster_of[n] for n in others} - {seed_cluster}
-            affected.append(len(others))
-            cluster_hits.append(len(hit))
-        return {"affected": affected, "cluster_hits": cluster_hits}
-
-    return run_batch
-
-
-def _vector_batch_task(graph, names, cluster_of, clusters):
-    """The NumPy kernel path: whole batches as matrix operations."""
-    import numpy as np
-
-    from repro.faultsim.kernel import campaign_batch, compile_graph
-
-    compiled = compile_graph(graph)
+    compiled = kernel.compile_graph(graph)
     cluster_vector = np.array(
         [cluster_of[name] for name in compiled.names], dtype=np.int64
     )
 
     def run_batch(start: int, size: int, campaign_seed: int) -> dict:
-        return campaign_batch(
+        return kernel.campaign_batch(
             compiled, cluster_vector, clusters, campaign_seed, start, size
         )
 
@@ -157,31 +122,29 @@ def _task_from_params(params: dict):
 
     This is the factory behind the shard task-spec entry
     ``"repro.faultsim.campaign:_task_from_params"``: a subprocess shard
-    worker receives only JSON (serialized graph, partition, resolved
-    engine — never ``"auto"``, so every worker runs the exact stream the
-    supervisor fingerprinted) and rebuilds the same closure the
-    in-process path uses.
+    worker receives only JSON (serialized graph, partition, stream) and
+    rebuilds the same closure the in-process path uses.  A spec naming
+    any stream but the kernel's is refused: a ``--listen`` worker can be
+    dialled by a supervisor of an older release that asks for the
+    retired per-trial engine.
     """
     from repro.io.serialization import graph_from_dict
 
+    if params.get("engine") != _STREAM:
+        raise SimulationError(
+            f"campaign task spec names engine {params.get('engine')!r}; "
+            f"this release runs only {_STREAM!r}"
+        )
     graph = graph_from_dict(params["graph"])
     partition = [list(block) for block in params["partition"]]
     cluster_of = _check_partition(graph, partition)
-    names = graph.fcm_names()
-    if params["engine"] == "vector":
-        return _vector_batch_task(graph, names, cluster_of, len(partition))
-    return _scalar_batch_task(graph, names, cluster_of)
+    return _batch_task(graph, cluster_of, len(partition))
 
 
 def campaign_task_spec(
-    graph: InfluenceGraph, partition: list[list[str]], engine: str
+    graph: InfluenceGraph, partition: list[list[str]]
 ) -> dict:
-    """The JSON task spec an out-of-process shard worker rebuilds from.
-
-    ``engine`` must already be resolved (``"scalar"``/``"vector"``,
-    never ``"auto"``) so every worker runs the exact stream the
-    supervisor fingerprinted.
-    """
+    """The JSON task spec an out-of-process shard worker rebuilds from."""
     from repro.io.serialization import graph_to_dict
 
     return {
@@ -189,7 +152,7 @@ def campaign_task_spec(
         "params": {
             "graph": graph_to_dict(graph),
             "partition": [list(block) for block in partition],
-            "engine": engine,
+            "engine": _STREAM,
         },
     }
 
@@ -203,7 +166,6 @@ def run_campaign(
     checkpoint: str | None = None,
     resume: str | None = None,
     chaos=None,
-    engine: str = "auto",
     backend: str | None = None,
     shards: int = 0,
     listen: str | None = None,
@@ -217,9 +179,8 @@ def run_campaign(
     node's FCR in the cross-cluster accounting, per the paper's fault
     containment argument.
 
-    The result is a pure function of ``(trials, seed, engine)``: the
-    scalar engine seeds trial ``t`` with ``derive_seed(seed, t)``, the
-    vector engine draws fixed RNG blocks — neither depends on ``policy``
+    The result is a pure function of ``(trials, seed)``: the kernel
+    draws fixed RNG blocks, so it does not depend on ``policy``
     (workers), the shard plan, retries, or checkpoint/resume history.
 
     ``backend``/``shards`` pick the lease supervisor's shape explicitly
@@ -243,16 +204,7 @@ def run_campaign(
         raise SimulationError("trials must be >= 1")
     cluster_of = _check_partition(graph, partition)
     names = graph.fcm_names()
-    choice = resolve_engine(engine)
-    record_engine_decision("faultsim", choice)
-    if choice.is_vector:
-        run_batch = _vector_batch_task(
-            graph, names, cluster_of, len(partition)
-        )
-        block = LEASE_BLOCK_TRIALS
-    else:
-        run_batch = _scalar_batch_task(graph, names, cluster_of)
-        block = SCALAR_BLOCK_TRIALS
+    run_batch = _batch_task(graph, cluster_of, len(partition))
 
     rec = current()
     policy = policy or ExecPolicy()
@@ -264,19 +216,16 @@ def run_campaign(
         fcms=len(names),
         clusters=len(partition),
         workers=policy.workers,
-        engine=choice.engine,
     ):
         campaign_params = {
             "fcms": sorted(names),
             "clusters": len(partition),
-            "engine": choice.engine,
+            "engine": _STREAM,
         }
         if backend is not None or shards > 0:
             task_spec = None
             if backend in ("subprocess", "tcp"):
-                task_spec = campaign_task_spec(
-                    graph, partition, choice.engine
-                )
+                task_spec = campaign_task_spec(graph, partition)
             payloads, exec_report = run_sharded(
                 run_batch,
                 trials=trials,
@@ -306,7 +255,6 @@ def run_campaign(
                 checkpoint=checkpoint,
                 resume=resume,
                 chaos=chaos,
-                block=block,
             )
         spread_hist = (
             rec.histogram("faultsim_affected_fcms", buckets=DEFAULT_COUNT_BUCKETS)
@@ -329,7 +277,7 @@ def run_campaign(
     elapsed = time.perf_counter() - t0
     rate = trials / elapsed if elapsed > 0 else 0.0
     if rec.enabled:
-        rec.counter("faultsim_trials_total").inc(trials, engine=choice.engine)
+        rec.counter("faultsim_trials_total").inc(trials)
         rec.counter("faultsim_escapes_total").inc(escapes)
         rec.gauge("faultsim_trials_per_s").set(rate)
     return CampaignResult(
@@ -338,7 +286,6 @@ def run_campaign(
         mean_affected_clusters=total_clusters / trials,
         max_affected_fcms=worst,
         cross_cluster_rate=escapes / trials,
-        engine=choice.engine,
         elapsed_s=elapsed,
         trials_per_s=rate,
         exec_report=exec_report,
@@ -350,12 +297,9 @@ def compare_partitions(
     partitions: dict[str, list[list[str]]],
     trials: int = 1000,
     seed: int = 0,
-    engine: str = "auto",
 ) -> dict[str, CampaignResult]:
     """Run the same campaign (same seed) against several partitions."""
     return {
-        label: run_campaign(
-            graph, partition, trials=trials, seed=seed, engine=engine
-        )
+        label: run_campaign(graph, partition, trials=trials, seed=seed)
         for label, partition in partitions.items()
     }

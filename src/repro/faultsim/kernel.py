@@ -1,9 +1,10 @@
 """NumPy-vectorized batch-trial fault-propagation engine.
 
-The scalar simulator (:mod:`repro.faultsim.propagation`) pays Python-level
-costs per *edge test*; campaigns on a few hundred FCMs spend seconds in
-``trials x edges`` interpreter work.  This kernel simulates whole blocks
-of trials as array operations instead:
+A per-trial walk (:func:`repro.faultsim.propagation.propagate_once`)
+pays Python-level costs per *edge test*; campaigns on a few hundred
+FCMs would spend seconds in ``trials x edges`` interpreter work.  This
+kernel, the engine behind every campaign and estimator, simulates whole
+blocks of trials as array operations instead:
 
 * all Bernoulli fault-factor draws of a block are sampled as matrices
   from one ``numpy.random.Generator(PCG64)``;
@@ -12,17 +13,18 @@ of trials as array operations instead:
   independent edge firings), so one matrix product replaces a wave's
   worth of per-edge trials.
 
-**Equivalence with the scalar oracle.**  A scalar trial tests each edge
-at most once (when its source is dequeued, targets already faulty are
-skipped), so the affected set is distributed exactly as reachability
-over independently "open" edges — the standard percolation argument.
-The wave-aggregated draw used here samples, per (trial, target), one
-uniform against the exact union probability of the incoming frontier
-edges, which yields the same affected-set distribution.  Fed *shared*
-per-edge draws (:func:`propagate_with_draws` vs. the scalar engine's
-``edge_draw`` hook) the two engines produce bit-identical affected sets;
-on independent streams they agree statistically (tested against Wilson
-intervals in ``tests/faultsim/test_kernel.py``).
+**The model it samples.**  A trial tests each edge at most once (when
+its source is reached, targets already faulty are skipped), so the
+affected set is distributed exactly as reachability over independently
+"open" edges — the standard percolation argument.  The wave-aggregated
+draw used here samples, per (trial, target), one uniform against the
+exact union probability of the incoming frontier edges, which yields
+the same affected-set distribution.  Two oracles check it: fed *shared*
+per-edge draws, :func:`propagate_with_draws` and the per-trial walk's
+``edge_draw`` hook produce bit-identical affected sets; and on small
+graphs the kernel's estimates must cover the exact hit probabilities of
+:func:`repro.faultsim.propagation.exact_hit_probabilities`
+(``tests/faultsim/test_exact.py``).
 
 **Determinism.**  Trials are tied to fixed RNG *blocks* of
 :data:`DEFAULT_BLOCK_SIZE` trials: block ``b`` always draws from
@@ -31,8 +33,7 @@ block is always simulated whole (callers asking for a sub-range get a
 slice of the full block's result).  Every draw is a fixed-shape matrix
 per wave, so a block's outcome depends only on ``(seed, b)`` — never on
 the exec layer's batch plan, worker count, retries, or checkpoint
-history.  The vector engine therefore honours the same reproducibility
-contract as the scalar engine, on its own (different) stream.
+history.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.exec.batching import derive_seed
 from repro.influence.influence_graph import InfluenceGraph
 
 #: Trials per RNG block.  Fixed (not derived from the exec batch plan) so
-#: vector-engine results are invariant under batching, pooling and resume.
+#: campaign results are invariant under batching, pooling and resume.
 DEFAULT_BLOCK_SIZE = 256
 
 #: ``log(1 - w)`` substitute for w == 1 edges: finite (so ``0 * L`` stays
@@ -85,7 +86,7 @@ def compile_graph(graph: InfluenceGraph) -> CompiledGraph:
     """Lower ``graph`` to the kernel's dense matrix form.
 
     Replica links and absent edges both contribute weight 0 — exactly the
-    probabilities the scalar engine sees through ``graph.influence``.
+    probabilities the per-trial walk sees through ``graph.influence``.
 
     Compilations are cached on the graph instance keyed by its mutation
     :attr:`~repro.influence.influence_graph.InfluenceGraph.version`, so the
@@ -180,8 +181,9 @@ def propagate_with_draws(
 
     ``draws[i, j]`` is the uniform tested against edge ``i -> j``; the
     edge is *open* iff ``draws[i, j] < weights[i, j]``.  Feeding the same
-    matrix to the scalar engine's ``edge_draw`` hook must produce the
-    identical affected set — the shared-draw parity contract.
+    matrix to :func:`~repro.faultsim.propagation.propagate_once`'s
+    ``edge_draw`` hook must produce the identical affected set — the
+    shared-draw parity contract.
     """
     n = len(compiled)
     if draws.shape != (n, n):
@@ -263,8 +265,7 @@ def campaign_batch(
 
     Returns ``{"affected": [...], "cluster_hits": [...]}`` — per trial,
     the number of *other* FCMs hit and the number of clusters hit beyond
-    the seed's own — matching the scalar batch task so aggregation,
-    checkpointing and combine logic are engine-agnostic.
+    the seed's own.
     """
     sources, affected = simulate_range(
         compiled, seed, start, start + size, block_size=block_size

@@ -8,65 +8,22 @@ ground-truth influence graph drives the simulator, and these estimators
 recover the values from observed trials — validating both the estimators
 and the analytic formulas (Eqs. 2-3) against each other.
 
-All estimators accept ``engine=`` (``auto``/``scalar``/``vector``): the
-vector path hands whole trial blocks to :mod:`repro.faultsim.kernel`, so
-sweeping every edge of a large graph costs a few matrix products per
-edge instead of ``trials x edges`` Python calls.  The engines draw from
-different deterministic streams; their estimates agree within Wilson
-confidence bounds (enforced by ``tests/faultsim/test_kernel.py``).
+Every estimator hands whole trial blocks to the NumPy kernel
+(:mod:`repro.faultsim.kernel`), so sweeping every edge of a large graph
+costs a few matrix products per edge instead of ``trials x edges``
+Python calls.  On small graphs the estimates are tested against the
+exact hit probabilities of
+:func:`repro.faultsim.propagation.exact_hit_probabilities`
+(``tests/faultsim/test_exact.py``).
 """
 
 from __future__ import annotations
 
-import random
-
 from repro.errors import SimulationError
-from repro.faultsim.engine import resolve_engine
 from repro.faultsim.events import PairEstimate
-from repro.faultsim.propagation import compile_adjacency, propagate_once
+from repro.faultsim import kernel
 from repro.influence.estimation import wilson_interval
 from repro.influence.influence_graph import InfluenceGraph
-
-
-def _scalar_pair_hits(
-    graph: InfluenceGraph,
-    source: str,
-    target: str,
-    trials: int,
-    seed: int,
-    direct_only: bool,
-) -> int:
-    rng = random.Random(seed)
-    adjacency = compile_adjacency(graph)
-    hits = 0
-    for trial in range(trials):
-        record = propagate_once(
-            graph, source, rng, trial, direct_only, adjacency=adjacency
-        )
-        if target in record.affected:
-            hits += 1
-    return hits
-
-
-def _vector_pair_hits(
-    graph: InfluenceGraph,
-    source: str,
-    target: str,
-    trials: int,
-    seed: int,
-    direct_only: bool,
-) -> int:
-    from repro.faultsim.kernel import compile_graph, pair_hits
-
-    compiled = compile_graph(graph)
-    return pair_hits(
-        compiled,
-        compiled.index[source],
-        compiled.index[target],
-        trials,
-        seed,
-        direct_only=direct_only,
-    )
 
 
 def _estimate_pair(
@@ -76,22 +33,27 @@ def _estimate_pair(
     trials: int,
     seed: int,
     direct_only: bool,
-    engine: str,
 ) -> PairEstimate:
     if trials < 1:
         raise SimulationError("trials must be >= 1")
     for name in (source, target):
         if not graph.has_fcm(name):
             raise SimulationError(f"FCM {name!r} not in graph")
-    choice = resolve_engine(engine)
-    if choice.is_vector:
-        hits = _vector_pair_hits(
-            graph, source, target, trials, seed, direct_only
-        )
-    else:
-        hits = _scalar_pair_hits(
-            graph, source, target, trials, seed, direct_only
-        )
+    compiled = kernel.compile_graph(graph)
+    hits = kernel.pair_hits(
+        compiled,
+        compiled.index[source],
+        compiled.index[target],
+        trials,
+        seed,
+        direct_only=direct_only,
+    )
+    return _pair_estimate(source, target, trials, hits)
+
+
+def _pair_estimate(
+    source: str, target: str, trials: int, hits: int
+) -> PairEstimate:
     low, high = wilson_interval(hits, trials)
     return PairEstimate(
         source=source,
@@ -110,7 +72,6 @@ def estimate_influence(
     target: str,
     trials: int = 2000,
     seed: int = 0,
-    engine: str = "auto",
 ) -> PairEstimate:
     """Estimate the *direct* influence of ``source`` on ``target``.
 
@@ -118,9 +79,7 @@ def estimate_influence(
     considered") and counts how often the target catches the fault.
     The point estimate converges to the Eq. (2) edge weight.
     """
-    return _estimate_pair(
-        graph, source, target, trials, seed, direct_only=True, engine=engine
-    )
+    return _estimate_pair(graph, source, target, trials, seed, direct_only=True)
 
 
 def estimate_transitive_influence(
@@ -129,7 +88,6 @@ def estimate_transitive_influence(
     target: str,
     trials: int = 2000,
     seed: int = 0,
-    engine: str = "auto",
 ) -> PairEstimate:
     """Estimate the probability that a fault in ``source`` *eventually*
     affects ``target`` through any chain.
@@ -139,9 +97,7 @@ def estimate_transitive_influence(
     the union), so the empirical value is expected to sit at or below the
     truncated series value — the bench records both.
     """
-    return _estimate_pair(
-        graph, source, target, trials, seed, direct_only=False, engine=engine
-    )
+    return _estimate_pair(graph, source, target, trials, seed, direct_only=False)
 
 
 def estimate_separation(
@@ -150,11 +106,10 @@ def estimate_separation(
     target: str,
     trials: int = 2000,
     seed: int = 0,
-    engine: str = "auto",
 ) -> float:
     """Empirical separation: 1 - transitive hit frequency."""
     return 1.0 - estimate_transitive_influence(
-        graph, source, target, trials, seed, engine=engine
+        graph, source, target, trials, seed
     ).estimate
 
 
@@ -162,60 +117,25 @@ def estimate_all_influences(
     graph: InfluenceGraph,
     trials: int = 1000,
     seed: int = 0,
-    engine: str = "auto",
 ) -> dict[tuple[str, str], PairEstimate]:
     """Direct-influence estimates for every edge in the graph.
 
-    On the vector engine the graph is compiled once and reused across
-    every edge's trial blocks — the sweep the §7 measurement programme
-    actually needs at scale.
+    The graph is compiled once and reused across every edge's trial
+    blocks — the sweep the §7 measurement programme actually needs at
+    scale.
     """
-    choice = resolve_engine(engine)
     out: dict[tuple[str, str], PairEstimate] = {}
-    if choice.is_vector:
-        from repro.faultsim.kernel import compile_graph, pair_hits
-
-        compiled = compile_graph(graph)
-        for i, (src, dst, _w) in enumerate(graph.influence_edges()):
-            hits = pair_hits(
-                compiled,
-                compiled.index[src],
-                compiled.index[dst],
-                trials,
-                seed + i,
-                direct_only=True,
-            )
-            low, high = wilson_interval(hits, trials)
-            out[(src, dst)] = PairEstimate(
-                source=src,
-                target=dst,
-                trials=trials,
-                hits=hits,
-                estimate=hits / trials,
-                low=low,
-                high=high,
-            )
-        return out
-    adjacency = compile_adjacency(graph)
+    compiled = kernel.compile_graph(graph)
     for i, (src, dst, _w) in enumerate(graph.influence_edges()):
-        rng = random.Random(seed + i)
-        hits = 0
-        for trial in range(trials):
-            record = propagate_once(
-                graph, src, rng, trial, direct_only=True, adjacency=adjacency
-            )
-            if dst in record.affected:
-                hits += 1
-        low, high = wilson_interval(hits, trials)
-        out[(src, dst)] = PairEstimate(
-            source=src,
-            target=dst,
-            trials=trials,
-            hits=hits,
-            estimate=hits / trials,
-            low=low,
-            high=high,
+        hits = kernel.pair_hits(
+            compiled,
+            compiled.index[src],
+            compiled.index[dst],
+            trials,
+            seed + i,
+            direct_only=True,
         )
+        out[(src, dst)] = _pair_estimate(src, dst, trials, hits)
     return out
 
 
@@ -223,10 +143,9 @@ def max_estimation_error(
     graph: InfluenceGraph,
     trials: int = 1000,
     seed: int = 0,
-    engine: str = "auto",
 ) -> float:
     """Largest |estimate - true| over all edges — the E4 bench metric."""
-    estimates = estimate_all_influences(graph, trials, seed, engine=engine)
+    estimates = estimate_all_influences(graph, trials, seed)
     worst = 0.0
     for (src, dst), est in estimates.items():
         worst = max(worst, abs(est.estimate - graph.influence(src, dst)))

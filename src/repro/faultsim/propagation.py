@@ -18,11 +18,13 @@ Over many trials, the hit frequency of a direct neighbour estimates
 influence, and the hit frequency of any node estimates
 ``1 - separation`` — the *transitive* interaction Eq. (3) approximates.
 
-This module is the **scalar reference oracle**; campaigns default to the
-vectorized kernel (:mod:`repro.faultsim.kernel`) via ``engine="auto"``
-and fall back here.  Hot loops should pass a pre-built
-:class:`ScalarAdjacency` so the per-edge lookups (graph queries, factor
-scans for edge kinds) happen once per campaign, not once per trial.
+Campaigns and estimators run on the NumPy kernel
+(:mod:`repro.faultsim.kernel`).  This module holds the kernel's two
+oracles: the per-trial walk :func:`propagate_once` (also behind
+:mod:`repro.faultsim.multilevel` and :func:`affected_counts`; hot loops
+pass it a pre-built :class:`ScalarAdjacency`), and
+:func:`exact_hit_probabilities`, which enumerates a small graph's edge
+outcomes instead of sampling them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.faultsim.events import TrialRecord
@@ -91,7 +95,7 @@ def propagate_once(
     ``adjacency`` (from :func:`compile_adjacency`) skips the per-trial
     graph queries without changing any outcome.  ``edge_draw`` replaces
     the RNG with an explicit uniform per edge — the shared-draw hook the
-    scalar/vector parity tests feed the same draw matrix through.
+    kernel's parity test feeds its draw matrix through.
     """
     if adjacency is None:
         if not graph.has_fcm(source):
@@ -190,3 +194,69 @@ def expected_affected(
     counts = affected_counts(graph, source, trials, seed)
     total_others = sum(c for name, c in counts.items() if name != source)
     return total_others / trials
+
+
+#: Most positive-weight edges :func:`exact_hit_probabilities` enumerates
+#: (``2**16`` outcomes).
+MAX_EXACT_EDGES = 16
+
+#: Outcomes closed over per array step, bounding the working set.
+_EXACT_CHUNK = 4096
+
+
+def exact_hit_probabilities(
+    graph: InfluenceGraph,
+) -> dict[tuple[str, str], float]:
+    """Exact ``P(target hit | fault seeded at source)`` for every ordered pair.
+
+    The model is the one :func:`propagate_once` samples: each
+    positive-weight edge fires independently with its weight and is
+    tried at most once per trial, so a trial hits exactly the FCMs that
+    a path of fired edges reaches from the source.  Summing the
+    probability of every fired/unfired outcome of the edges in which
+    ``target`` is reachable gives the hit probability without sampling
+    error.  A pair that certain edges (weight 1) alone connect is
+    exactly 1.0; a pair no path connects is exactly 0.0.  Refuses a
+    graph with more than :data:`MAX_EXACT_EDGES` positive-weight edges.
+    """
+    names = graph.fcm_names()
+    edges = [(s, t, w) for s, t, w in graph.influence_edges() if w > 0.0]
+    if len(edges) > MAX_EXACT_EDGES:
+        raise SimulationError(
+            f"exact enumeration covers at most {MAX_EXACT_EDGES} "
+            f"positive-weight edges; the graph has {len(edges)}"
+        )
+    touched = {name for s, t, _ in edges for name in (s, t)}
+    nodes = [name for name in names if name in touched]
+    index = {name: i for i, name in enumerate(nodes)}
+    rows = np.array([index[s] for s, _, _ in edges], dtype=np.intp)
+    cols = np.array([index[t] for _, t, _ in edges], dtype=np.intp)
+    weights = np.array([w for _, _, w in edges])
+    hits = np.zeros((len(nodes), len(nodes)))
+    total = 1 << len(edges)
+    for lo in range(0, total, _EXACT_CHUNK):
+        outcomes = np.arange(lo, min(total, lo + _EXACT_CHUNK))
+        fired = ((outcomes[:, None] >> np.arange(len(edges))) & 1) == 1
+        probability = np.where(fired, weights, 1.0 - weights).prod(axis=1)
+        open_edges = np.zeros((len(outcomes), len(nodes), len(nodes)), bool)
+        open_edges[:, rows, cols] = fired
+        hits += np.einsum("o,ost->st", probability, _closure(open_edges))
+    certain = np.zeros((1, len(nodes), len(nodes)), bool)
+    certain[0, rows, cols] = weights >= 1.0
+    hits[_closure(certain)[0]] = 1.0
+    out = dict.fromkeys(((s, t) for s in names for t in names if s != t), 0.0)
+    for s in nodes:
+        for t in nodes:
+            if s != t:
+                out[(s, t)] = min(1.0, float(hits[index[s], index[t]]))
+    return out
+
+
+def _closure(open_edges: "np.ndarray") -> "np.ndarray":
+    """Reflexive-transitive closure of a stack of ``(k, k)`` edge masks."""
+    reach = open_edges | np.eye(open_edges.shape[-1], dtype=bool)
+    while True:
+        step = (reach.astype(np.float32) @ reach.astype(np.float32)) > 0.0
+        if (step == reach).all():
+            return reach
+        reach = step

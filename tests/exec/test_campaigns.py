@@ -21,11 +21,10 @@ from repro.exec import (
     CheckpointWriter,
     ExecPolicy,
     ShardChaos,
-    build_task,
-    campaign_fingerprint,
+    load_checkpoint,
     truncate_file,
 )
-from repro.faultsim.campaign import campaign_task_spec, run_campaign
+from repro.faultsim.campaign import run_campaign
 from repro.resilience.campaign import run_resilience_campaign
 from repro.workloads import paper_influence_graph
 
@@ -50,61 +49,84 @@ def assert_field_for_field(a, b):
             assert va.hex() == vb.hex(), f"field {f.name} differs in bits"
 
 
-def write_scalar_checkpoint(path, graph, partition, trials, seed, ranges):
-    """A checkpoint of scalar faultsim ranges, written record by record
-    the way any earlier supervisor wrote one."""
-    names = graph.fcm_names()
-    fingerprint = campaign_fingerprint(
-        "faultsim", seed, trials,
-        {"fcms": sorted(names), "clusters": len(partition), "engine": "scalar"},
+def write_resilience_checkpoint(path, trials, seed, ranges):
+    """A resilience checkpoint of ``ranges``, written record by record
+    the way any earlier supervisor wrote one.
+
+    Each entry's payload is the per-trial records of its trials, taken
+    from a complete serial run; that run's report is returned.
+    """
+    full = path + ".full"
+    report = run_resilience_campaign(
+        paper_outcome(), failures=2, trials=trials, seed=seed,
+        checkpoint=full,
     )
-    task = build_task(campaign_task_spec(graph, partition, "scalar"))
-    writer = CheckpointWriter(path, fingerprint, trials, seed, fresh=True)
+    data = load_checkpoint(full)
+    records = [
+        record
+        for _, payload in sorted(data.entries.items())
+        for record in payload["records"]
+    ]
+    writer = CheckpointWriter(path, data.fingerprint, trials, seed, fresh=True)
     for start, size in ranges:
-        writer.record(start, size, task(start, size, seed))
+        writer.record(start, size, {"records": records[start:start + size]})
     writer.close()
+    return report
 
 
 class TestFaultsimDeterminism:
     @pytest.mark.timeout(120)
     def test_workers_and_batch_size_do_not_change_result(self):
         graph, partition = paper_campaign()
-        for engine in ("vector", "scalar"):
-            serial = run_campaign(
-                graph, partition, trials=600, seed=3, engine=engine
-            )
-            pooled = run_campaign(
-                graph, partition, trials=600, seed=3, engine=engine,
-                policy=ExecPolicy(workers=2),
-            )
-            one_shard = run_campaign(
-                graph, partition, trials=600, seed=3, engine=engine,
-                policy=ExecPolicy(workers=2), shards=1, backend="local",
-            )
-            assert_field_for_field(serial, pooled)
-            assert_field_for_field(serial, one_shard)
+        serial = run_campaign(graph, partition, trials=600, seed=3)
+        pooled = run_campaign(
+            graph, partition, trials=600, seed=3,
+            policy=ExecPolicy(workers=2),
+        )
+        one_shard = run_campaign(
+            graph, partition, trials=600, seed=3,
+            policy=ExecPolicy(workers=2), shards=1, backend="local",
+        )
+        assert_field_for_field(serial, pooled)
+        assert_field_for_field(serial, one_shard)
 
     def test_interrupt_and_resume_identical(self, tmp_path):
+        # 600 trials are the kernel's 256-trial blocks [0, 256),
+        # [256, 512) and [512, 600).
         graph, partition = paper_campaign()
-        baseline = run_campaign(
-            graph, partition, trials=150, seed=9, engine="scalar"
-        )
+        baseline = run_campaign(graph, partition, trials=600, seed=9)
         path = str(tmp_path / "faultsim.ndjson")
         with pytest.raises(CampaignInterrupted):
             run_campaign(
-                graph, partition, trials=150, seed=9, engine="scalar",
-                checkpoint=path,
+                graph, partition, trials=600, seed=9, checkpoint=path,
                 chaos=ShardChaos(interrupt_after_partials=2),
             )
         resumed = run_campaign(
-            graph, partition, trials=150, seed=9, engine="scalar",
-            resume=path,
+            graph, partition, trials=600, seed=9, resume=path,
         )
         assert_field_for_field(baseline, resumed)
         assert resumed.exec_report.partials_from_checkpoint == 2
 
 
 class TestResilienceAcceptance:
+    def test_interrupt_and_resume_identical(self, tmp_path):
+        # 150 trials are the 32-trial blocks [0, 32), ..., [128, 150).
+        outcome = paper_outcome()
+        baseline = run_resilience_campaign(
+            outcome, failures=2, trials=150, seed=9
+        )
+        path = str(tmp_path / "resilience.ndjson")
+        with pytest.raises(CampaignInterrupted):
+            run_resilience_campaign(
+                outcome, failures=2, trials=150, seed=9, checkpoint=path,
+                chaos=ShardChaos(interrupt_after_partials=2),
+            )
+        resumed = run_resilience_campaign(
+            outcome, failures=2, trials=150, seed=9, resume=path,
+        )
+        assert_field_for_field(baseline, resumed)
+        assert resumed.exec_report.partials_from_checkpoint == 2
+
     @pytest.mark.timeout(120)
     def test_workers4_interrupted_resumed_equals_serial(self, tmp_path):
         outcome = paper_outcome()
@@ -161,13 +183,17 @@ class TestResilienceAcceptance:
 
 
 class TestResumeWorkerInvariance:
-    """A checkpoint written under one worker count resumes under any."""
+    """A checkpoint written under one worker count resumes under any.
+
+    These run resilience campaigns, whose 32-trial blocks of per-trial
+    seeds give 80 trials three blocks and let entries of any size tile
+    a block.
+    """
 
     def _interrupted_checkpoint(self, path: str, workers: int) -> None:
-        graph, partition = paper_campaign()
         with pytest.raises(CampaignInterrupted):
-            run_campaign(
-                graph, partition, trials=80, seed=13, engine="scalar",
+            run_resilience_campaign(
+                paper_outcome(), failures=2, trials=80, seed=13,
                 policy=ExecPolicy(workers=workers),
                 checkpoint=path,
                 chaos=ShardChaos(interrupt_after_partials=2),
@@ -175,14 +201,14 @@ class TestResumeWorkerInvariance:
 
     @pytest.mark.timeout(120)
     def test_serial_checkpoint_resumed_by_pool(self, tmp_path):
-        graph, partition = paper_campaign()
-        baseline = run_campaign(
-            graph, partition, trials=80, seed=13, engine="scalar"
+        outcome = paper_outcome()
+        baseline = run_resilience_campaign(
+            outcome, failures=2, trials=80, seed=13
         )
         path = str(tmp_path / "serial-to-pool.ndjson")
         self._interrupted_checkpoint(path, workers=0)
-        resumed = run_campaign(
-            graph, partition, trials=80, seed=13, engine="scalar",
+        resumed = run_resilience_campaign(
+            outcome, failures=2, trials=80, seed=13,
             policy=ExecPolicy(workers=4), resume=path,
         )
         assert_field_for_field(baseline, resumed)
@@ -191,14 +217,14 @@ class TestResumeWorkerInvariance:
 
     @pytest.mark.timeout(120)
     def test_pool_checkpoint_resumed_serially(self, tmp_path):
-        graph, partition = paper_campaign()
-        baseline = run_campaign(
-            graph, partition, trials=80, seed=13, engine="scalar"
+        outcome = paper_outcome()
+        baseline = run_resilience_campaign(
+            outcome, failures=2, trials=80, seed=13
         )
         path = str(tmp_path / "pool-to-serial.ndjson")
         self._interrupted_checkpoint(path, workers=4)
-        resumed = run_campaign(
-            graph, partition, trials=80, seed=13, engine="scalar",
+        resumed = run_resilience_campaign(
+            outcome, failures=2, trials=80, seed=13,
             policy=ExecPolicy(workers=0), resume=path,
         )
         assert_field_for_field(baseline, resumed)
@@ -211,17 +237,13 @@ class TestResumeWorkerInvariance:
         # Entries of several sizes cover the first 32-trial block; the
         # (0, 20) entry is a dead end for a greedy walk, so reusing the
         # block needs the all-decomposition chain search.
-        graph, partition = paper_campaign()
-        baseline = run_campaign(
-            graph, partition, trials=80, seed=13, engine="scalar"
-        )
         for workers in (0, 2):
             path = str(tmp_path / f"rebatched-{workers}.ndjson")
-            write_scalar_checkpoint(
-                path, graph, partition, 80, 13, [(0, 20), (0, 16), (16, 16)]
+            baseline = write_resilience_checkpoint(
+                path, 80, 13, [(0, 20), (0, 16), (16, 16)]
             )
-            resumed = run_campaign(
-                graph, partition, trials=80, seed=13, engine="scalar",
+            resumed = run_resilience_campaign(
+                paper_outcome(), failures=2, trials=80, seed=13,
                 policy=ExecPolicy(workers=workers), resume=path,
             )
             assert_field_for_field(baseline, resumed)
@@ -232,29 +254,25 @@ class TestLegacyCheckpoints:
     """Checkpoints the batch pool of earlier releases wrote still resume.
 
     Its entries came in any batch size: 9-trial batches, calibrated
-    batches straddling block boundaries, and 256-trial lease partials
-    on the scalar engine.  Entries that tile a block are reused; the
-    rest are recomputed, and the result never changes.
+    batches straddling block boundaries, and large calibrated batches.
+    Entries that tile a block are reused; the rest are recomputed, and
+    the result never changes.
     """
 
     RANGES = (
         [(start, 9) for start in range(0, 90, 9)]  # [0, 90) in 9s
         + [(96, 16), (112, 16)]  # tiles the block [96, 128)
         + [(150, 40)]  # straddles the 160 boundary
-        + [(256, 256)]  # a scalar lease partial at the old block size
+        + [(256, 256)]  # one large calibrated batch
     )
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("workers", [0, 2])
     def test_parent_checkpoint_resumes_identically(self, tmp_path, workers):
-        graph, partition = paper_campaign()
-        baseline = run_campaign(
-            graph, partition, trials=600, seed=4, engine="scalar"
-        )
         path = str(tmp_path / "legacy.ndjson")
-        write_scalar_checkpoint(path, graph, partition, 600, 4, self.RANGES)
-        resumed = run_campaign(
-            graph, partition, trials=600, seed=4, engine="scalar",
+        baseline = write_resilience_checkpoint(path, 600, 4, self.RANGES)
+        resumed = run_resilience_campaign(
+            paper_outcome(), failures=2, trials=600, seed=4,
             policy=ExecPolicy(workers=workers), resume=path,
         )
         assert_field_for_field(baseline, resumed)

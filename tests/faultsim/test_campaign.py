@@ -5,7 +5,12 @@ from functools import reduce
 import pytest
 
 from repro.errors import CheckpointError, SimulationError
-from repro.exec import build_task
+from repro.exec import (
+    CheckpointWriter,
+    build_task,
+    campaign_fingerprint,
+    load_checkpoint,
+)
 from repro.faultsim import compare_partitions, run_campaign
 from repro.faultsim.campaign import _combine, campaign_task_spec
 from repro.influence import InfluenceGraph
@@ -81,42 +86,24 @@ class TestRunCampaign:
 
 
 class TestEngines:
-    def test_scalar_engine_recorded(self):
-        result = run_campaign(
-            coupled_graph(), GOOD, trials=100, seed=0, engine="scalar"
-        )
-        assert result.engine == "scalar"
+    """The kernel is the only engine; specs and checkpoints naming
+    another are refused instead of mixed into its stream."""
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown engine"):
-            run_campaign(coupled_graph(), GOOD, trials=10, engine="turbo")
-
-    def test_vector_engine_recorded(self):
-        result = run_campaign(
-            coupled_graph(), GOOD, trials=100, seed=0, engine="vector"
-        )
-        assert result.engine == "vector"
-
-    def test_engines_agree_statistically(self):
-        g = coupled_graph()
-        scalar = run_campaign(g, GOOD, trials=4000, seed=5, engine="scalar")
-        vector = run_campaign(g, GOOD, trials=4000, seed=5, engine="vector")
-        assert vector.mean_affected_fcms == pytest.approx(
-            scalar.mean_affected_fcms, rel=0.1
-        )
-        assert vector.mean_affected_clusters == pytest.approx(
-            scalar.mean_affected_clusters, abs=0.05
-        )
-        assert vector.cross_cluster_rate == pytest.approx(
-            scalar.cross_cluster_rate, abs=0.05
-        )
+        # A --listen worker can be dialled by a supervisor of an older
+        # release that asks for the retired per-trial engine.
+        for engine in ("scalar", "turbo"):
+            spec = campaign_task_spec(coupled_graph(), GOOD)
+            spec["params"]["engine"] = engine
+            with pytest.raises(SimulationError, match="engine"):
+                build_task(spec)
 
     def test_vector_result_invariant_under_exec_plan(self):
         # The kernel simulates covering RNG blocks whole, so any split of
         # the trial range — aligned to its blocks or not — must merge
         # back to the same per-trial outcomes.
         g = coupled_graph()
-        task = build_task(campaign_task_spec(g, GOOD, "vector"))
+        task = build_task(campaign_task_spec(g, GOOD))
         whole = task(0, 700, 9)
         for size in (33, 256, 700):
             pieces = [
@@ -124,23 +111,35 @@ class TestEngines:
                 for start in range(0, 700, size)
             ]
             assert reduce(_combine, pieces) == whole
-        reference = run_campaign(g, GOOD, trials=700, seed=9, engine="vector")
+        reference = run_campaign(g, GOOD, trials=700, seed=9)
         assert reference.mean_affected_fcms == sum(whole["affected"]) / 700
         assert reference.max_affected_fcms == max(whole["affected"])
 
     def test_resume_refuses_the_other_engine(self, tmp_path):
-        # The engine is part of the checkpoint fingerprint: a scalar
-        # resume of a vector checkpoint would silently mix two different
-        # deterministic streams in one result.
+        # The retired per-trial engine fingerprinted its checkpoints as
+        # "scalar": resuming one would mix two different deterministic
+        # streams in one result.
         g = coupled_graph()
         path = str(tmp_path / "campaign.ndjson")
-        run_campaign(
-            g, GOOD, trials=200, seed=4, engine="vector", checkpoint=path,
+        fingerprint = campaign_fingerprint(
+            "faultsim", 4, 200,
+            {"fcms": sorted(g.fcm_names()), "clusters": 2, "engine": "scalar"},
         )
+        CheckpointWriter(path, fingerprint, 200, 4, fresh=True).close()
         with pytest.raises(CheckpointError, match="different campaign"):
-            run_campaign(
-                g, GOOD, trials=200, seed=4, engine="scalar", resume=path,
-            )
+            run_campaign(g, GOOD, trials=200, seed=4, resume=path)
+
+    def test_default_fingerprint_unchanged(self, tmp_path):
+        # Checkpoints written before the engine switch was removed name
+        # the kernel's stream "vector"; they must keep resuming.
+        g = coupled_graph()
+        path = str(tmp_path / "campaign.ndjson")
+        run_campaign(g, GOOD, trials=200, seed=4, checkpoint=path)
+        expected = campaign_fingerprint(
+            "faultsim", 4, 200,
+            {"fcms": ["a", "b", "c", "d"], "clusters": 2, "engine": "vector"},
+        )
+        assert load_checkpoint(path).fingerprint == expected
 
 
 class TestComparePartitions:

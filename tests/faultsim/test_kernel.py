@@ -1,25 +1,21 @@
-"""Scalar <-> vector engine equivalence and kernel determinism.
+"""The NumPy kernel: compile, shared-draw parity, determinism.
 
-Three layers of evidence that the NumPy kernel simulates the same model
-as the scalar oracle:
+Two layers of evidence here, a third in ``test_exact.py``:
 
 * **shared-draw parity** — fed one explicit per-edge draw matrix, the
-  kernel's percolation walk and the scalar engine's ``edge_draw`` hook
+  kernel's percolation walk and the per-trial walk's ``edge_draw`` hook
   must produce bit-identical affected sets, trial by trial;
-* **batching invariance** — a vector campaign's outcome is a pure
-  function of ``(seed, trial index)``, never of how trials were split
-  into ranges;
-* **statistical agreement** — on independent streams the two engines'
-  estimates must agree within Wilson confidence bounds.
+* **batching invariance** — a campaign's outcome is a pure function of
+  ``(seed, trial index)``, never of how trials were split into ranges;
+* **exact agreement** (``test_exact.py``) — on small graphs the kernel's
+  estimates must cover the exact hit probabilities of
+  ``exact_hit_probabilities``.
 """
-
-import random
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.faultsim.engine import resolve_engine
 from repro.faultsim.kernel import (
     DEFAULT_BLOCK_SIZE,
     campaign_batch,
@@ -27,10 +23,6 @@ from repro.faultsim.kernel import (
     pair_hits,
     propagate_with_draws,
     simulate_range,
-)
-from repro.faultsim.monte_carlo import (
-    estimate_influence,
-    estimate_transitive_influence,
 )
 from repro.faultsim.propagation import compile_adjacency, propagate_once
 from repro.influence import InfluenceGraph
@@ -56,7 +48,7 @@ def tricky_graph() -> InfluenceGraph:
 
 
 def scalar_affected_with_draws(graph, source, draws, index, direct_only=False):
-    """Scalar trial driven by the kernel's draw matrix via ``edge_draw``."""
+    """Per-trial walk driven by the kernel's draw matrix via ``edge_draw``."""
     record = propagate_once(
         graph,
         source,
@@ -208,73 +200,3 @@ class TestBatchingInvariance:
             simulate_range(compiled, 0, 5, 5)
         with pytest.raises(SimulationError):
             simulate_range(compiled, 0, -1, 5)
-
-
-class TestStatisticalAgreement:
-    """Independent streams: engines agree within Wilson bounds."""
-
-    def test_direct_influence_intervals_overlap(self, paper_graph):
-        edges = list(paper_graph.influence_edges())[:4]
-        for src, dst, weight in edges:
-            scalar = estimate_influence(
-                paper_graph, src, dst, trials=4000, seed=21, engine="scalar"
-            )
-            vector = estimate_influence(
-                paper_graph, src, dst, trials=4000, seed=21, engine="vector"
-            )
-            # Each engine's interval must contain the true edge weight...
-            assert scalar.low <= weight <= scalar.high
-            assert vector.low <= weight <= vector.high
-            # ...and the two intervals must overlap with each other.
-            assert max(scalar.low, vector.low) <= min(scalar.high, vector.high)
-
-    def test_transitive_influence_intervals_overlap(self, paper_graph):
-        names = paper_graph.fcm_names()
-        src, dst = names[0], names[-1]
-        scalar = estimate_transitive_influence(
-            paper_graph, src, dst, trials=4000, seed=8, engine="scalar"
-        )
-        vector = estimate_transitive_influence(
-            paper_graph, src, dst, trials=4000, seed=8, engine="vector"
-        )
-        assert max(scalar.low, vector.low) <= min(scalar.high, vector.high)
-
-    def test_certain_chain_is_exact_on_both_engines(self):
-        g = InfluenceGraph()
-        for name in ("a", "b", "c"):
-            g.add_fcm(make_process(name))
-        g.set_influence("a", "b", 1.0)
-        g.set_influence("b", "c", 1.0)
-        for engine in ("scalar", "vector"):
-            est = estimate_transitive_influence(
-                g, "a", "c", trials=300, seed=0, engine=engine
-            )
-            assert est.hits == 300
-
-
-class TestEngineResolution:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            resolve_engine("gpu")
-
-    def test_scalar_always_available(self):
-        choice = resolve_engine("scalar")
-        assert choice.engine == "scalar" and not choice.is_vector
-
-    def test_auto_picks_vector_when_numpy_present(self):
-        assert resolve_engine("auto").engine == "vector"
-
-    def test_scalar_stream_unchanged_by_adjacency_hoist(self, paper_graph):
-        """The micro-fix must be draw-for-draw identical to the old path."""
-        source = paper_graph.fcm_names()[0]
-        with_hoist = propagate_once(
-            paper_graph,
-            source,
-            random.Random(42),
-            adjacency=compile_adjacency(paper_graph),
-        )
-        without = propagate_once(paper_graph, source, random.Random(42))
-        assert with_hoist.affected == without.affected
-        assert [e.fcm for e in with_hoist.events] == [
-            e.fcm for e in without.events
-        ]

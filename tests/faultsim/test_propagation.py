@@ -5,7 +5,12 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.faultsim import affected_counts, expected_affected, propagate_once
+from repro.faultsim import (
+    affected_counts,
+    compile_adjacency,
+    expected_affected,
+    propagate_once,
+)
 from repro.influence import InfluenceGraph
 
 from tests.conftest import make_process
@@ -60,6 +65,21 @@ class TestPropagateOnce:
         a = propagate_once(g, "a", random.Random(42))
         b = propagate_once(g, "a", random.Random(42))
         assert a.affected == b.affected
+
+    def test_stream_unchanged_by_adjacency_hoist(self, paper_graph):
+        """A pre-built adjacency is draw-for-draw the per-trial lookup."""
+        source = paper_graph.fcm_names()[0]
+        with_hoist = propagate_once(
+            paper_graph,
+            source,
+            random.Random(42),
+            adjacency=compile_adjacency(paper_graph),
+        )
+        without = propagate_once(paper_graph, source, random.Random(42))
+        assert with_hoist.affected == without.affected
+        assert [e.fcm for e in with_hoist.events] == [
+            e.fcm for e in without.events
+        ]
 
 
 class TestAffectedCounts:

@@ -9,7 +9,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_pipeline.json"
 
-REQUIRED_KEYS = {"name", "wall_s", "trials_per_s", "n_processes"}
+REQUIRED_KEYS = {"name", "wall_s", "n_processes", "campaign_trials"}
 STAGES = ("audit", "expand", "condense", "map", "score")
 
 
@@ -43,7 +43,8 @@ class TestCommittedFile:
         for entry in scenario_entries:
             assert REQUIRED_KEYS <= set(entry), entry["name"]
             assert entry["wall_s"] > 0.0
-            assert entry["trials_per_s"] > 0.0
+            if entry["campaign_trials"]:
+                assert entry["trials_per_s"] > 0.0
             assert entry["n_processes"] >= 1
 
     def test_nonzero_stage_timings(self, scenario_entries):
@@ -69,7 +70,23 @@ class TestGenerator:
             Heuristic.H1, trials=20,
         )
         assert REQUIRED_KEYS <= set(entry)
+        assert entry["trials_per_s"] > 0.0
         assert entry["n_processes"] == 8
         assert entry["feasible"] is True
         assert entry["stages"]["condense"] > 0.0
         json.dumps(entry)  # must be JSON-serialisable
+
+    def test_bench_scenario_without_campaign(self):
+        bench = _load_bench_module()
+        from repro.allocation.hw_model import fully_connected
+        from repro.core.framework import Heuristic
+        from repro.workloads import HW_NODE_COUNT, paper_system
+
+        entry = bench.bench_scenario(
+            "paper-8", paper_system(), fully_connected(HW_NODE_COUNT),
+            Heuristic.H1, trials=0,
+        )
+        assert REQUIRED_KEYS <= set(entry)
+        assert entry["campaign_trials"] == 0
+        assert "trials_per_s" not in entry
+        assert entry["stages"]["condense"] > 0.0

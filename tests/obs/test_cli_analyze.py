@@ -140,10 +140,9 @@ class TestExecDigest:
             run_campaign(
                 state.graph,
                 state.as_partition(),
-                trials=64,
+                trials=512,
                 seed=0,
                 policy=ExecPolicy(workers=0),
-                engine="scalar",
             )
         path = tmp_path / "campaign.ndjson"
         rec.write_trace(str(path))

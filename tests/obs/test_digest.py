@@ -120,10 +120,9 @@ class TestOnRealCampaign:
             run_campaign(
                 state.graph,
                 state.as_partition(),
-                trials=128,
+                trials=1024,
                 seed=0,
                 policy=ExecPolicy(workers=0),
-                engine="scalar",
             )
         result = health(rec.events())
         assert result.completed

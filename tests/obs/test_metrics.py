@@ -169,10 +169,10 @@ class TestPrometheusHistogramEdges:
 
         registry = MetricsRegistry()
         hist = registry.histogram("h", buckets=(1.0,))
-        hist.observe(0.5, engine="scalar")
+        hist.observe(0.5, kind="node")
         text = to_prometheus_text(registry.snapshot())
         # every series ends with the catch-all bucket, labels preserved
-        assert 'h_bucket{engine="scalar",le="+Inf"} 1' in text
+        assert 'h_bucket{kind="node",le="+Inf"} 1' in text
 
     def test_newline_in_label_value_escaped(self):
         from repro.obs.metrics import to_prometheus_text

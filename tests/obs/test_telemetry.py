@@ -241,7 +241,7 @@ class TestTelemetryMerger:
 class TestPrometheusExport:
     def snapshot(self):
         rec = Recorder()
-        rec.counter("faultsim_trials_total").inc(100, engine="scalar")
+        rec.counter("resilience_failures_total").inc(100, kind="node")
         rec.gauge("faultsim_trials_per_s").set(1234.5)
         hist = rec.histogram("spread", buckets=(1.0, 2.0))
         for value in (0.5, 1.5, 1.7, 5.0):
@@ -250,8 +250,8 @@ class TestPrometheusExport:
 
     def test_counters_and_gauges_rendered(self):
         text = to_prometheus_text(self.snapshot())
-        assert "# TYPE faultsim_trials_total counter" in text
-        assert 'faultsim_trials_total{engine="scalar"} 100.0' in text
+        assert "# TYPE resilience_failures_total counter" in text
+        assert 'resilience_failures_total{kind="node"} 100.0' in text
         assert "faultsim_trials_per_s 1234.5" in text
 
     def test_histogram_buckets_are_cumulative(self):
