@@ -61,26 +61,20 @@ def round_robin_clustering(state: ClusterState, target: int) -> CondensationResu
     """
     _check_target(state, target)
     names = sorted(m for c in state.clusters for m in c.members)
-    blocks: list[list[str]] = [[] for _ in range(target)]
+    blocks = [state.policy_block() for _ in range(target)]
     cursor = 0
     for name in names:
-        placed = False
         for offset in range(target):
             index = (cursor + offset) % target
-            if not blocks[index]:
-                blocks[index].append(name)
-                placed = True
-            elif state.policy_can_combine(blocks[index], [name]):
-                blocks[index].append(name)
-                placed = True
-            if placed:
+            if not blocks[index] or blocks[index].accepts(name):
+                blocks[index].add(name)
                 cursor = (index + 1) % target
                 break
-        if not placed:
+        else:
             raise InfeasibleAllocationError(
                 f"round-robin baseline cannot place {name!r}"
             )
-    state.clusters = [Cluster(tuple(b)) for b in blocks if b]
+    state.clusters = [Cluster(tuple(b.members)) for b in blocks if b]
     return CondensationResult(state=state, heuristic="round-robin")
 
 
@@ -99,22 +93,20 @@ def load_balance_clustering(state: ClusterState, target: int) -> CondensationRes
         return timing.computation_time if timing is not None else 0.0
 
     names.sort(key=lambda n: (-work(n), n))
-    blocks: list[list[str]] = [[] for _ in range(target)]
+    blocks = [state.policy_block() for _ in range(target)]
     loads = [0.0] * target
     for name in names:
         order = sorted(range(target), key=lambda i: (loads[i], i))
-        placed = False
         for index in order:
-            if not blocks[index] or state.policy_can_combine(blocks[index], [name]):
-                blocks[index].append(name)
+            if not blocks[index] or blocks[index].accepts(name):
+                blocks[index].add(name)
                 loads[index] += work(name)
-                placed = True
                 break
-        if not placed:
+        else:
             raise InfeasibleAllocationError(
                 f"load-balance baseline cannot place {name!r}"
             )
-    state.clusters = [Cluster(tuple(b)) for b in blocks if b]
+    state.clusters = [Cluster(tuple(b.members)) for b in blocks if b]
     return CondensationResult(state=state, heuristic="load-balance")
 
 
@@ -124,20 +116,18 @@ def _first_fit(
     target: int,
     randomize: random.Random | None = None,
 ) -> list[list[str]] | None:
-    blocks: list[list[str]] = [[] for _ in range(target)]
+    blocks = [state.policy_block() for _ in range(target)]
     for name in order:
         indices = list(range(target))
         if randomize is not None:
             randomize.shuffle(indices)
-        placed = False
         for index in indices:
-            if not blocks[index] or state.policy_can_combine(blocks[index], [name]):
-                blocks[index].append(name)
-                placed = True
+            if not blocks[index] or blocks[index].accepts(name):
+                blocks[index].add(name)
                 break
-        if not placed:
+        else:
             return None
-    return [b for b in blocks if b]
+    return [b.members for b in blocks if b]
 
 
 def _check_target(state: ClusterState, target: int) -> None:

@@ -8,7 +8,8 @@ mutable partition into clusters.  Cluster-to-cluster influence is the
 Eq. (4) combination over member edges, with the replica override pinning
 replica-related cluster pairs to 0 influence and non-combinable.
 
-Condensation asks about one cluster pair at a time as it merges;
+Condensation asks about one cluster pair at a time as it merges, and
+first-fit loops grow blocks through :meth:`ClusterState.policy_block`;
 mapping and scoring read a :class:`PartitionView`, every pair of the
 final partition at once.
 """
@@ -339,6 +340,16 @@ class ClusterState:
     def policy_block_violations(self, members: Iterable[str]) -> list[str]:
         return self._compiled.compiled_policy().block_violations(tuple(members))
 
+    def policy_block_violation_count(self, members: Iterable[str]) -> int:
+        """``len(policy_block_violations(members))``, without the reasons."""
+        return self._compiled.compiled_policy().block_violation_count(tuple(members))
+
+    def policy_block(self, members: Iterable[str] = ()) -> compiled.Block:
+        """A block holding ``members`` that first-fit loops grow one
+        member at a time: ``accepts(name)`` answers
+        ``policy_can_combine(block.members, [name])``."""
+        return self._compiled.compiled_policy().block(members)
+
     def attributes(self, i: int) -> AttributeSet:
         """Grouped (§4.3 envelope) combination of the member attributes.
 
@@ -362,7 +373,8 @@ class ClusterState:
 
         Built on first call for the current partition and kept until the
         clusters change.  Mapping and scoring read it; condensation,
-        whose partition changes with every merge, asks pair by pair.
+        whose partition changes with every merge, asks pair by pair and
+        keeps its own table (``heuristics.base.PairTable``).
         """
         clusters = tuple(cluster.members for cluster in self.clusters)
         view = self._view

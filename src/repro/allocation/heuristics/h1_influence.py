@@ -21,8 +21,11 @@ from repro.allocation.heuristics.base import (
     CombinationStep,
     CondensationHeuristic,
     CondensationResult,
-    best_combinable_pair,
 )
+
+
+def _mutual_influence(state: ClusterState, i: int, j: int) -> float:
+    return state.mutual_influence(i, j)
 
 
 class H1Influence(CondensationHeuristic):
@@ -31,15 +34,14 @@ class H1Influence(CondensationHeuristic):
     name = "H1"
 
     def step(self, state: ClusterState) -> CombinationStep | None:
-        found = best_combinable_pair(
-            state, lambda s, i, j: s.mutual_influence(i, j)
-        )
+        table = self.pair_table(state, _mutual_influence)
+        found = table.best()
         if found is None:
             return None
         i, j, value = found
         first = state.clusters[i].members
         second = state.clusters[j].members
-        state.combine(i, j)
+        table.combine(i, j)
         return CombinationStep(
             first=first,
             second=second,

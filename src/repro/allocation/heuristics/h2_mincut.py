@@ -181,7 +181,7 @@ def _choose_ejection(
 
     def score(member: str) -> tuple[int, float]:
         rest = [m for m in block if m != member]
-        remaining = len(state.policy_block_violations(rest))
+        remaining = state.policy_block_violation_count(rest)
         binding = sum(
             graph.mutual_influence(member, other) for other in rest
         )

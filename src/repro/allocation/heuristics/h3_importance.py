@@ -66,7 +66,7 @@ def condense_h3(
     seeds = ranked[:target]
     rest = ranked[target:]
 
-    blocks: dict[str, list[str]] = {seed: [seed] for seed in seeds}
+    blocks = {seed: state.policy_block([seed]) for seed in seeds}
 
     for name in rest:
         if (
@@ -82,9 +82,11 @@ def condense_h3(
         preferred: list[tuple[float, int, str]] = []
         for order, seed in enumerate(seeds):
             block = blocks[seed]
-            if not state.policy_can_combine(block, [name]):
+            if not block.accepts(name):
                 continue
-            affinity = sum(graph.mutual_influence(name, other) for other in block)
+            affinity = sum(
+                graph.mutual_influence(name, other) for other in block.members
+            )
             entry = (affinity, -order, seed)
             candidates.append(entry)
             if affinity >= opts.influence_threshold:
@@ -93,7 +95,7 @@ def condense_h3(
         if not pool:
             reasons = {
                 seed: "; ".join(
-                    state.policy_violations(blocks[seed], [name])
+                    state.policy_violations(blocks[seed].members, [name])
                 )
                 for seed in seeds
             }
@@ -101,7 +103,7 @@ def condense_h3(
                 f"no sphere can absorb {name!r}: {reasons}"
             )
         _affinity, _order, chosen = max(pool)
-        blocks[chosen].append(name)
+        blocks[chosen].add(name)
 
-    state.clusters = [Cluster(tuple(blocks[seed])) for seed in seeds]
+    state.clusters = [Cluster(tuple(blocks[seed].members)) for seed in seeds]
     return CondensationResult(state=state, heuristic="H3")

@@ -30,7 +30,6 @@ from repro.allocation.heuristics.base import (
     CombinationStep,
     CondensationHeuristic,
     CondensationResult,
-    best_combinable_pair,
     _replica_lower_bound,
 )
 
@@ -41,14 +40,15 @@ class TimingRefinement(CondensationHeuristic):
     name = "timing"
 
     def step(self, state: ClusterState) -> CombinationStep | None:
-        found = best_combinable_pair(state, _slack_score)
+        table = self.pair_table(state, _slack_score)
+        found = table.best()
         if found is None:
             return None
         i, j, value = found
         first = state.clusters[i].members
         second = state.clusters[j].members
         influence = state.mutual_influence(i, j)
-        state.combine(i, j)
+        table.combine(i, j)
         return CombinationStep(
             first=first,
             second=second,
@@ -66,10 +66,11 @@ def _slack_score(state: ClusterState, i: int, j: int) -> float:
     Clusters without timing constraints merge freely (score 1.0).
     """
     members = state.clusters[i].members + state.clusters[j].members
+    fcm = state.graph.fcm
     timings = [
-        state.graph.fcm(name).attributes.timing
-        for name in members
-        if state.graph.fcm(name).attributes.timing is not None
+        timing
+        for timing in (fcm(name).attributes.timing for name in members)
+        if timing is not None
     ]
     if not timings:
         return 1.0
@@ -123,21 +124,18 @@ def pack_by_timing(state: ClusterState, target: int) -> CondensationResult:
         raise InfeasibleAllocationError(
             "target is below the replica-separation lower bound"
         )
-    order = timing_order(state)
-    blocks: list[list[str]] = []
-    for name in order:
-        placed = False
+    blocks = []
+    for name in timing_order(state):
         for block in blocks:
-            if state.policy_can_combine(block, [name]):
-                block.append(name)
-                placed = True
+            if block.accepts(name):
+                block.add(name)
                 break
-        if not placed:
-            blocks.append([name])
+        else:
+            blocks.append(state.policy_block([name]))
     if len(blocks) > target:
         raise InfeasibleAllocationError(
             f"first-fit packing needs {len(blocks)} clusters; target was "
             f"{target}"
         )
-    state.clusters = [Cluster(tuple(block)) for block in blocks]
+    state.clusters = [Cluster(tuple(block.members)) for block in blocks]
     return CondensationResult(state=state, heuristic="timing-pack")

@@ -105,16 +105,18 @@ def run_multilevel_campaign(
         ).affected
         total_procs += len(affected_procs)
 
-        # Escalate each affected procedure to its parent task.
+        # Escalate each affected procedure to its parent task.  Sets are
+        # walked in name order: the RNG draws follow the walk, and set
+        # order changes with the interpreter's string hash seed.
         seeded_tasks: set[str] = set()
-        for proc in affected_procs:
+        for proc in sorted(affected_procs):
             parent = system.hierarchy.parent_of(proc)
             if parent is None:
                 continue
             if rng.random() >= cont[Level.TASK]:
                 seeded_tasks.add(parent.name)
         affected_tasks: set[str] = set()
-        for task_name in seeded_tasks:
+        for task_name in sorted(seeded_tasks):
             if task_graph.has_fcm(task_name):
                 affected_tasks |= propagate_once(
                     task_graph, task_name, rng, trial, adjacency=task_adj
@@ -125,14 +127,14 @@ def run_multilevel_campaign(
 
         # Escalate each affected task to its parent process.
         seeded_processes: set[str] = set()
-        for task_name in affected_tasks:
+        for task_name in sorted(affected_tasks):
             parent = system.hierarchy.parent_of(task_name)
             if parent is None:
                 continue
             if rng.random() >= cont[Level.PROCESS]:
                 seeded_processes.add(parent.name)
         affected_processes: set[str] = set()
-        for process_name in seeded_processes:
+        for process_name in sorted(seeded_processes):
             if process_graph.has_fcm(process_name):
                 affected_processes |= propagate_once(
                     process_graph,

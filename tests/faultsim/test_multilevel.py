@@ -1,6 +1,12 @@
 """Multi-level containment simulation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.errors import SimulationError
 from repro.faultsim import (
@@ -106,3 +112,30 @@ class TestHierarchyValue:
         a = hierarchy_value(system, trials=300, seed=9)
         b = hierarchy_value(system, trials=300, seed=9)
         assert a[0] == b[0] and a[1] == b[1]
+
+
+class TestHashSeedInvariance:
+    """The RNG draws must not follow set iteration order, which changes
+    with the string hash seed of each interpreter run."""
+
+    SCRIPT = (
+        "from repro.faultsim import run_multilevel_campaign\n"
+        "from repro.model import Level\n"
+        "from repro.workloads import random_system\n"
+        "system = random_system(processes=4, tasks_per_process=3, "
+        "procedures_per_task=3, seed=7)\n"
+        "print(run_multilevel_campaign(system, trials=400, seed=11, "
+        "containment={Level.TASK: 0.8, Level.PROCESS: 0.8}))\n"
+    )
+
+    def test_same_result_under_every_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(outputs) == 1, outputs

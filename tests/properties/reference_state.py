@@ -5,7 +5,9 @@ compiled form of its graph and policy.  This subclass answers the same
 queries the way the paper states them, by walking the dict graph pair
 by pair: Eq. (4) through ``combine_probabilities``, replica separation
 through ``clusters_combinable``, and every policy question through the
-policy's own methods, uncached.  Its partition view is filled pair by
+policy's own methods, uncached: a violation count is the length of the
+policy's reason list, and a growing block asks ``policy.can_combine``
+on its members at every probe.  Its partition view is filled pair by
 pair from those answers.  The heuristics accept either state, so
 running them on both must give bit-identical partitions, mappings,
 reason strings and errors.
@@ -14,10 +16,12 @@ reason strings and errors.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 
 import numpy as np
 
 from repro.allocation.clustering import ClusterState, PartitionView
+from repro.allocation.compiled import Block
 from repro.errors import AllocationError
 from repro.influence.cluster import clusters_combinable
 from repro.influence.probability import combine_probabilities
@@ -74,6 +78,12 @@ class ReferenceClusterState(ClusterState):
 
     def policy_block_violations(self, members: Iterable[str]) -> list[str]:
         return self.policy.block_violations(self.graph, members)
+
+    def policy_block_violation_count(self, members: Iterable[str]) -> int:
+        return len(self.policy.block_violations(self.graph, members))
+
+    def policy_block(self, members: Iterable[str] = ()) -> Block:
+        return Block(partial(self.policy.can_combine, self.graph), members)
 
 
 # ----------------------------------------------------------------------
