@@ -91,7 +91,8 @@ def compile_graph(graph: InfluenceGraph) -> CompiledGraph:
     Compilations are cached on the graph instance keyed by its mutation
     :attr:`~repro.influence.influence_graph.InfluenceGraph.version`, so the
     allocation engine and a subsequent fault campaign on the same graph
-    share one compile.
+    share one compile.  The weights are the graph's own
+    :meth:`~repro.influence.influence_graph.InfluenceGraph.weight_matrix`.
     """
     version = getattr(graph, "version", None)
     if version is not None:
@@ -102,10 +103,7 @@ def compile_graph(graph: InfluenceGraph) -> CompiledGraph:
     if not names:
         raise SimulationError("graph has no FCMs")
     index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    weights = np.zeros((n, n))
-    for src, dst, w in graph.influence_edges():
-        weights[index[src], index[dst]] = w
+    weights = graph.weight_matrix()
     with np.errstate(divide="ignore"):
         log_survival = np.where(weights >= 1.0, _LOG_ZERO, np.log1p(-weights))
     compiled = CompiledGraph(

@@ -45,6 +45,13 @@ def adjacency_matrix(graph: Digraph, order: list[Node] | None = None) -> tuple[n
     return matrix, nodes
 
 
+# Sub-block size from which :meth:`CompiledInfluence.group_influence`
+# gathers with ``np.ix_`` instead of reading entries one by one: the two
+# cost the same at about 64 products (8 x 8: 8.3 us each on a 2-CPU
+# x86-64 container; 2 x 2: 1.0 vs 5.8 us, 6 x 8: 6.1 vs 8.5 us).
+_GATHER_MIN = 64
+
+
 @dataclass(frozen=True)
 class CompiledInfluence:
     """An influence graph's weights lowered to arrays for allocation.
@@ -92,9 +99,17 @@ class CompiledInfluence:
         return [index[name] for name in names]
 
     def group_influence(self, rows_a: list[int], rows_b: list[int]) -> float:
-        """Eq. (2) combined influence of member rows ``a`` on rows ``b``."""
+        """Eq. (2) combined influence of member rows ``a`` on rows ``b``.
+
+        Up to :data:`_GATHER_MIN` products the entries are read one by
+        one, in the C order a gathered sub-block ravels in; a gather
+        costs more than that many reads.
+        """
         if len(rows_a) == 1 and len(rows_b) == 1:
             return 1.0 - self.complements.item(rows_a[0], rows_b[0])
+        if len(rows_a) * len(rows_b) < _GATHER_MIN:
+            item = self.complements.item
+            return 1.0 - math.prod([item(r, c) for r in rows_a for c in rows_b])
         block = self.complements[np.ix_(rows_a, rows_b)]
         return 1.0 - math.prod(block.ravel().tolist())
 

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import GraphError, InfluenceError, ProbabilityError
 from repro.graphs.digraph import Digraph
+from repro.influence.columns import EdgeColumns
 from repro.influence.factors import InfluenceFactor
 from repro.influence.probability import influence_from_factors
 from repro.model.fcm import FCM
@@ -37,10 +40,11 @@ class InfluenceGraph:
 
     A replica-partner index keeps :meth:`is_replica_link` O(1), and a
     monotonically increasing :attr:`version` lets compiled artifacts
-    (``repro.faultsim.kernel.compile_graph``, the allocation engine's
-    matrices) cache against a graph instance and invalidate on mutation.
-    Influence edges may be deferred (:meth:`defer_influences`) until the
-    first read.
+    (:meth:`weight_matrix`, ``repro.faultsim.kernel.compile_graph``, the
+    allocation engine's matrices) cache against a graph instance and
+    invalidate on mutation.
+    Influence edges may be deferred (:meth:`defer_influences`,
+    :meth:`defer_columns`) until the first read.
     """
 
     def __init__(self) -> None:
@@ -50,6 +54,7 @@ class InfluenceGraph:
         # replica=True edges exactly.
         self._replica_partners: dict[str, set[str]] = {}
         self._version = 0
+        self._weights: tuple[int, np.ndarray] | None = None
 
     @property
     def version(self) -> int:
@@ -59,14 +64,14 @@ class InfluenceGraph:
     def __getattr__(self, name: str):
         # Python calls this only for an attribute that is not set, and
         # ``_graph`` is unset exactly while deferred edges wait: every
-        # edge read and every mutation goes through ``_graph``, so the
-        # first one installs them.
+        # dict-edge read and every mutation goes through ``_graph``, so
+        # the first one installs them.
         deferred = self.__dict__.pop("_deferred", None) if name == "_graph" else None
         if deferred is None:
             raise AttributeError(name)
-        self._graph, make_edges = deferred
+        self._graph, install, _columns = deferred
         version = self._version
-        self.set_influences(make_edges())
+        install(self)
         self._version = version
         return self._graph
 
@@ -84,8 +89,52 @@ class InfluenceGraph:
         against the graph beforehand stays valid.  ``make_edges`` must
         not depend on state that can change before it runs.
         """
-        self._deferred = (self._graph, make_edges)
+        self._defer(lambda graph: graph.set_influences(make_edges()), None)
+
+    def defer_columns(
+        self, columns: EdgeColumns, replica_links: Iterable[tuple[str, str]]
+    ) -> None:
+        """Take this graph's influence edges from a document level's
+        ``columns``, and link ``replica_links``, without installing a
+        dict edge.
+
+        The edges wait as :meth:`defer_influences` edges do; on the first
+        read they go in as :meth:`set_influences` would install the
+        document's rows in order, followed by the replica links as
+        :meth:`link_replicas` installs them.  Until then
+        :meth:`influence_edges`, :meth:`influence_edge_factors`,
+        :meth:`factor_edges`, :meth:`snapshot_edge_factors` and
+        :meth:`weight_matrix` answer from the columns.  The graph must hold
+        exactly ``columns.names`` and no edge, and the rows and links
+        must be valid (document validation checks both).
+        """
+        if columns.names != tuple(self._fcms) or self._graph.edge_count():
+            raise InfluenceError("edge columns must cover exactly this graph's FCMs")
+        links = tuple((a, b) for a, b in replica_links)
+        partners = self._replica_partners
+        for a, b in links:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        self._version += 1 + len(links)
+
+        def install(graph: InfluenceGraph) -> None:
+            graph.set_influences(columns.install_rows())
+            for a, b in links:
+                graph.link_replicas(a, b)
+
+        self._defer(install, columns)
+
+    def _defer(
+        self, install: Callable[["InfluenceGraph"], None], columns: EdgeColumns | None
+    ) -> None:
+        self._deferred = (self._graph, install, columns)
         del self._graph
+
+    def edge_columns(self) -> EdgeColumns | None:
+        """The columns this graph's edges wait in (:meth:`defer_columns`),
+        or ``None`` once they are installed or when there are none."""
+        deferred = self.__dict__.get("_deferred")
+        return deferred[2] if deferred is not None else None
 
     # ------------------------------------------------------------------
     # Nodes
@@ -223,6 +272,9 @@ class InfluenceGraph:
 
     def influence_edges(self) -> list[tuple[str, str, float]]:
         """All non-replica edges as (source, target, weight)."""
+        columns = self.edge_columns()
+        if columns is not None:
+            return [(src, dst, w) for src, dst, w, _f in columns.edge_factors()]
         partners = self._replica_partners
         return [
             (src, dst, w)
@@ -237,11 +289,27 @@ class InfluenceGraph:
         """One-pass iterator over (source, target, weight, factors).
 
         Equivalent to :meth:`influence_edges` plus a :meth:`factors` call
-        per edge, without the per-edge lookups — the audit's hot path.
+        per edge, without the per-edge lookups.
         """
+        columns = self.edge_columns()
+        if columns is not None:
+            return columns.edge_factors()
         graph = self._graph
         return _edge_factors(
             graph.adjacency().items(), graph.edge_payloads(), self._replica_partners
+        )
+
+    def factor_edges(self) -> Iterator[tuple[str, str, tuple[InfluenceFactor, ...]]]:
+        """(source, target, factors) of every influence edge that records
+        factors, in adjacency order — the audit's factor-discipline walk.
+        Deferred columns visit their factor rows only."""
+        columns = self.edge_columns()
+        if columns is not None:
+            return columns.factor_edges()
+        return (
+            (src, dst, factors)
+            for src, dst, _w, factors in self.influence_edge_factors()
+            if factors
         )
 
     def snapshot_edge_factors(
@@ -249,32 +317,17 @@ class InfluenceGraph:
     ) -> Callable[[], Iterator[tuple[str, str, float, tuple[InfluenceFactor, ...]]]]:
         """:meth:`influence_edge_factors` as of now: the returned function
         iterates the edges this graph has at the time of this call,
-        whatever changes later.  Copies the adjacency dicts, not edges."""
+        whatever changes later.  Deferred columns never change, so it
+        reads them when called; otherwise this copies the adjacency dicts
+        (not the edges)."""
+        columns = self.edge_columns()
+        if columns is not None:
+            return columns.edge_factors
         graph = self._graph
         adjacency = [(src, dict(targets)) for src, targets in graph.adjacency().items()]
         payloads = dict(graph.edge_payloads())
         partners = {name: frozenset(linked) for name, linked in self._replica_partners.items()}
         return lambda: _edge_factors(adjacency, payloads, partners)
-
-    def reachable(self, start: str) -> set[str]:
-        """FCMs reachable from ``start`` along influence edges.
-
-        ``start`` is included.  Replica links carry no influence, so the
-        walk never crosses one.
-        """
-        self._require(start)
-        succ = self._graph.adjacency()
-        partners = self._replica_partners
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            skip = partners.get(node, _EMPTY_SET)
-            for nxt in succ[node]:
-                if nxt not in seen and nxt not in skip:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
 
     def mutual_influence(self, a: str, b: str) -> float:
         """Sum of influences in each direction (H1's merge criterion)."""
@@ -335,11 +388,35 @@ class InfluenceGraph:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
+    def weight_matrix(self) -> np.ndarray:
+        """The influence matrix ``P``: ``P[i, j]`` is the weight of the
+        edge from the ``i``-th to the ``j``-th FCM of :meth:`fcm_names`,
+        0 where there is none and on replica links.
+
+        Built once per :attr:`version` (from deferred columns, without
+        installing an edge) and read-only, so the fault kernel's compile,
+        separation and the audit share one array.
+        """
+        cached = self._weights
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        columns = self.edge_columns()
+        if columns is not None:
+            weights = columns.weights()
+        else:
+            index = {name: i for i, name in enumerate(self._fcms)}
+            weights = np.zeros((len(index), len(index)))
+            for src, dst, w in self.influence_edges():
+                weights[index[src], index[dst]] = w
+        weights.flags.writeable = False
+        self._weights = (self._version, weights)
+        return weights
+
     def as_digraph(self, include_replica_links: bool = False) -> Digraph:
         """A :class:`Digraph` copy of this influence graph.
 
         Replica links are weight-0 edges; excluding them (the default)
-        gives the pure probability matrix used by separation.
+        leaves the influence edges alone, as :meth:`weight_matrix` does.
         """
         out = Digraph()
         for name in self._fcms:

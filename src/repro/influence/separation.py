@@ -25,7 +25,6 @@ import numpy as np
 from repro.errors import InfluenceError
 from repro.graphs.matrix import (
     MAX_SERIES_ORDER,
-    adjacency_matrix,
     power_series_limit,
     power_series_sum,
     power_series_sum_guarded,
@@ -104,8 +103,7 @@ def compute_separation(
     ``(I - P)^{-1} - I`` (requires spectral radius < 1).
     Replica links (weight 0) do not contribute.
     """
-    digraph = graph.as_digraph(include_replica_links=False)
-    matrix, names = adjacency_matrix(digraph)
+    matrix, names = graph.weight_matrix(), graph.fcm_names()
     rec = current()
     if order is None:
         transitive = power_series_limit(matrix)
@@ -173,10 +171,7 @@ def convergence_order(
     bound of :func:`series_tail_bound` can be infinite on graphs whose row
     sums exceed 1 even though the series converges).
     """
-    import numpy as np
-
-    digraph = graph.as_digraph(include_replica_links=False)
-    matrix, _ = adjacency_matrix(digraph)
+    matrix = graph.weight_matrix()
     radius = spectral_radius(matrix)
     if radius >= 1.0:
         raise InfluenceError(

@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.errors import AllocationError, DDSIError
 from repro.allocation.hw_model import HWGraph, HWNode
+from repro.influence.columns import EdgeColumns
 from repro.influence.factors import FactorKind, InfluenceFactor
 from repro.influence.influence_graph import InfluenceGraph
 from repro.model.attributes import AttributeSet, SecurityLevel, TimingConstraint
@@ -231,12 +232,20 @@ def system_from_dict(
     source: str | None = None,
     text: str | None = None,
 ) -> SoftwareSystem:
-    # Walk the whole document first so *every* defect is reported at
-    # once, with JSON-path (and, given ``text``, line) context; the
-    # legacy per-field raises below remain as a backstop.
+    """Build a system from a ``ddsi-system`` document.
+
+    Validation walks the whole document first, so *every* defect is
+    reported at once, with JSON-path (and, given ``text``, line)
+    context; the legacy per-field raises below remain as a backstop.
+    It also reads each level's edge rows into columns once, and each
+    influence graph takes its edges from them
+    (:meth:`InfluenceGraph.defer_columns`): no dict edge is installed
+    until something reads one.
+    """
     from repro.io.validation import ValidationFailure, validate_system_dict
 
-    issues = validate_system_dict(data, text=text)
+    columns: dict[str, EdgeColumns] = {}
+    issues = validate_system_dict(data, text=text, columns=columns)
     if issues:
         raise ValidationFailure(issues, source=source)
     _check_header(data, FORMAT_SYSTEM)
@@ -264,8 +273,9 @@ def system_from_dict(
             level = Level[level_name]
         except KeyError as exc:
             raise SerializationError(f"unknown level {level_name!r}") from exc
-        graph = system.influence_at(level)
-        _load_influence(graph, graph_data)
+        system.influence_at(level).defer_columns(
+            columns[level_name], graph_data.get("replica_links", [])
+        )
     return system
 
 

@@ -17,13 +17,16 @@ call sites keep working.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ProbabilityError
+import numpy as np
+
+from repro.influence.columns import EdgeColumns
 from repro.influence.factors import FactorKind
-from repro.influence.probability import combine_probabilities
-from repro.io.serialization import SerializationError
+from repro.influence.probability import influence_from_factors
+from repro.io.serialization import SerializationError, _load_factors
 from repro.model.attributes import SecurityLevel
 from repro.model.fcm import Level
 
@@ -74,27 +77,31 @@ class ValidationFailure(SerializationError):
 class _LineFinder:
     """Best-effort mapping from a JSON token to its line in the raw text.
 
-    Exact positions would need a lossless parser; for error messages a
-    first-occurrence scan of the quoted token is enough, and degrades to
+    Exact positions would need a lossless parser; for error messages the
+    first occurrence of the quoted token is enough, and degrades to
     ``None`` (path-only context) when the text is unavailable or the
-    token appears nowhere.
+    token appears nowhere.  The text is split into lines on the first
+    lookup, so a valid document costs nothing; each token is found once.
+    A quoted token holds no character that :meth:`str.splitlines` breaks
+    on, so its first occurrence lies on the first line that contains it.
     """
 
     def __init__(self, text: str | None) -> None:
-        self._lines = text.splitlines() if text else []
+        self._text = text
+        self._starts: list[int] | None = None
+        self._found: dict[str, int | None] = {}
 
     def line_of(self, token: str | None) -> int | None:
-        if token is None or not self._lines:
+        if token is None or not self._text:
             return None
-        needle = json.dumps(token)
-        for number, line in enumerate(self._lines, start=1):
-            if needle in line:
-                return number
-        return None
-
-
-# Exact types a JSON number loads as (``bool`` is not one of them).
-_PLAIN_NUMBERS = (float, int)
+        if token not in self._found:
+            if self._starts is None:
+                self._starts = [0]
+                for line in self._text.splitlines(keepends=True):
+                    self._starts.append(self._starts[-1] + len(line))
+            at = self._text.find(json.dumps(token))
+            self._found[token] = None if at < 0 else bisect_right(self._starts, at)
+        return self._found[token]
 
 
 def _is_number(value: Any) -> bool:
@@ -105,7 +112,9 @@ def _is_number(value: Any) -> bool:
 # System documents
 # ----------------------------------------------------------------------
 def validate_system_dict(
-    data: Any, text: str | None = None
+    data: Any,
+    text: str | None = None,
+    columns: dict[str, EdgeColumns] | None = None,
 ) -> list[ValidationIssue]:
     """Every defect in a ``ddsi-system`` document, in document order.
 
@@ -116,6 +125,10 @@ def validate_system_dict(
     influence edge joins).  Returns an empty list when the document is
     well-formed enough for
     :func:`~repro.io.serialization.system_from_dict` to succeed.
+
+    Each level's edge rows are read once, into :class:`EdgeColumns`;
+    given a ``columns`` dict, validation stores them there by level name
+    (when no issue is returned, the loader builds the graphs from them).
     """
     finder = _LineFinder(text)
     issues: list[ValidationIssue] = []
@@ -131,7 +144,7 @@ def validate_system_dict(
 
     fcm_names = _check_fcms(data, flag)
     _check_links(data, flag, fcm_names)
-    _check_influence(data, flag, fcm_names)
+    _check_influence(data, flag, fcm_names, {} if columns is None else columns)
     return issues
 
 
@@ -154,13 +167,18 @@ def _check_header_fields(data: dict, flag, expected_format: str) -> None:
         )
 
 
-def _check_fcms(data: dict, flag) -> dict[str, str]:
-    """Validate ``fcms`` entries; returns name -> level-name for valid ones."""
+def _check_fcms(data: dict, flag) -> dict[str, str] | None:
+    """Validate ``fcms`` entries; returns name -> level-name for valid ones.
+
+    ``None`` when ``fcms`` is not a list: then no name can be checked, and
+    the other sections skip their endpoint checks instead of flagging
+    every name as unknown.
+    """
     fcms = data.get("fcms", [])
     names: dict[str, str] = {}
     if not isinstance(fcms, list):
         flag("fcms", f"must be a list, got {type(fcms).__name__}", "fcms")
-        return names
+        return None
     valid_levels = {level.name for level in Level}
     for i, entry in enumerate(fcms):
         path = f"fcms[{i}]"
@@ -277,7 +295,7 @@ def _check_timing(timing: Any, path: str, flag, token: str | None) -> None:
         )
 
 
-def _check_links(data: dict, flag, fcm_names: dict[str, str]) -> None:
+def _check_links(data: dict, flag, fcm_names: dict[str, str] | None) -> None:
     links = data.get("links", [])
     if not isinstance(links, list):
         flag("links", f"must be a list, got {type(links).__name__}", "links")
@@ -295,7 +313,7 @@ def _check_links(data: dict, flag, fcm_names: dict[str, str]) -> None:
             if not isinstance(value, str) or not value:
                 flag(f"{path}.{role}", f"missing or invalid {role} (got {value!r})")
                 ok = False
-            elif fcm_names and value not in fcm_names:
+            elif fcm_names is not None and value not in fcm_names:
                 flag(
                     f"{path}.{role}",
                     f"references unknown FCM {value!r}",
@@ -336,7 +354,12 @@ def _check_links(data: dict, flag, fcm_names: dict[str, str]) -> None:
         cleared.update(seen)
 
 
-def _check_influence(data: dict, flag, fcm_names: dict[str, str]) -> None:
+def _check_influence(
+    data: dict,
+    flag,
+    fcm_names: dict[str, str] | None,
+    columns: dict[str, EdgeColumns],
+) -> None:
     influence = data.get("influence", {})
     if not isinstance(influence, dict):
         flag(
@@ -359,17 +382,23 @@ def _check_influence(data: dict, flag, fcm_names: dict[str, str]) -> None:
         if not isinstance(section, dict):
             flag(path, f"must be an object, got {type(section).__name__}")
             continue
-        # FCMs whose own level failed validation (stored as "") act as
-        # wildcards here, so one bad level doesn't cascade into spurious
-        # "not at this level" reports for every edge touching the FCM.
-        at_level = {
-            name
-            for name, lvl in fcm_names.items()
-            if lvl == level_name or lvl == ""
+        # Position of each FCM at this level, in document order (the
+        # order its influence graph holds them).  FCMs whose own level
+        # failed validation (stored as "") act as wildcards here, so one
+        # bad level doesn't cascade into spurious "not at this level"
+        # reports for every edge touching the FCM.
+        index = {
+            name: position
+            for position, name in enumerate(
+                name
+                for name, lvl in (fcm_names or {}).items()
+                if lvl == level_name or lvl == ""
+            )
         }
-        _check_edges(section, path, flag, fcm_names, at_level, level_name)
+        rows = _check_edges(section, path, flag, fcm_names, index, level_name)
+        columns[level_name] = rows
         _check_replica_links(
-            section, path, flag, fcm_names, at_level, level_name, data.get("fcms")
+            section, path, flag, fcm_names, index, level_name, data.get("fcms"), rows
         )
 
 
@@ -377,41 +406,83 @@ def _check_edges(
     section: dict,
     path: str,
     flag,
-    fcm_names: dict[str, str],
-    at_level: set[str],
+    fcm_names: dict[str, str] | None,
+    index: dict[str, int],
     level_name: str,
-) -> None:
+) -> EdgeColumns:
+    """Check a level's edge rows and read them into columns.
+
+    One pass reads each value row whose keys and types are in order into
+    source and target positions (-1 for a name not at the level) and a
+    value; array tests then settle endpoints, self-loops, range and NaN.
+    Only the rows they cannot settle (not an object, a missing key, a
+    value that is not a float, a factor row) or that fail them go
+    through :func:`_check_edge`, which reports each defect at its JSON
+    path.  A defective row stays in the columns as a zero row at
+    positions -1, which removes no pair and loads nothing.
+    """
     edges = section.get("edges", [])
     if not isinstance(edges, list):
         flag(f"{path}.edges", f"must be a list, got {type(edges).__name__}")
-        return
-    for i, edge in enumerate(edges):
-        # One cheap test passes a well-formed value edge between two
-        # distinct FCMs of this level; only the edges that fail it pay
-        # for the per-field checks and their JSON paths.
-        if type(edge) is dict and "factors" not in edge:
-            source = edge.get("source")
-            target = edge.get("target")
-            value = edge.get("value")
-            if (
-                type(source) is str
-                and type(target) is str
-                and source != target
-                and source in at_level
-                and target in at_level
-                and type(value) in _PLAIN_NUMBERS
-                and 0.0 <= value <= 1.0
-            ):
-                continue
-        _check_edge(edge, f"{path}.edges[{i}]", flag, fcm_names, at_level, level_name)
+        edges = []
+    sources: list[int] = []
+    targets: list[int] = []
+    values: list[float] = []
+    position = index.get
+    for edge in edges:
+        try:
+            if "factors" not in edge:
+                value = edge["value"]
+                if type(value) is float:
+                    source = position(edge["source"], -1)
+                    target = position(edge["target"], -1)
+                    sources.append(source)
+                    targets.append(target)
+                    values.append(value)
+                    continue
+        except (KeyError, TypeError):
+            pass
+        sources.append(-1)
+        targets.append(-1)
+        values.append(0.0)
+    rows = len(edges)
+    source = np.fromiter(sources, dtype=np.intp, count=rows)
+    target = np.fromiter(targets, dtype=np.intp, count=rows)
+    value = np.fromiter(values, dtype=float, count=rows)
+    settled = (source >= 0) & (target >= 0) & (source != target)
+    settled &= (value >= 0.0) & (value <= 1.0)  # NaN fails both
+    factors: dict[int, tuple] = {}
+    for row in np.flatnonzero(~settled).tolist():
+        edge = edges[row]
+        found: list[tuple] = []
+        _check_edge(
+            edge, f"{path}.edges[{row}]", lambda *issue: found.append(issue),
+            fcm_names, index, level_name,
+        )
+        for issue in found:
+            flag(*issue)
+        # Without an FCM list (already flagged) no name resolves.
+        if found or fcm_names is None:
+            source[row] = target[row] = -1
+            value[row] = 0.0
+            continue
+        # A clean row the pass could not read: an int value or factors.
+        source[row] = index[edge["source"]]
+        target[row] = index[edge["target"]]
+        if "factors" in edge:
+            factors[row] = tuple(_load_factors(edge["factors"]))
+            value[row] = influence_from_factors(factors[row])
+        else:
+            value[row] = float(edge["value"])
+    return EdgeColumns(tuple(index), source, target, value, factors)
 
 
 def _check_edge(
     edge: Any,
     epath: str,
     flag,
-    fcm_names: dict[str, str],
-    at_level: set[str],
+    fcm_names: dict[str, str] | None,
+    at_level: dict[str, int],
     level_name: str,
 ) -> None:
     if not isinstance(edge, dict):
@@ -421,9 +492,9 @@ def _check_edge(
         value = edge.get(role)
         if not isinstance(value, str) or not value:
             flag(f"{epath}.{role}", f"missing or invalid {role} (got {value!r})")
-        elif fcm_names and value not in fcm_names:
+        elif fcm_names is not None and value not in fcm_names:
             flag(f"{epath}.{role}", f"references unknown FCM {value!r}", value)
-        elif at_level and value not in at_level:
+        elif fcm_names is not None and value not in at_level:
             flag(
                 f"{epath}.{role}",
                 f"FCM {value!r} is not at level {level_name}",
@@ -484,10 +555,11 @@ def _check_replica_links(
     section: dict,
     path: str,
     flag,
-    fcm_names: dict[str, str],
-    at_level: set[str],
+    fcm_names: dict[str, str] | None,
+    at_level: dict[str, int],
     level_name: str,
     fcms: Any,
+    rows: EdgeColumns,
 ) -> None:
     links = section.get("replica_links", [])
     if not isinstance(links, list):
@@ -498,7 +570,7 @@ def _check_replica_links(
         return
     # Built on the first well-formed link: most sections have none.
     origins: dict[str, str] | None = None
-    live: set[tuple[str, str]] | None = None
+    live: set[tuple[int, int]] | None = None
     for i, pair in enumerate(links):
         lpath = f"{path}.replica_links[{i}]"
         if (
@@ -513,17 +585,20 @@ def _check_replica_links(
         if not ok:
             flag(lpath, f"FCM {a!r} linked as a replica of itself", a)
         for name in pair:
-            if fcm_names and name not in fcm_names:
+            if fcm_names is not None and name not in fcm_names:
                 flag(lpath, f"references unknown FCM {name!r}", name)
                 ok = False
-            elif at_level and name not in at_level:
+            elif fcm_names is not None and name not in at_level:
                 flag(lpath, f"FCM {name!r} is not at level {level_name}", name)
                 ok = False
         if not ok:
             continue
         if origins is None:
             origins = _replica_origins(fcms)
-            live = _live_pairs(section.get("edges", []))
+            # The (source, target) positions that load as edges.
+            live = set(
+                zip(rows.source[rows.live].tolist(), rows.target[rows.live].tolist())
+            )
         pair_origins = {origins.get(a, a), origins.get(b, b)}
         if len(pair_origins) != 1:
             flag(
@@ -533,7 +608,7 @@ def _check_replica_links(
                 a,
             )
         for src, dst in ((a, b), (b, a)):
-            if (src, dst) in live:
+            if (at_level.get(src), at_level.get(dst)) in live:
                 flag(
                     lpath,
                     f"influence edge {src!r} -> {dst!r} already exists; "
@@ -554,31 +629,3 @@ def _replica_origins(fcms: Any) -> dict[str, str]:
         and isinstance(entry.get("replica_of"), str)
         and entry["replica_of"]
     }
-
-
-def _live_pairs(edges: Any) -> set[tuple[str, str]]:
-    """``(source, target)`` pairs that load as influence edges.
-
-    Edges apply in document order, so a later zero influence removes an
-    earlier edge.  Malformed edges are flagged on their own and skipped.
-    """
-    live: set[tuple[str, str]] = set()
-    if not isinstance(edges, list):
-        return live
-    for edge in edges:
-        try:
-            pair = (edge["source"], edge["target"])
-            if "factors" in edge:
-                value = combine_probabilities(
-                    f["p_occurrence"] * f["p_transmission"] * f["p_effect"]
-                    for f in edge["factors"]
-                )
-            else:
-                value = edge["value"]
-            if value != 0.0:
-                live.add(pair)
-            else:
-                live.discard(pair)
-        except (TypeError, KeyError, ProbabilityError):
-            continue
-    return live

@@ -79,7 +79,7 @@ def audit_system(
 
     for level, graph in system.influence.items():
         allowed = ALLOWED_FACTORS.get(level, frozenset(FactorKind))
-        for src, dst, _w, factors in graph.influence_edge_factors():
+        for src, dst, factors in graph.factor_edges():
             for factor in factors:
                 if factor.kind not in allowed:
                     report.level_discipline.append(

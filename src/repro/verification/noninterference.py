@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.influence.influence_graph import InfluenceGraph
 from repro.influence.separation import compute_separation
 
@@ -90,13 +92,19 @@ def verify_noninterference(
                     under_separated.append((src, dst, value))
 
     replica_paths: list[tuple[str, str]] = []
-    for group in graph.replica_groups():
-        members = sorted(group)
-        reach = {name: graph.reachable(name) for name in members}
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if b in reach[a] or a in reach[b]:
-                    replica_paths.append((a, b))
+    groups = graph.replica_groups()
+    if groups:
+        # Reachability over the influence matrix: replica links weigh 0,
+        # so no walk crosses one.
+        edges = graph.weight_matrix() > 0.0
+        index = {name: i for i, name in enumerate(names)}
+        for group in groups:
+            members = sorted(group)
+            reach = {name: _reachable(edges, index[name]) for name in members}
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    if reach[a][index[b]] or reach[b][index[a]]:
+                        replica_paths.append((a, b))
 
     return NonInterferenceReport(
         influence_budget=influence_budget,
@@ -105,3 +113,15 @@ def verify_noninterference(
         under_separated=tuple(under_separated),
         replica_paths=tuple(replica_paths),
     )
+
+
+def _reachable(edges: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes ``edges`` (a boolean adjacency matrix) reaches
+    from ``start``, ``start`` included."""
+    seen = np.zeros(len(edges), dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen

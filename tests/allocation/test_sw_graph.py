@@ -8,6 +8,7 @@ from repro.allocation import (
     required_hw_nodes,
     total_influence_weight,
 )
+from repro.core.framework import Heuristic
 from repro.errors import AllocationError
 from repro.influence import InfluenceGraph
 from repro.model import AttributeSet, FCM, Level
@@ -141,6 +142,25 @@ class TestDeferredEdgesInIntegration:
             graph = outcome.condensation.state.graph
             assert ("_deferred" not in vars(graph)) is installed
             assert len(graph.influence_edges()) == 30  # Fig. 4, either way
+
+    @pytest.mark.parametrize("heuristic", [h.value for h in Heuristic])
+    def test_loaded_document_levels_stay_deferred(self, heuristic):
+        # A loaded level's edges wait in its document columns; the audit,
+        # the expansion and the compile answer from them, so no source
+        # level installs a dict edge, whatever reads the expanded graph.
+        from repro.allocation import fully_connected
+        from repro.core.framework import FrameworkOptions, integrate
+        from repro.io.serialization import system_from_dict, system_to_dict
+        from repro.workloads import random_system
+
+        document = system_to_dict(random_system(10, 2, 2, seed=3))
+        system = system_from_dict(document)
+        assert len(system.influence) == 3
+        options = FrameworkOptions(heuristic=Heuristic(heuristic), influence_budget=0.5)
+        integrate(system, fully_connected(5), options)
+        for graph in system.influence.values():
+            assert graph.edge_columns() is not None
+            assert "_deferred" in vars(graph)
 
 
 class TestHelpers:

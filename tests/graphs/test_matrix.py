@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError, InfluenceError
 from repro.graphs import (
@@ -144,6 +146,31 @@ class TestCompiledInfluence:
             for j, b in enumerate(blocks):
                 expected = 0.0 if i == j else influence.group_influence(a, b)
                 assert out[i, j] == expected
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_group_influence_equals_the_gathered_fold(self, seed, rows, cols):
+        # Blocks on both sides of the gather threshold (up to 144
+        # products), rows and columns in any order, repeats allowed.
+        import math
+
+        from repro.graphs.matrix import CompiledInfluence
+
+        rng = np.random.default_rng(seed)
+        n = 14
+        weights = np.where(rng.random((n, n)) < 0.6, rng.random((n, n)), 0.0)
+        influence = CompiledInfluence.from_weights(
+            tuple(f"p{i}" for i in range(n)), weights
+        )
+        a = rng.integers(0, n, rows).tolist()
+        b = rng.integers(0, n, cols).tolist()
+        block = influence.complements[np.ix_(a, b)]
+        expected = 1.0 - math.prod(block.ravel().tolist())
+        assert influence.group_influence(a, b) == expected
 
     def test_sequential_sum_adds_in_order(self):
         from repro.graphs.matrix import sequential_sum

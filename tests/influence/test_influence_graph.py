@@ -158,3 +158,20 @@ class TestViews:
         clone = graph.copy()
         clone.set_influence("a", "b", 0.9)
         assert graph.influence("a", "b") == 0.5
+
+    def test_weight_matrix(self):
+        g = InfluenceGraph()
+        base = FCM("p", Level.PROCESS, AttributeSet(fault_tolerance=2))
+        g.add_fcm(base.replicate("a"))
+        g.add_fcm(base.replicate("b"))
+        g.link_replicas("pa", "pb")
+        g.add_fcm(make_process("x"))
+        g.set_influence("pa", "x", 0.4)
+        weights = g.weight_matrix()
+        assert weights.tolist() == [[0.0, 0.0, 0.4], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError):
+            weights[0, 1] = 1.0  # shared, so read-only
+        assert g.weight_matrix() is weights
+        g.set_influence("x", "pb", 0.25)
+        assert g.weight_matrix()[2, 1] == 0.25
+        assert weights[2, 1] == 0.0
