@@ -341,7 +341,8 @@ class InfluenceGraph:
 
         Installs symmetric weight-0 edges flagged ``replica=True``.  The
         two FCMs must genuinely be replicas (same ``replica_of`` origin, or
-        one the origin of the other) when that metadata is available.
+        one the origin of the other) when that metadata is available, and
+        no influence edge may join them; a rejected call changes nothing.
         """
         self._require(a)
         self._require(b)
@@ -354,15 +355,16 @@ class InfluenceGraph:
                 f"{a!r} and {b!r} are not replicas of the same original "
                 f"(origins {sorted(origins)!r})"
             )
+        graph = self._graph
         for src, dst in ((a, b), (b, a)):
-            if self._graph.has_edge(src, dst):
-                if not self._graph.edge_data(src, dst).get("replica", False):
-                    raise InfluenceError(
-                        f"influence edge {src!r} -> {dst!r} already exists; "
-                        "replicas cannot also influence each other"
-                    )
-            else:
-                self._graph.add_edge(src, dst, 0.0, factors=(), replica=True)
+            if graph.has_edge(src, dst) and not graph.edge_data(src, dst).get("replica", False):
+                raise InfluenceError(
+                    f"influence edge {src!r} -> {dst!r} already exists; "
+                    "replicas cannot also influence each other"
+                )
+        for src, dst in ((a, b), (b, a)):
+            if not graph.has_edge(src, dst):
+                graph.add_edge(src, dst, 0.0, factors=(), replica=True)
         self._replica_partners.setdefault(a, set()).add(b)
         self._replica_partners.setdefault(b, set()).add(a)
         self._version += 1

@@ -17,11 +17,10 @@ from typing import Any
 
 from repro.errors import AllocationError, DDSIError
 from repro.allocation.hw_model import HWGraph, HWNode
-from repro.influence.columns import EdgeColumns
 from repro.influence.factors import FactorKind, InfluenceFactor
 from repro.influence.influence_graph import InfluenceGraph
-from repro.model.attributes import AttributeSet, SecurityLevel, TimingConstraint
-from repro.model.fcm import FCM, Level
+from repro.model.attributes import AttributeSet
+from repro.model.fcm import Level
 from repro.model.system import SoftwareSystem
 
 FORMAT_SYSTEM = "ddsi-system"
@@ -54,24 +53,16 @@ def attributes_to_dict(attrs: AttributeSet) -> dict[str, Any]:
 
 
 def attributes_from_dict(data: dict[str, Any]) -> AttributeSet:
-    timing = None
-    if "timing" in data and data["timing"] is not None:
-        t = data["timing"]
-        timing = TimingConstraint(
-            t["earliest_start"], t["deadline"], t["computation_time"]
-        )
-    try:
-        security = SecurityLevel[data.get("security", "UNCLASSIFIED")]
-    except KeyError as exc:
-        raise SerializationError(f"unknown security level {data['security']!r}") from exc
-    return AttributeSet(
-        criticality=data.get("criticality", 0.0),
-        fault_tolerance=data.get("fault_tolerance", 1),
-        timing=timing,
-        throughput=data.get("throughput", 0.0),
-        security=security,
-        communication_rate=data.get("communication_rate", 0.0),
-    )
+    """Read one attribute object as a document's FCM entries are read;
+    raises :class:`~repro.io.validation.ValidationFailure` naming each
+    defect (``attributes.criticality``)."""
+    from repro.io.validation import ValidationFailure, _collector, _read_attributes
+
+    issues, flag = _collector()
+    attributes = _read_attributes(data, "attributes", flag, None)
+    if issues:
+        raise ValidationFailure(issues)
+    return attributes
 
 
 # ----------------------------------------------------------------------
@@ -171,25 +162,13 @@ def graph_to_dict(graph: InfluenceGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> InfluenceGraph:
-    """Rebuild a standalone influence graph from :func:`graph_to_dict`."""
-    _check_header(data, FORMAT_GRAPH)
+    """Rebuild a standalone influence graph from :func:`graph_to_dict`;
+    its header and FCM entries are read as a system document's are."""
+    from repro.io.validation import read_document
+
     graph = InfluenceGraph()
-    for entry in data.get("fcms", []):
-        try:
-            level = Level[entry["level"]]
-        except KeyError as exc:
-            raise SerializationError(
-                f"unknown level {entry.get('level')!r}"
-            ) from exc
-        graph.add_fcm(
-            FCM(
-                name=entry["name"],
-                level=level,
-                attributes=attributes_from_dict(entry.get("attributes", {})),
-                stateless=entry.get("stateless", True),
-                replica_of=entry.get("replica_of"),
-            )
-        )
+    for fcm in read_document(data, FORMAT_GRAPH):
+        graph.add_fcm(fcm)
     _load_influence(graph, data)
     return graph
 
@@ -234,47 +213,24 @@ def system_from_dict(
 ) -> SoftwareSystem:
     """Build a system from a ``ddsi-system`` document.
 
-    Validation walks the whole document first, so *every* defect is
+    Validation walks the whole document once, so *every* defect is
     reported at once, with JSON-path (and, given ``text``, line)
-    context; the legacy per-field raises below remain as a backstop.
-    It also reads each level's edge rows into columns once, and each
-    influence graph takes its edges from them
+    context.  The walk builds the FCM hierarchy and reads each level's
+    edge rows into columns; the system is assembled from them, and each
+    influence graph takes its edges from the columns
     (:meth:`InfluenceGraph.defer_columns`): no dict edge is installed
     until something reads one.
     """
     from repro.io.validation import ValidationFailure, validate_system_dict
 
-    columns: dict[str, EdgeColumns] = {}
-    issues = validate_system_dict(data, text=text, columns=columns)
+    built: dict[str, Any] = {}
+    issues = validate_system_dict(data, text=text, columns=built)
     if issues:
         raise ValidationFailure(issues, source=source)
-    _check_header(data, FORMAT_SYSTEM)
-    system = SoftwareSystem(name=data.get("name", "unnamed"))
-    for entry in data.get("fcms", []):
-        try:
-            level = Level[entry["level"]]
-        except KeyError as exc:
-            raise SerializationError(
-                f"unknown level {entry.get('level')!r}"
-            ) from exc
-        system.hierarchy.add(
-            FCM(
-                name=entry["name"],
-                level=level,
-                attributes=attributes_from_dict(entry.get("attributes", {})),
-                stateless=entry.get("stateless", True),
-                replica_of=entry.get("replica_of"),
-            )
-        )
-    for link in data.get("links", []):
-        system.hierarchy.attach(link["child"], link["parent"])
+    system = SoftwareSystem(name=data.get("name", "unnamed"), hierarchy=built["hierarchy"])
     for level_name, graph_data in data.get("influence", {}).items():
-        try:
-            level = Level[level_name]
-        except KeyError as exc:
-            raise SerializationError(f"unknown level {level_name!r}") from exc
-        system.influence_at(level).defer_columns(
-            columns[level_name], graph_data.get("replica_links", [])
+        system.influence_at(Level[level_name]).defer_columns(
+            built[level_name], graph_data.get("replica_links", [])
         )
     return system
 
@@ -284,11 +240,13 @@ def dump_system(system: SoftwareSystem, path: str) -> None:
         json.dump(system_to_dict(system), handle, indent=2)
 
 
-def load_system(path: str) -> SoftwareSystem:
+def _read_json(path: str) -> tuple[str, Any]:
+    """The file's text and its JSON value; invalid JSON raises a
+    :class:`~repro.io.validation.ValidationFailure` naming the line."""
     with open(path) as handle:
         text = handle.read()
     try:
-        data = json.loads(text)
+        return text, json.loads(text)
     except json.JSONDecodeError as exc:
         from repro.io.validation import ValidationFailure, ValidationIssue
 
@@ -296,6 +254,10 @@ def load_system(path: str) -> SoftwareSystem:
             [ValidationIssue("$", f"invalid JSON: {exc.msg}", exc.lineno)],
             source=path,
         ) from exc
+
+
+def load_system(path: str) -> SoftwareSystem:
+    text, data = _read_json(path)
     return system_from_dict(data, source=path, text=text)
 
 
@@ -324,13 +286,16 @@ def hw_to_dict(hw: HWGraph) -> dict[str, Any]:
 def hw_from_dict(data: dict[str, Any]) -> HWGraph:
     """Build a HW graph from a ``ddsi-hw`` document.
 
-    A malformed entry raises :class:`SerializationError` naming its JSON
-    path (``links[0].b: missing``), model errors included (``links[2]:
-    HW node 'x' not in graph``).  Costs and memory must be numbers; NaN
-    is rejected and ``Infinity`` accepted (an ``inf`` link costs the same
-    as no link).
+    A bad header raises :class:`~repro.io.validation.ValidationFailure`,
+    as a system document's does.  A malformed entry raises
+    :class:`SerializationError` naming its JSON path (``links[0].b:
+    missing``), model errors included (``links[2]: HW node 'x' not in
+    graph``).  Costs and memory must be numbers; NaN is rejected and
+    ``Infinity`` accepted (an ``inf`` link costs the same as no link).
     """
-    _check_header(data, FORMAT_HW)
+    from repro.io.validation import read_document
+
+    read_document(data, FORMAT_HW)
     hw = HWGraph()
     for i, entry in enumerate(_hw_entries(data, "nodes")):
         path = f"nodes[{i}]"
@@ -396,8 +361,7 @@ def dump_hw(hw: HWGraph, path: str) -> None:
 
 
 def load_hw(path: str) -> HWGraph:
-    with open(path) as handle:
-        return hw_from_dict(json.load(handle))
+    return hw_from_dict(_read_json(path)[1])
 
 
 # ----------------------------------------------------------------------
@@ -444,17 +408,3 @@ def outcome_to_dict(outcome: "Any") -> dict[str, Any]:
 def dump_outcome(outcome: "Any", path: str) -> None:
     with open(path, "w") as handle:
         json.dump(outcome_to_dict(outcome), handle, indent=2)
-
-
-def _check_header(data: dict[str, Any], expected_format: str) -> None:
-    if not isinstance(data, dict):
-        raise SerializationError("expected a JSON object")
-    if data.get("format") != expected_format:
-        raise SerializationError(
-            f"expected format {expected_format!r}, got {data.get('format')!r}"
-        )
-    version = data.get("version", VERSION)
-    if version > VERSION:
-        raise SerializationError(
-            f"file version {version} is newer than supported {VERSION}"
-        )

@@ -1,12 +1,13 @@
-"""Aggregated validation of serialized system documents.
+"""Aggregated validation of serialized documents.
 
-:func:`repro.io.serialization.system_from_dict` historically failed on the
-*first* malformed field it touched, with whatever exception the model
-layer happened to raise.  For hand-written workload files that means an
-edit-run-fail loop, one defect per round trip.  This module walks the
-whole document up front and reports *every* problem at once, each tagged
-with a JSON path (``fcms[3].attributes.criticality``) and, when the raw
-file text is available, a best-effort line number.
+Failing on the *first* malformed field means an edit-run-fail loop for
+hand-written workload files, one defect per round trip.  This module
+walks the whole document once, building the model objects as it reads
+each entry, and reports *every* problem at once, each tagged with a JSON
+path (``fcms[3].attributes.criticality``) and, when the raw file text is
+available, a best-effort line number.  The rules of :mod:`repro.model`
+(attribute and timing domains, R1, R2) are reported in its messages;
+this module checks only JSON shape, types and cross-references.
 
 The report is raised as :class:`ValidationFailure`, a subclass of
 :class:`~repro.io.serialization.SerializationError` — so it inherits the
@@ -23,12 +24,16 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import AttributeError_, HierarchyError, ModelError
 from repro.influence.columns import EdgeColumns
 from repro.influence.factors import FactorKind
 from repro.influence.probability import influence_from_factors
 from repro.io.serialization import SerializationError, _load_factors
-from repro.model.attributes import SecurityLevel
-from repro.model.fcm import Level
+from repro.model.attributes import (
+    AttributeSet, SecurityLevel, TimingConstraint, attribute_problems, timing_problems,
+)
+from repro.model.fcm import FCM, Level
+from repro.model.hierarchy import FCMHierarchy
 
 
 @dataclass(frozen=True)
@@ -108,34 +113,43 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# ----------------------------------------------------------------------
-# System documents
-# ----------------------------------------------------------------------
-def validate_system_dict(
-    data: Any,
-    text: str | None = None,
-    columns: dict[str, EdgeColumns] | None = None,
-) -> list[ValidationIssue]:
-    """Every defect in a ``ddsi-system`` document, in document order.
-
-    Checks the header, FCM entries (names, levels, attribute ranges),
-    hierarchy links (endpoints, duplicate parents, cycles), and influence
-    sections (levels, edge endpoints, self-loops, probability ranges,
-    factor kinds, replica links between FCMs of one original that no
-    influence edge joins).  Returns an empty list when the document is
-    well-formed enough for
-    :func:`~repro.io.serialization.system_from_dict` to succeed.
-
-    Each level's edge rows are read once, into :class:`EdgeColumns`;
-    given a ``columns`` dict, validation stores them there by level name
-    (when no issue is returned, the loader builds the graphs from them).
-    """
+def _collector(text: str | None = None):
+    """An empty issue list and the ``flag(path, message, token)`` that
+    appends to it, with the token's line in ``text``."""
     finder = _LineFinder(text)
     issues: list[ValidationIssue] = []
 
     def flag(path: str, message: str, token: str | None = None) -> None:
         issues.append(ValidationIssue(path, message, finder.line_of(token)))
 
+    return issues, flag
+
+
+# ----------------------------------------------------------------------
+# Documents
+# ----------------------------------------------------------------------
+def validate_system_dict(
+    data: Any,
+    text: str | None = None,
+    columns: dict[str, EdgeColumns | FCMHierarchy] | None = None,
+) -> list[ValidationIssue]:
+    """Every defect in a ``ddsi-system`` document, in document order.
+
+    Checks the header, FCM entries (names, levels, attributes), hierarchy
+    links (endpoints, rules R1 and R2), and influence sections (levels,
+    edge endpoints, self-loops, probability ranges, factor kinds, replica
+    links between FCMs of one original that no influence edge joins).
+    Returns an empty list when the document is well-formed enough for
+    :func:`~repro.io.serialization.system_from_dict` to succeed.
+
+    One walk reads each entry once and builds what the system is made
+    of: the FCM hierarchy, and each level's edge rows as
+    :class:`EdgeColumns`.  Given a ``columns`` dict, validation stores
+    them there, the columns by level name and the hierarchy under
+    ``"hierarchy"`` (when no issue is returned, the loader assembles the
+    system from them).
+    """
+    issues, flag = _collector(text)
     if not isinstance(data, dict):
         flag("$", "expected a JSON object")
         return issues
@@ -144,8 +158,27 @@ def validate_system_dict(
 
     fcm_names = _check_fcms(data, flag)
     _check_links(data, flag, fcm_names)
-    _check_influence(data, flag, fcm_names, {} if columns is None else columns)
+    built = {} if columns is None else columns
+    if fcm_names is not None:
+        built["hierarchy"] = fcm_names.hierarchy
+    _check_influence(data, flag, fcm_names, built)
     return issues
+
+
+def read_document(data: Any, expected_format: str) -> FCMHierarchy:
+    """Check a graph or HW document's header and read its FCM entries (a
+    HW document has none) as a system document's are read; raises
+    :class:`ValidationFailure` listing every defect.  A replica may name
+    an origin outside the document (expanded graphs' task specs do)."""
+    issues, flag = _collector()
+    if not isinstance(data, dict):
+        flag("$", "expected a JSON object")
+        raise ValidationFailure(issues)
+    _check_header_fields(data, flag, expected_format)
+    entries = _check_fcms(data, flag, known_origins=False)
+    if issues:
+        raise ValidationFailure(issues)
+    return entries.hierarchy
 
 
 def _check_header_fields(data: dict, flag, expected_format: str) -> None:
@@ -167,19 +200,32 @@ def _check_header_fields(data: dict, flag, expected_format: str) -> None:
         )
 
 
-def _check_fcms(data: dict, flag) -> dict[str, str] | None:
-    """Validate ``fcms`` entries; returns name -> level-name for valid ones.
+class _Entries(dict):
+    """What a document's ``fcms`` list holds: FCM name -> level name (""
+    when the entry's level failed) for each named entry, and the
+    ``hierarchy`` of the FCMs the entries built."""
+
+    hierarchy: FCMHierarchy
+
+
+def _check_fcms(data: dict, flag, known_origins: bool = True) -> _Entries | None:
+    """Read ``fcms`` entries into FCMs; returns what they hold.
 
     ``None`` when ``fcms`` is not a list: then no name can be checked, and
     the other sections skip their endpoint checks instead of flagging
-    every name as unknown.
+    every name as unknown.  An entry whose attributes fail still joins
+    the hierarchy, with default attributes, so no other section
+    cascades.  With ``known_origins`` a replica must name an FCM here.
     """
     fcms = data.get("fcms", [])
-    names: dict[str, str] = {}
     if not isinstance(fcms, list):
         flag("fcms", f"must be a list, got {type(fcms).__name__}", "fcms")
         return None
+    entries = _Entries()
+    entries.hierarchy = FCMHierarchy()
+    add = entries.hierarchy.add
     valid_levels = {level.name for level in Level}
+    replicas: list[tuple[int, str]] = []
     for i, entry in enumerate(fcms):
         path = f"fcms[{i}]"
         if not isinstance(entry, dict):
@@ -189,12 +235,10 @@ def _check_fcms(data: dict, flag) -> dict[str, str] | None:
         if not isinstance(name, str) or not name:
             flag(f"{path}.name", f"missing or empty FCM name (got {name!r})")
             name = None
-        elif name in names:
-            flag(f"{path}.name", f"duplicate FCM name {name!r}", name)
         level = entry.get("level")
         if level is None:
             flag(f"{path}.level", "missing level", name)
-        elif level not in valid_levels:
+        elif not isinstance(level, str) or level not in valid_levels:
             flag(
                 f"{path}.level",
                 f"unknown level {level!r} (expected one of "
@@ -203,104 +247,106 @@ def _check_fcms(data: dict, flag) -> dict[str, str] | None:
             )
             level = None
         if name is not None:
-            names.setdefault(name, level if isinstance(level, str) else "")
-        _check_attributes(entry.get("attributes"), f"{path}.attributes", flag, name)
+            entries.setdefault(name, level or "")
+        attributes = _read_attributes(entry.get("attributes"), f"{path}.attributes", flag, name)
         replica_of = entry.get("replica_of")
         if replica_of is not None and not isinstance(replica_of, str):
             flag(f"{path}.replica_of", f"must be a string, got {replica_of!r}", name)
-    # replica_of endpoints need the full name set, so a second pass:
-    for i, entry in enumerate(fcms):
-        if not isinstance(entry, dict):
+            replica_of = None
+        elif replica_of is not None:
+            replicas.append((i, replica_of))
+        if name is None or level is None:
             continue
-        replica_of = entry.get("replica_of")
-        if isinstance(replica_of, str) and replica_of not in names:
-            flag(
-                f"fcms[{i}].replica_of",
-                f"references unknown FCM {replica_of!r}",
-                replica_of,
-            )
-    return names
+        stateless = entry.get("stateless", True)
+        try:
+            add(FCM(name, Level[level], attributes or AttributeSet(), stateless, replica_of))
+        except ModelError as exc:
+            flag(f"{path}.name", str(exc), name)
+    if known_origins:
+        for i, replica_of in replicas:
+            if replica_of not in entries:
+                flag(
+                    f"fcms[{i}].replica_of",
+                    f"references unknown FCM {replica_of!r}",
+                    replica_of,
+                )
+    return entries
 
 
-def _check_attributes(attrs: Any, path: str, flag, token: str | None) -> None:
+def _read_attributes(attrs: Any, path: str, flag, token: str | None) -> AttributeSet | None:
+    """The entry's attribute set, or ``None`` once each defect is flagged:
+    the types here, the domain rules as :mod:`repro.model` states them."""
     if attrs is None:
-        return
+        return AttributeSet()
     if not isinstance(attrs, dict):
         flag(path, f"must be an object, got {type(attrs).__name__}", token)
-        return
-    for key in ("criticality", "throughput", "communication_rate"):
-        if key in attrs:
-            value = attrs[key]
-            if not _is_number(value):
-                flag(f"{path}.{key}", f"must be a number, got {value!r}", token)
-            elif value < 0:
-                flag(f"{path}.{key}", f"must be >= 0, got {value}", token)
-    if "fault_tolerance" in attrs:
-        ft = attrs["fault_tolerance"]
-        if not isinstance(ft, int) or isinstance(ft, bool) or ft < 1:
-            flag(
-                f"{path}.fault_tolerance",
-                f"must be an integer >= 1, got {ft!r}",
-                token,
-            )
-    if "security" in attrs:
-        security = attrs["security"]
-        if security not in SecurityLevel.__members__:
-            flag(
-                f"{path}.security",
-                f"unknown security level {security!r} (expected one of "
-                f"{list(SecurityLevel.__members__)})",
-                security if isinstance(security, str) else token,
-            )
+        return None
+    typed = True
+    values = {
+        "criticality": 0.0, "fault_tolerance": 1, "throughput": 0.0, "communication_rate": 0.0
+    }
+    for key in values:
+        if key not in attrs:
+            continue
+        value, integer = attrs[key], key == "fault_tolerance"
+        if _is_number(value) and (isinstance(value, int) or not integer):
+            values[key] = value
+        else:
+            noun = "an integer" if integer else "a number"
+            flag(f"{path}.{key}", f"must be {noun}, got {value!r}", token)
+            typed = False
+    security = attrs.get("security", "UNCLASSIFIED")
+    if not isinstance(security, str) or security not in SecurityLevel.__members__:
+        flag(
+            f"{path}.security",
+            f"unknown security level {security!r} (expected one of "
+            f"{list(SecurityLevel.__members__)})",
+            security if isinstance(security, str) else token,
+        )
+        typed, security = False, "UNCLASSIFIED"
     timing = attrs.get("timing")
     if timing is not None:
-        _check_timing(timing, f"{path}.timing", flag, token)
+        timing = _read_timing(timing, f"{path}.timing", flag, token)
+        typed = typed and timing is not None
+    try:
+        attributes = AttributeSet(timing=timing, security=SecurityLevel[security], **values)
+    except AttributeError_:
+        for key, message in attribute_problems(**values):
+            flag(f"{path}.{key}", message, token)
+        return None
+    return attributes if typed else None
 
 
-def _check_timing(timing: Any, path: str, flag, token: str | None) -> None:
+def _read_timing(timing: Any, path: str, flag, token: str | None) -> TimingConstraint | None:
     if not isinstance(timing, dict):
         flag(path, f"must be an object, got {type(timing).__name__}", token)
-        return
-    values: dict[str, float] = {}
+        return None
+    values = []
     for key in ("earliest_start", "deadline", "computation_time"):
         if key not in timing:
             flag(f"{path}.{key}", "missing required timing field", token)
         elif not _is_number(timing[key]):
             flag(f"{path}.{key}", f"must be a number, got {timing[key]!r}", token)
         else:
-            values[key] = float(timing[key])
+            values.append(timing[key])
     if len(values) != 3:
-        return
-    est, tcd, ct = (
-        values["earliest_start"],
-        values["deadline"],
-        values["computation_time"],
-    )
-    if est < 0:
-        flag(f"{path}.earliest_start", f"must be >= 0, got {est}", token)
-    if ct < 0:
-        flag(f"{path}.computation_time", f"must be >= 0, got {ct}", token)
-    if tcd < est:
-        flag(
-            f"{path}.deadline",
-            f"deadline {tcd} is before earliest_start {est}",
-            token,
-        )
-    elif ct >= 0 and est >= 0 and ct > (tcd - est) + 1e-12:
-        flag(
-            path,
-            f"degenerate window: {ct} units of work cannot fit in "
-            f"[{est}, {tcd}]",
-            token,
-        )
+        return None
+    try:
+        return TimingConstraint(*values)
+    except AttributeError_:
+        for key, message in timing_problems(*values):
+            flag(path if key is None else f"{path}.{key}", message, token)
+        return None
 
 
-def _check_links(data: dict, flag, fcm_names: dict[str, str] | None) -> None:
+def _check_links(data: dict, flag, fcm_names: _Entries | None) -> None:
+    """Check each link's endpoints, then attach it: the hierarchy states
+    R1 and R2, and each rule it rejects is flagged at the link."""
     links = data.get("links", [])
     if not isinstance(links, list):
         flag("links", f"must be a list, got {type(links).__name__}", "links")
         return
-    parent_of: dict[str, str] = {}
+    hierarchy = None if fcm_names is None else fcm_names.hierarchy
     for i, link in enumerate(links):
         path = f"links[{i}]"
         if not isinstance(link, dict):
@@ -320,45 +366,22 @@ def _check_links(data: dict, flag, fcm_names: dict[str, str] | None) -> None:
                     value,
                 )
                 ok = False
-        if not ok:
+        # An endpoint whose entry failed is not in the hierarchy; its
+        # entry is flagged already.
+        if not ok or hierarchy is None or child not in hierarchy or parent not in hierarchy:
             continue
-        if child == parent:
-            flag(path, f"FCM {child!r} linked to itself", child)
-            continue
-        if child in parent_of:
-            flag(
-                path,
-                f"FCM {child!r} already has parent {parent_of[child]!r}",
-                child,
-            )
-            continue
-        parent_of[child] = parent
-    # Cycle detection over the parent map: follow each chain upward.
-    cleared: set[str] = set()
-    for start in parent_of:
-        trail: list[str] = []
-        seen: set[str] = set()
-        node = start
-        while node in parent_of and node not in cleared:
-            if node in seen:
-                cycle = trail[trail.index(node):] + [node]
-                flag(
-                    "links",
-                    "cyclic hierarchy: " + " -> ".join(repr(n) for n in cycle),
-                    node,
-                )
-                break
-            seen.add(node)
-            trail.append(node)
-            node = parent_of[node]
-        cleared.update(seen)
+        try:
+            hierarchy.attach(child, parent)
+        except HierarchyError:
+            for problem in hierarchy.link_problems(child, parent):
+                flag(path, problem, child)
 
 
 def _check_influence(
     data: dict,
     flag,
-    fcm_names: dict[str, str] | None,
-    columns: dict[str, EdgeColumns],
+    fcm_names: _Entries | None,
+    columns: dict[str, EdgeColumns | FCMHierarchy],
 ) -> None:
     influence = data.get("influence", {})
     if not isinstance(influence, dict):
@@ -397,9 +420,7 @@ def _check_influence(
         }
         rows = _check_edges(section, path, flag, fcm_names, index, level_name)
         columns[level_name] = rows
-        _check_replica_links(
-            section, path, flag, fcm_names, index, level_name, data.get("fcms"), rows
-        )
+        _check_replica_links(section, path, flag, fcm_names, index, level_name, rows)
 
 
 def _check_edges(
@@ -555,10 +576,9 @@ def _check_replica_links(
     section: dict,
     path: str,
     flag,
-    fcm_names: dict[str, str] | None,
+    fcm_names: _Entries | None,
     at_level: dict[str, int],
     level_name: str,
-    fcms: Any,
     rows: EdgeColumns,
 ) -> None:
     links = section.get("replica_links", [])
@@ -568,8 +588,8 @@ def _check_replica_links(
             f"must be a list, got {type(links).__name__}",
         )
         return
+    hierarchy = None if fcm_names is None else fcm_names.hierarchy
     # Built on the first well-formed link: most sections have none.
-    origins: dict[str, str] | None = None
     live: set[tuple[int, int]] | None = None
     for i, pair in enumerate(links):
         lpath = f"{path}.replica_links[{i}]"
@@ -593,20 +613,22 @@ def _check_replica_links(
                 ok = False
         if not ok:
             continue
-        if origins is None:
-            origins = _replica_origins(fcms)
+        if live is None:
             # The (source, target) positions that load as edges.
             live = set(
                 zip(rows.source[rows.live].tolist(), rows.target[rows.live].tolist())
             )
-        pair_origins = {origins.get(a, a), origins.get(b, b)}
-        if len(pair_origins) != 1:
-            flag(
-                lpath,
-                f"{a!r} and {b!r} are not replicas of the same original "
-                f"(origins {sorted(pair_origins)!r})",
-                a,
-            )
+        # An FCM whose entry failed is not in the hierarchy; its entry is
+        # flagged already.
+        if hierarchy is not None and a in hierarchy and b in hierarchy:
+            pair_origins = {hierarchy.get(name).replica_of or name for name in pair}
+            if len(pair_origins) != 1:
+                flag(
+                    lpath,
+                    f"{a!r} and {b!r} are not replicas of the same original "
+                    f"(origins {sorted(pair_origins)!r})",
+                    a,
+                )
         for src, dst in ((a, b), (b, a)):
             if (at_level.get(src), at_level.get(dst)) in live:
                 flag(
@@ -615,17 +637,3 @@ def _check_replica_links(
                     "replicas cannot also influence each other",
                     src,
                 )
-
-
-def _replica_origins(fcms: Any) -> dict[str, str]:
-    """FCM name -> the original it replicates, for declared replicas."""
-    if not isinstance(fcms, list):
-        return {}
-    return {
-        entry["name"]: entry["replica_of"]
-        for entry in fcms
-        if isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("replica_of"), str)
-        and entry["replica_of"]
-    }

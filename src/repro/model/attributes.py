@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import reduce
 
 from repro.errors import AttributeError_
 
@@ -44,17 +45,9 @@ class TimingConstraint:
     computation_time: float
 
     def __post_init__(self) -> None:
-        if self.computation_time < 0:
-            raise AttributeError_("computation_time must be >= 0")
-        if self.earliest_start < 0:
-            raise AttributeError_("earliest_start must be >= 0")
-        if self.deadline < self.earliest_start:
-            raise AttributeError_("deadline must be >= earliest_start")
-        if not self.fits_alone():
-            raise AttributeError_(
-                f"degenerate window: {self.computation_time} units of work "
-                f"cannot fit in [{self.earliest_start}, {self.deadline}]"
-            )
+        problems = timing_problems(self.earliest_start, self.deadline, self.computation_time)
+        if problems:
+            raise AttributeError_(problems[0][1])
 
     @property
     def window(self) -> float:
@@ -68,7 +61,7 @@ class TimingConstraint:
 
     def fits_alone(self) -> bool:
         """Whether the work fits in the window on a dedicated processor."""
-        return self.computation_time <= self.window + 1e-12
+        return not timing_problems(self.earliest_start, self.deadline, self.computation_time)
 
     def overlaps(self, other: "TimingConstraint") -> bool:
         """Whether the two feasible windows intersect in time."""
@@ -111,6 +104,35 @@ class TimingConstraint:
         )
 
 
+def timing_problems(
+    earliest_start: float, deadline: float, computation_time: float
+) -> list[tuple[str | None, str]]:
+    """Each rule the window (EST, TCD, CT) breaks, as ``(field, message)``;
+    field ``None`` is the window as a whole.
+
+    The one statement of the timing rules: :class:`TimingConstraint`
+    raises the first, the document reader reports each at its JSON path.
+    The deadline is compared with a valid start only, and the work's fit
+    only when every other rule holds.
+    """
+    problems: list[tuple[str | None, str]] = []
+    if not computation_time >= 0:
+        problems.append(("computation_time", f"computation_time must be >= 0, got {computation_time}"))
+    if not earliest_start >= 0:
+        problems.append(("earliest_start", f"earliest_start must be >= 0, got {earliest_start}"))
+        return problems
+    if not deadline >= earliest_start:
+        bound = f"earliest_start {earliest_start}"
+        problems.append(("deadline", f"deadline must be >= {bound}, got {deadline}"))
+    elif not problems and not computation_time <= deadline - earliest_start + 1e-12:
+        problems.append((
+            None,
+            f"degenerate window: {computation_time} units of work cannot fit in "
+            f"[{earliest_start}, {deadline}]",
+        ))
+    return problems
+
+
 def _unchecked_timing(
     earliest_start: float,
     deadline: float,
@@ -149,14 +171,11 @@ class AttributeSet:
     communication_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.criticality < 0 or not math.isfinite(self.criticality):
-            raise AttributeError_("criticality must be finite and >= 0")
-        if self.fault_tolerance < 1:
-            raise AttributeError_("fault_tolerance (replica count) must be >= 1")
-        if self.throughput < 0:
-            raise AttributeError_("throughput must be >= 0")
-        if self.communication_rate < 0:
-            raise AttributeError_("communication_rate must be >= 0")
+        problems = attribute_problems(
+            self.criticality, self.fault_tolerance, self.throughput, self.communication_rate
+        )
+        if problems:
+            raise AttributeError_(problems[0][1])
 
     @property
     def replicated(self) -> bool:
@@ -170,20 +189,7 @@ class AttributeSet:
         via :meth:`TimingConstraint.combine` (or passes through when only
         one side has a constraint).
         """
-        if self.timing is None:
-            timing = other.timing
-        elif other.timing is None:
-            timing = self.timing
-        else:
-            timing = self.timing.combine(other.timing)
-        return AttributeSet(
-            criticality=max(self.criticality, other.criticality),
-            fault_tolerance=max(self.fault_tolerance, other.fault_tolerance),
-            timing=timing,
-            throughput=self.throughput + other.throughput,
-            security=max(self.security, other.security),
-            communication_rate=self.communication_rate + other.communication_rate,
-        )
+        return self._combined(other, TimingConstraint.combine)
 
     def combine_grouped(self, other: "AttributeSet") -> "AttributeSet":
         """Attribute combination for *grouped* (co-located) FCMs.
@@ -193,12 +199,16 @@ class AttributeSet:
         modules keep their own windows, so a single merged window would be
         spuriously strict).
         """
+        return self._combined(other, TimingConstraint.combine_grouped)
+
+    def _combined(self, other: "AttributeSet", combine_timing) -> "AttributeSet":
+        """The §4.3 rules, stated once; ``combine_timing`` merges two windows."""
         if self.timing is None:
             timing = other.timing
         elif other.timing is None:
             timing = self.timing
         else:
-            timing = self.timing.combine_grouped(other.timing)
+            timing = combine_timing(self.timing, other.timing)
         return AttributeSet(
             criticality=max(self.criticality, other.criticality),
             fault_tolerance=max(self.fault_tolerance, other.fault_tolerance),
@@ -212,6 +222,27 @@ class AttributeSet:
         """Copy with a different replication requirement (used when
         expanding replicas: each replica itself needs FT = 1)."""
         return replace(self, fault_tolerance=fault_tolerance)
+
+
+def attribute_problems(
+    criticality: float, fault_tolerance: int, throughput: float, communication_rate: float
+) -> list[tuple[str, str]]:
+    """Each domain rule of Table 1 the values break, as ``(field, message)``.
+
+    The one statement of those rules: :class:`AttributeSet` raises the
+    first, the document reader reports each at its JSON path.  NaN breaks
+    every rule; only criticality must also be finite.
+    """
+    problems: list[tuple[str, str]] = []
+    if not 0 <= criticality < math.inf:
+        problems.append(("criticality", f"criticality must be finite and >= 0, got {criticality}"))
+    if not fault_tolerance >= 1:
+        problems.append(("fault_tolerance", f"fault_tolerance must be >= 1, got {fault_tolerance}"))
+    if not throughput >= 0:
+        problems.append(("throughput", f"throughput must be >= 0, got {throughput}"))
+    if not communication_rate >= 0:
+        problems.append(("communication_rate", f"communication_rate must be >= 0, got {communication_rate}"))
+    return problems
 
 
 @dataclass(frozen=True)
@@ -265,19 +296,15 @@ DEFAULT_IMPORTANCE_WEIGHTS = ImportanceWeights()
 
 def combine_all(attribute_sets: list[AttributeSet]) -> AttributeSet:
     """Fold :meth:`AttributeSet.combine` over a nonempty list."""
-    if not attribute_sets:
-        raise AttributeError_("cannot combine an empty attribute list")
-    acc = attribute_sets[0]
-    for attrs in attribute_sets[1:]:
-        acc = acc.combine(attrs)
-    return acc
+    return _fold(attribute_sets, AttributeSet.combine)
 
 
 def combine_all_grouped(attribute_sets: list[AttributeSet]) -> AttributeSet:
     """Fold :meth:`AttributeSet.combine_grouped` over a nonempty list."""
+    return _fold(attribute_sets, AttributeSet.combine_grouped)
+
+
+def _fold(attribute_sets: list[AttributeSet], combine) -> AttributeSet:
     if not attribute_sets:
         raise AttributeError_("cannot combine an empty attribute list")
-    acc = attribute_sets[0]
-    for attrs in attribute_sets[1:]:
-        acc = acc.combine_grouped(attrs)
-    return acc
+    return reduce(combine, attribute_sets)

@@ -92,21 +92,33 @@ class FCMHierarchy:
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------
-    def attach(self, child: str, parent: str) -> None:
-        """Create the parent link ``child -> parent`` (rules R1, R2)."""
+    def link_problems(self, child: str, parent: str) -> list[str]:
+        """Each rule the link ``child -> parent`` would break.
+
+        The one statement of R1 (a parent sits exactly one level up, so no
+        chain of links closes a cycle) and R2 (one parent per FCM):
+        :meth:`attach` raises the first, the document reader reports each
+        at the link's JSON path."""
         child_fcm = self.get(child)
         parent_fcm = self.get(parent)
+        problems: list[str] = []
         if child_fcm.level.parent_level is not parent_fcm.level:
-            raise HierarchyError(
-                f"R1: {child!r} ({child_fcm.level.name}) can only attach to a "
-                f"{child_fcm.level.parent_level and child_fcm.level.parent_level.name} "
-                f"parent, not {parent!r} ({parent_fcm.level.name})"
+            problems.append(
+                f"R1: {child!r} ({child_fcm.level.name}) cannot attach to {parent!r} "
+                f"({parent_fcm.level.name}); a parent sits exactly one level up"
             )
         if child in self._parent:
-            raise HierarchyError(
+            problems.append(
                 f"R2: {child!r} already has parent {self._parent[child]!r}; "
                 "an FCM may not be shared — duplicate it instead"
             )
+        return problems
+
+    def attach(self, child: str, parent: str) -> None:
+        """Create the parent link ``child -> parent`` (rules R1, R2)."""
+        problems = self.link_problems(child, parent)
+        if problems:
+            raise HierarchyError(problems[0])
         self._parent[child] = parent
         self._children[parent].append(child)
 

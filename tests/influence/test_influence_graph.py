@@ -139,6 +139,20 @@ class TestReplicaLinks:
         g.set_influence("p1a", "q", 0.3)
         assert g.influence_edges() == [("p1a", "q", 0.3)]
 
+    @pytest.mark.parametrize("linked", [("p1a", "p1b"), ("p1b", "p1a")])
+    def test_rejected_link_changes_nothing(self, linked):
+        # The influence edge runs against the first direction checked:
+        # the call must not install the other direction before it fails.
+        g = self.make_replicated()
+        g.set_influence("p1b", "p1a", 0.4)
+        edges, version = g.influence_edges(), g.version
+        with pytest.raises(InfluenceError, match="already exists"):
+            g.link_replicas(*linked)
+        assert g.influence_edges() == edges == [("p1b", "p1a", 0.4)]
+        assert not g.is_replica_link("p1a", "p1b")
+        assert g.replica_partners("p1a") == g.replica_partners("p1b") == frozenset()
+        assert g.version == version
+
 
 class TestViews:
     def test_as_digraph_excludes_replicas_by_default(self):

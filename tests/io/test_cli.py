@@ -95,6 +95,48 @@ class TestAudit:
         assert code == 1
         assert "finding:" in out
 
+    def test_link_breaking_r1_named_by_path(self, tmp_path, capsys):
+        path = tmp_path / "r1.json"
+        path.write_text(json.dumps({
+            "format": "ddsi-system",
+            "version": 1,
+            "name": "r1",
+            "fcms": [
+                {"name": "p1", "level": "PROCESS"},
+                {"name": "t1", "level": "TASK"},
+            ],
+            "links": [{"child": "p1", "parent": "t1"}],
+        }))
+        code = main(["audit", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "1 validation issue" in err
+        assert "links[0]" in err and "R1: 'p1' (PROCESS)" in err
+
+
+class TestMalformedHWDocument:
+    """A bad HW file is a report with exit 2, never a traceback."""
+
+    def run(self, tmp_path, capsys, text: str) -> str:
+        hw_path = tmp_path / "hw.json"
+        hw_path.write_text(text)
+        code = main(["integrate", "--workload", "paper", "--hw", str(hw_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and ": 1 validation issue\n" in err
+        return err
+
+    def test_torn_file_names_the_line(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, '{\n  "format": "ddsi-hw",\n  "nodes": [\n')
+        assert "$ (line 4): invalid JSON" in err
+
+    def test_version_not_an_integer(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, json.dumps({
+            "format": "ddsi-hw", "version": "one", "nodes": [], "links": [],
+        }))
+        assert "version: version must be an integer, got 'one'" in err
+
 
 class TestTradeoff:
     def test_table_printed(self, system_file, capsys):

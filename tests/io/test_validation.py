@@ -81,8 +81,13 @@ class TestAggregation:
             {"child": names[1], "parent": names[2]},
             {"child": names[2], "parent": names[0]},
         ]
-        with pytest.raises(ValidationFailure, match="cyclic hierarchy"):
+        # All three are processes: R1 rejects each link, so no cycle can
+        # form (a parent sits exactly one level up).
+        with pytest.raises(ValidationFailure) as excinfo:
             system_from_dict(doc)
+        issues = excinfo.value.issues
+        assert [issue.path for issue in issues] == ["links[0]", "links[1]", "links[2]"]
+        assert all(issue.message.startswith("R1: ") for issue in issues)
 
     def test_cli_exits_2_with_full_report(self, tmp_path, capsys):
         doc = good_doc()
@@ -258,3 +263,132 @@ class TestGraphRulesFlaggedAtPaths:
         )
         assert validate_system_dict(doc) == []
         system_from_dict(doc)
+
+
+def three_level_doc() -> dict:
+    """One process, its task and the task's procedure, one timing window."""
+    return {
+        "format": "ddsi-system",
+        "version": 1,
+        "name": "three-levels",
+        "fcms": [
+            {"name": "p1", "level": "PROCESS", "attributes": {
+                "criticality": 2.0,
+                "timing": {"earliest_start": 0, "deadline": 10, "computation_time": 2},
+            }},
+            {"name": "t1", "level": "TASK"},
+            {"name": "f1", "level": "PROCEDURE"},
+        ],
+        "links": [
+            {"child": "t1", "parent": "p1"},
+            {"child": "f1", "parent": "t1"},
+        ],
+        "influence": {},
+    }
+
+
+class TestModelRulesAtPaths:
+    """The model's rules, reported once each at the JSON path they break."""
+
+    def issues(self, doc) -> list[str]:
+        text = json.dumps(doc, indent=2)
+        data = json.loads(text)
+        issues = validate_system_dict(data, text)
+        with pytest.raises(ValidationFailure) as excinfo:
+            system_from_dict(data, text=text)
+        assert list(excinfo.value.issues) == issues
+        return [f"{issue.path}: {issue.message}" for issue in issues]
+
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [
+            (
+                lambda d: d["fcms"][0]["attributes"].update(criticality=float("inf")),
+                "fcms[0].attributes.criticality: criticality must be finite and >= 0, got inf",
+            ),
+            (
+                lambda d: d["fcms"][0]["attributes"]["timing"].update(deadline=float("nan")),
+                "fcms[0].attributes.timing.deadline: "
+                "deadline must be >= earliest_start 0, got nan",
+            ),
+            (
+                lambda d: d["fcms"][0]["attributes"].update(throughput=float("nan")),
+                "fcms[0].attributes.throughput: throughput must be >= 0, got nan",
+            ),
+            (
+                lambda d: d["links"].insert(0, {"child": "p1", "parent": "t1"}),
+                "links[0]: R1: 'p1' (PROCESS) cannot attach to 't1' (TASK); "
+                "a parent sits exactly one level up",
+            ),
+        ],
+        ids=["infinite-criticality", "nan-deadline", "nan-throughput", "process-to-task"],
+    )
+    def test_defect_the_model_rejects_is_one_issue(self, mutate, expected):
+        doc = three_level_doc()
+        mutate(doc)
+        assert self.issues(doc) == [expected]
+
+    def test_every_rule_an_entry_breaks(self):
+        doc = three_level_doc()
+        doc["fcms"][0]["attributes"].update(criticality=-1, fault_tolerance=0)
+        doc["fcms"][0]["attributes"]["timing"].update(computation_time=-2)
+        assert self.issues(doc) == [
+            "fcms[0].attributes.timing.computation_time: "
+            "computation_time must be >= 0, got -2",
+            "fcms[0].attributes.criticality: criticality must be finite and >= 0, got -1",
+            "fcms[0].attributes.fault_tolerance: fault_tolerance must be >= 1, got 0",
+        ]
+
+    def test_a_second_parent_at_the_wrong_level_breaks_r1_and_r2(self):
+        doc = three_level_doc()
+        doc["links"].append({"child": "f1", "parent": "p1"})
+        assert self.issues(doc) == [
+            "links[2]: R1: 'f1' (PROCEDURE) cannot attach to 'p1' (PROCESS); "
+            "a parent sits exactly one level up",
+            "links[2]: R2: 'f1' already has parent 't1'; an FCM may not be "
+            "shared — duplicate it instead",
+        ]
+
+    def test_failed_entry_still_registers(self):
+        # p1's attributes fail, yet its level still checks the link
+        # below, and its name still resolves in the influence section.
+        doc = three_level_doc()
+        doc["fcms"][0]["attributes"]["criticality"] = "high"
+        doc["fcms"].append({"name": "p2", "level": "PROCESS"})
+        doc["links"].append({"child": "p2", "parent": "p1"})
+        doc["influence"] = {
+            "PROCESS": {"edges": [{"source": "p1", "target": "p2", "value": 0.5}]}
+        }
+        assert self.issues(doc) == [
+            "fcms[0].attributes.criticality: must be a number, got 'high'",
+            "links[2]: R1: 'p2' (PROCESS) cannot attach to 'p1' (PROCESS); "
+            "a parent sits exactly one level up",
+        ]
+
+    def test_fcm_name_rule_named_by_path(self):
+        doc = three_level_doc()
+        doc["fcms"].append({"name": "9 lives", "level": "PROCESS"})
+        [issue] = self.issues(doc)
+        assert issue.startswith("fcms[3].name: invalid FCM name '9 lives'")
+
+    def test_graph_document_reads_fcms_the_same_way(self):
+        from repro.io import graph_from_dict, graph_to_dict
+        from repro.workloads import paper_influence_graph
+
+        doc = graph_to_dict(paper_influence_graph())
+        doc["fcms"][1]["attributes"]["criticality"] = float("inf")
+        doc["version"] = "one"
+        with pytest.raises(ValidationFailure) as excinfo:
+            graph_from_dict(doc)
+        assert [issue.path for issue in excinfo.value.issues] == [
+            "version", "fcms[1].attributes.criticality",
+        ]
+
+    def test_attributes_from_dict_names_the_field(self):
+        from repro.io import attributes_from_dict
+
+        with pytest.raises(ValidationFailure) as excinfo:
+            attributes_from_dict({"throughput": float("nan"), "security": "ULTRA"})
+        assert [issue.path for issue in excinfo.value.issues] == [
+            "attributes.security", "attributes.throughput",
+        ]

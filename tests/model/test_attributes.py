@@ -91,6 +91,18 @@ class TestAttributeSet:
         with pytest.raises(AttributeError_):
             AttributeSet(communication_rate=-2)
 
+    @pytest.mark.parametrize("field", ["throughput", "communication_rate"])
+    def test_rates_reject_nan_and_accept_infinity(self, field):
+        with pytest.raises(AttributeError_, match=f"{field} must be >= 0, got nan"):
+            AttributeSet(**{field: float("nan")})
+        assert getattr(AttributeSet(**{field: float("inf")}), field) == float("inf")
+
+    def test_message_names_the_value(self):
+        with pytest.raises(AttributeError_, match="criticality must be finite and >= 0, got inf"):
+            AttributeSet(criticality=float("inf"))
+        with pytest.raises(AttributeError_, match="deadline must be >= earliest_start 2, got nan"):
+            TimingConstraint(2, float("nan"), 1)
+
     def test_replicated_flag(self):
         assert AttributeSet(fault_tolerance=3).replicated
 
