@@ -8,10 +8,11 @@ mutable partition into clusters.  Cluster-to-cluster influence is the
 Eq. (4) combination over member edges, with the replica override pinning
 replica-related cluster pairs to 0 influence and non-combinable.
 
-Condensation asks about one cluster pair at a time as it merges, and
-first-fit loops grow blocks through :meth:`ClusterState.policy_block`;
-mapping and scoring read a :class:`PartitionView`, every pair of the
-final partition at once.
+Condensation asks the policy about one cluster pair at a time as it
+merges, and first-fit loops grow blocks through
+:meth:`ClusterState.policy_block`; mapping and scoring read a
+:class:`PartitionView`, every pair of the final partition at once, and
+H1 starts its pair scores from one.
 """
 
 from __future__ import annotations
@@ -344,6 +345,11 @@ class ClusterState:
         """``len(policy_block_violations(members))``, without the reasons."""
         return self._compiled.compiled_policy().block_violation_count(tuple(members))
 
+    def policy_fully_compiled(self) -> bool:
+        """Whether every policy verdict comes from compiled facts, so no
+        constraint's own ``check`` runs (:attr:`CompiledPolicy.fully_compiled`)."""
+        return self._compiled.compiled_policy().fully_compiled
+
     def policy_block(self, members: Iterable[str] = ()) -> compiled.Block:
         """A block holding ``members`` that first-fit loops grow one
         member at a time: ``accepts(name)`` answers
@@ -368,13 +374,17 @@ class ClusterState:
             cache[members] = cached
         return cached
 
+    def compiled_influence(self) -> matrix.CompiledInfluence:
+        """The compiled graph every Eq. (4) answer folds from."""
+        return self._compiled.influence()
+
     def partition_view(self) -> PartitionView:
         """Every cluster pair's influence and replica relation at once.
 
         Built on first call for the current partition and kept until the
-        clusters change.  Mapping and scoring read it; condensation,
-        whose partition changes with every merge, asks pair by pair and
-        keeps its own table (``heuristics.base.PairTable``).
+        clusters change.  Mapping and scoring read it; H1 starts its pair
+        table from it, and condensation, whose partition changes with
+        every merge, keeps that table (``heuristics.base.PairTable``).
         """
         clusters = tuple(cluster.members for cluster in self.clusters)
         view = self._view

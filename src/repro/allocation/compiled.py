@@ -48,7 +48,7 @@ from repro.allocation.constraints import (
     SecuritySeparation,
 )
 from repro.influence.influence_graph import InfluenceGraph
-from repro.scheduling.edf import _EPS
+from repro.scheduling.edf import _EPS, demand_feasible_triples
 from repro.scheduling.feasibility import FeasibilityMethod
 from repro.scheduling.task_model import Job
 
@@ -138,6 +138,11 @@ class _SchedFacts:
         return cached
 
 
+# The exact demand test; a module global looked up at call time, so a
+# wrapper installed here (a tracing hook) sees every call.
+_demand_feasible = demand_feasible_triples
+
+
 # -- one verdict per constraint, shared by pair checks and growing blocks --
 def _demand_ok(agg: _SchedAgg, jobs: Sequence[tuple[float, float, float]]) -> bool:
     """Whether ``agg``'s jobs followed by ``jobs`` pass the demand test.
@@ -192,28 +197,6 @@ def _span_union(
     if b is None:
         return a
     return (a[0] if a[0] <= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
-
-
-def _demand_feasible(jobs: tuple[tuple[float, float, float], ...]) -> bool:
-    """Exact replica of :func:`repro.scheduling.edf.demand_feasible`
-    over (release, deadline, work) triples — no Job construction."""
-    if not jobs:
-        return True
-    releases = sorted({r for r, _d, _w in jobs})
-    deadlines = sorted({d for _r, d, _w in jobs})
-    for t1 in releases:
-        lo = t1 - _EPS
-        for t2 in deadlines:
-            if t2 <= t1:
-                continue
-            hi = t2 + _EPS
-            demand = 0.0
-            for r, d, w in jobs:
-                if r >= lo and d <= hi:
-                    demand += w
-            if demand > (t2 - t1) + _EPS:
-                return False
-    return True
 
 
 class ReplicaPartners:
@@ -285,6 +268,12 @@ class CompiledPolicy:
             and _FIXED_REASONS.issuperset(kinds)
             and not any("/" in name for name in graph.fcm_names())
         )
+
+    @property
+    def fully_compiled(self) -> bool:
+        """Whether every verdict comes from compiled facts: no constraint
+        answers through its own ``check``, so a query runs no user code."""
+        return self._probes is not None
 
     def _compile(self, constraint) -> tuple:
         """(pair check, growing-block probe or None) of one constraint."""
@@ -581,6 +570,8 @@ class _SubclassPolicy(CompiledPolicy):
     """A :class:`CombinationPolicy` subclass may override any aggregation,
     so every query goes to its own methods."""
 
+    _probes = None
+
     def __init__(self, graph: InfluenceGraph, policy: CombinationPolicy) -> None:
         self.graph = graph
         self.policy = policy
@@ -602,9 +593,6 @@ class _SubclassPolicy(CompiledPolicy):
 
     def block_violation_count(self, members: Members) -> int:
         return len(self.policy.block_violations(self.graph, members))
-
-    def block(self, members: Iterable[str] = ()) -> Block:
-        return Block(self.can_combine, members)
 
 
 def compile_policy(

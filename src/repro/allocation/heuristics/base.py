@@ -55,11 +55,171 @@ class CondensationResult:
         return self.state.as_partition()
 
 
+class PairTable:
+    """Score and combinability of every cluster pair ``(i, j)``, ``i < j``.
+
+    One condense run keeps one table.  It holds every pair's score, and
+    a verdict for the pairs it has asked: a verdict is kept until one of
+    its two clusters merges.  :meth:`combine` merges through the state,
+    drops row and column ``hi`` and scores the merged cluster ``lo``'s
+    pairs again: Eq. (4), every constraint and both heuristics' scores
+    depend only on the two member tuples, and ``combine`` keeps the other
+    clusters in order.  Scores are ``score(state, i, j)`` and verdicts
+    ``state.can_combine(i, j)``, with ``i < j``; :meth:`best` asks a
+    verdict only when the pick depends on it.
+    """
+
+    def __init__(self, state: ClusterState, score: Score) -> None:
+        self.state = state
+        self.score = score
+        self.clusters = list(state.clusters)
+        n = len(self.clusters)
+        self.values = self._score_all()
+        self.known = np.zeros((n, n), dtype=bool)
+        self.combinable = np.zeros((n, n), dtype=bool)
+        # Every pair (first[k], second[k]), in (i, j) order.
+        self._first, self._second = np.triu_indices(n, 1)
+
+    def _score_all(self) -> np.ndarray:
+        """Every pair's score, at ``[i, j]`` for ``i < j``."""
+        state, score = self.state, self.score
+        n = len(self.clusters)
+        values = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i, j] = score(state, i, j)
+        return values
+
+    def _score_row(self, lo: int) -> None:
+        """Score again the pairs of cluster ``lo``."""
+        state, score, values = self.state, self.score, self.values
+        for k in range(lo):
+            values[k, lo] = score(state, k, lo)
+        for k in range(lo + 1, len(self.clusters)):
+            values[lo, k] = score(state, lo, k)
+
+    def _merge(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        """Follow the merge of ``hi`` into ``lo`` before row ``hi`` goes;
+        ``rows`` are the rows that stay."""
+
+    def follows(self, state: ClusterState, score: Score) -> bool:
+        """Whether this table holds ``state``'s current pairs under ``score``."""
+        return (
+            state is self.state
+            and score is self.score
+            and state.clusters == self.clusters
+        )
+
+    def best(self, require_positive: bool = False) -> tuple[int, int, float] | None:
+        """The pick of a scan in (i, j) order that keeps the first
+        combinable pair and then any whose score exceeds the kept one's
+        by more than 1e-15.  ``require_positive`` drops scores ``<= 0``.
+
+        The candidates are walked in descending score (ties in (i, j)
+        order), asking only the verdicts not yet known, down to the first
+        score ``v`` with ``lowest > v + 1e-15``, ``lowest`` being the
+        lowest score of a combinable pair reached.  Every pair from there
+        on is more than 1e-15 under each combinable pair reached, so the
+        scan can neither keep it nor, having kept it first, fail to
+        replace it.  The scan's rule is then applied to the combinable
+        pairs reached, in (i, j) order, through their strict running
+        records: every score a scan passes over is at most ``kept +
+        1e-15``, so only a record can be kept.
+
+        A policy that answers some constraint through its own ``check``
+        is asked every unknown pair, in (i, j) order, so a check that
+        raises raises at the step a rescan would; so is a table with a
+        NaN score, which the scan keeps only as its first pair.
+        """
+        first, second = self._first, self._second
+        values = self.values[first, second]
+        known = self.known[first, second]
+        combinable = self.combinable[first, second]
+        if require_positive:
+            positive = ~(values <= 0.0)
+            first, second = first[positive], second[positive]
+            values, known, combinable = (
+                values[positive], known[positive], combinable[positive]
+            )
+        stop = self.state.policy_fully_compiled() and not np.isnan(values).any()
+        if stop:
+            order = np.argsort(-values, kind="stable")
+            reached = np.zeros(len(values), dtype=bool)
+        else:
+            order = np.flatnonzero(~known)
+            reached = combinable.copy()
+        lowest = None
+        rejected = 0
+        for k, value, asked, ok in _in_order(order, values, known, combinable):
+            if stop and lowest is not None and lowest > value + 1e-15:
+                break
+            if not asked:
+                i, j = int(first[k]), int(second[k])
+                ok = self.state.can_combine(i, j)
+                self.known[i, j] = True
+                self.combinable[i, j] = ok
+                rejected += not ok
+            if ok:
+                reached[k] = True
+                lowest = value
+        rec = current()
+        if rec.enabled and rejected:
+            rec.counter("condense_pairs_rejected_total").inc(rejected)
+        reached = np.flatnonzero(reached)  # (i, j) order
+        if not len(reached):
+            return None
+        values = values[reached]
+        # fmax: a NaN score never raises the bar, as in the scan.
+        records = np.flatnonzero(values[1:] > np.fmax.accumulate(values)[:-1]) + 1
+        kept, best = 0, values[0].item()
+        for k, value in zip(records.tolist(), values[records].tolist()):
+            if value > best + 1e-15:
+                kept, best = k, value
+        kept = reached[kept]
+        return int(first[kept]), int(second[kept]), best
+
+    def combine(self, i: int, j: int) -> int:
+        """``state.combine(i, j)``, then the table of the new partition."""
+        lo = self.state.combine(i, j)
+        hi = i + j - lo
+        rows = np.arange(len(self.clusters) - 1)
+        rows[hi:] += 1
+        self._merge(lo, hi, rows)
+        block = (rows[:, None], rows)
+        self.values = self.values[block]
+        self.known = self.known[block]
+        self.combinable = self.combinable[block]
+        for verdicts in (self.known, self.combinable):
+            verdicts[lo, :] = False
+            verdicts[:, lo] = False
+        first, second = self._first, self._second
+        stay = (first != hi) & (second != hi)
+        first, second = first[stay], second[stay]
+        self._first = first - (first > hi)
+        self._second = second - (second > hi)
+        self.clusters = list(self.state.clusters)
+        self._score_row(lo)
+        return lo
+
+
+def _in_order(order: np.ndarray, *columns: np.ndarray):
+    """``(k, *(column[k] for column in columns))`` for each ``k`` of
+    ``order``, as Python values, converted a growing chunk at a time: a
+    walk that stops early converts little."""
+    start, size = 0, 16
+    while start < len(order):
+        chunk = order[start:start + size]
+        yield from zip(chunk.tolist(), *(column[chunk].tolist() for column in columns))
+        start += size
+        size *= 4
+
+
 class CondensationHeuristic(ABC):
     """Base class: validates the target and drives the reduction loop."""
 
     name: str = "base"
-    _table: "PairTable | None" = None
+    table_type: type[PairTable] = PairTable
+    _table: PairTable | None = None
 
     def condense(self, state: ClusterState, target: int) -> CondensationResult:
         """Reduce ``state`` (mutated in place) to at most ``target`` clusters."""
@@ -100,12 +260,12 @@ class CondensationHeuristic(ABC):
     def step(self, state: ClusterState) -> CombinationStep | None:
         """Perform one combination; None when no feasible pair exists."""
 
-    def pair_table(self, state: ClusterState, score: Score) -> "PairTable":
+    def pair_table(self, state: ClusterState, score: Score) -> PairTable:
         """The pair table this heuristic keeps for ``state`` across its
         steps, built again when the clusters changed outside it."""
         table = self._table
         if table is None or not table.follows(state, score):
-            table = self._table = PairTable(state, score)
+            table = self._table = self.table_type(state, score)
         return table
 
 
@@ -114,104 +274,6 @@ def _replica_lower_bound(state: ClusterState) -> int:
     if not groups:
         return 1
     return max(len(group) for group in groups)
-
-
-class PairTable:
-    """Combinability and score of every cluster pair ``(i, j)``, ``i < j``.
-
-    One condense run keeps one table.  :meth:`combine` merges through the
-    state and drops row and column ``hi``; the next :meth:`best` asks
-    again only the pairs that involve the merged cluster ``lo``, when a
-    rescan would have asked them: Eq. (4), every constraint and both
-    heuristics' scores depend only on the two member tuples, and
-    ``combine`` keeps the other clusters in order.  Entries are asked
-    through ``state.can_combine(i, j)`` and ``score(state, i, j)`` with
-    ``i < j``, in (i, j) order, and a pair is scored only when it is
-    combinable, as a rescan asks them.
-    """
-
-    def __init__(self, state: ClusterState, score: Score) -> None:
-        self.state = state
-        self.score = score
-        n = len(state.clusters)
-        self.combinable = np.zeros((n, n), dtype=bool)
-        self.values = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                self._ask(i, j)
-        self.clusters = list(state.clusters)
-        self._merged: int | None = None
-
-    def _ask(self, i: int, j: int) -> None:
-        if self.state.can_combine(i, j):
-            self.combinable[i, j] = True
-            self.values[i, j] = self.score(self.state, i, j)
-
-    def follows(self, state: ClusterState, score: Score) -> bool:
-        """Whether this table holds ``state``'s current pairs under ``score``."""
-        return (
-            state is self.state
-            and score is self.score
-            and state.clusters == self.clusters
-        )
-
-    def best(self, require_positive: bool = False) -> tuple[int, int, float] | None:
-        """The pick of a scan in (i, j) order that keeps the first
-        candidate and then any whose score exceeds the kept one's by more
-        than 1e-15.  ``require_positive`` drops scores ``<= 0``.
-
-        Only a strict running record can be kept: every score a scan
-        passes over is at most ``kept + 1e-15``, so a later score above
-        that exceeds all before it.  The scan therefore walks the records
-        alone, with the same rule.
-        """
-        self._ask_merged()
-        n = len(self.clusters)
-        candidates = self.combinable
-        rec = current()
-        if rec.enabled:
-            rejected = n * (n - 1) // 2 - int(np.count_nonzero(candidates))
-            if rejected:
-                rec.counter("condense_pairs_rejected_total").inc(rejected)
-        if require_positive:
-            candidates = candidates & ~(self.values <= 0.0)
-        flat = np.flatnonzero(candidates)  # row-major: (i, j) order
-        if not len(flat):
-            return None
-        values = self.values.ravel()[flat]
-        # fmax: a NaN score never raises the bar, as in the scan.
-        records = np.flatnonzero(values[1:] > np.fmax.accumulate(values)[:-1]) + 1
-        kept, best = 0, values[0].item()
-        for k, value in zip(records.tolist(), values[records].tolist()):
-            if value > best + 1e-15:
-                kept, best = k, value
-        i, j = divmod(int(flat[kept]), n)
-        return i, j, best
-
-    def combine(self, i: int, j: int) -> int:
-        """``state.combine(i, j)``, then the table of the new partition."""
-        self._ask_merged()
-        lo = self.state.combine(i, j)
-        hi = i + j - lo
-        keep = np.arange(len(self.clusters)) != hi
-        self.combinable = self.combinable[np.ix_(keep, keep)]
-        self.values = self.values[np.ix_(keep, keep)]
-        self.combinable[lo, :] = False
-        self.combinable[:, lo] = False
-        self.clusters = list(self.state.clusters)
-        self._merged = lo
-        return lo
-
-    def _ask_merged(self) -> None:
-        """Ask the pairs of the cluster the last :meth:`combine` made."""
-        lo = self._merged
-        if lo is None:
-            return
-        for k in range(lo):
-            self._ask(k, lo)
-        for k in range(lo + 1, len(self.clusters)):
-            self._ask(lo, k)
-        self._merged = None
 
 
 def best_combinable_pair(
@@ -224,6 +286,7 @@ def best_combinable_pair(
     Deterministic tie-break on (i, j): a later pair wins only by more than
     1e-15.  ``require_positive`` restricts to strictly positive scores
     (used where zero-affinity merges are meaningless).  A one-shot
-    :class:`PairTable`; condense loops keep theirs across merges.
+    :class:`PairTable`, so ``score`` is asked of every pair, combinable
+    or not; condense loops keep their table across merges.
     """
     return PairTable(state, score).best(require_positive)

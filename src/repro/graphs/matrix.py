@@ -162,6 +162,39 @@ class CompiledInfluence:
         np.fill_diagonal(out, 0.0)
         return out
 
+    def padded_complements(self) -> np.ndarray:
+        """:attr:`complements` with a row and a column of 1.0 appended:
+        index ``len(self)`` is the padding :meth:`row_influence` reads."""
+        n = len(self)
+        padded = np.ones((n + 1, n + 1))
+        padded[:n, :n] = self.complements
+        return padded
+
+    def row_influence(
+        self, padded: np.ndarray, rows: np.ndarray, blocks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. (4) influence of the row block ``rows`` on each block of
+        ``blocks``, and of each block on it.
+
+        ``blocks`` holds one block per line, its member rows first, then
+        ``len(self)``; ``padded`` is :meth:`padded_complements`.
+        ``out[k] == group_influence(rows, block k)`` and
+        ``into[k] == group_influence(block k, rows)`` bit for bit: one
+        gather lays each product's factors out in the C order
+        :meth:`group_influence` multiplies in, and a running product
+        folds them.  A padded factor is 1.0, and multiplying by 1.0 is
+        exact.
+        """
+        # factors[a, b, k]: the factor (a, b) of block k's product, so
+        # its lines run in C order over (a, b), one column per block.
+        count = len(blocks)
+        columns = blocks.T  # columns[b, k]: member b of block k
+        factors = padded[rows[:, None, None], columns[None, :, :]].reshape(-1, count)
+        out = 1.0 - np.multiply.accumulate(factors, axis=0)[-1]
+        factors = padded[columns[:, None, :], rows[None, :, None]].reshape(-1, count)
+        into = 1.0 - np.multiply.accumulate(factors, axis=0)[-1]
+        return out, into
+
     def pair_weight(self, a: int, b: int) -> float:
         """The raw edge weight between two single rows."""
         return float(self.weights[a, b])

@@ -106,20 +106,6 @@ def influence_to_dict(graph: InfluenceGraph) -> dict[str, Any]:
     }
 
 
-def _load_influence(
-    graph: InfluenceGraph,
-    data: dict[str, Any],
-) -> None:
-    graph.set_influences(
-        (edge["source"], edge["target"], None, _load_factors(edge["factors"]))
-        if "factors" in edge
-        else (edge["source"], edge["target"], edge["value"], None)
-        for edge in data.get("edges", [])
-    )
-    for a, b in data.get("replica_links", []):
-        graph.link_replicas(a, b)
-
-
 def _load_factors(entries: list[dict[str, Any]]) -> list[InfluenceFactor]:
     return [
         InfluenceFactor(
@@ -162,14 +148,20 @@ def graph_to_dict(graph: InfluenceGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> InfluenceGraph:
-    """Rebuild a standalone influence graph from :func:`graph_to_dict`;
-    its header and FCM entries are read as a system document's are."""
+    """Rebuild a standalone influence graph from :func:`graph_to_dict`.
+
+    Its header and FCM entries are read as a system document's are, and
+    its edges and replica links as one of its levels, so every defect is
+    reported at its JSON path; the graph takes its edges from the columns
+    (:meth:`InfluenceGraph.defer_columns`).
+    """
     from repro.io.validation import read_document
 
+    hierarchy, columns = read_document(data, FORMAT_GRAPH, edges=True)
     graph = InfluenceGraph()
-    for fcm in read_document(data, FORMAT_GRAPH):
+    for fcm in hierarchy:
         graph.add_fcm(fcm)
-    _load_influence(graph, data)
+    graph.defer_columns(columns, data.get("replica_links", []))
     return graph
 
 

@@ -165,9 +165,14 @@ def validate_system_dict(
     return issues
 
 
-def read_document(data: Any, expected_format: str) -> FCMHierarchy:
+def read_document(
+    data: Any, expected_format: str, edges: bool = False
+) -> tuple[FCMHierarchy, EdgeColumns | None]:
     """Check a graph or HW document's header and read its FCM entries (a
-    HW document has none) as a system document's are read; raises
+    HW document has none) as a system document's are read.  With
+    ``edges``, the document is a graph's: its ``edges`` and
+    ``replica_links`` are read as one level of a system document, every
+    FCM at that level, into the returned columns.  Raises
     :class:`ValidationFailure` listing every defect.  A replica may name
     an origin outside the document (expanded graphs' task specs do)."""
     issues, flag = _collector()
@@ -176,9 +181,14 @@ def read_document(data: Any, expected_format: str) -> FCMHierarchy:
         raise ValidationFailure(issues)
     _check_header_fields(data, flag, expected_format)
     entries = _check_fcms(data, flag, known_origins=False)
+    rows = None
+    if edges:
+        index = {name: position for position, name in enumerate(entries or ())}
+        rows = _check_edges(data, "", flag, entries, index, "")
+        _check_replica_links(data, "", flag, entries, index, "", rows)
     if issues:
         raise ValidationFailure(issues)
-    return entries.hierarchy
+    return entries.hierarchy, rows
 
 
 def _check_header_fields(data: dict, flag, expected_format: str) -> None:
@@ -418,20 +428,25 @@ def _check_influence(
                 if lvl == level_name or lvl == ""
             )
         }
-        rows = _check_edges(section, path, flag, fcm_names, index, level_name)
+        rows = _check_edges(section, f"{path}.", flag, fcm_names, index, level_name)
         columns[level_name] = rows
-        _check_replica_links(section, path, flag, fcm_names, index, level_name, rows)
+        _check_replica_links(
+            section, f"{path}.", flag, fcm_names, index, level_name, rows
+        )
 
 
 def _check_edges(
     section: dict,
-    path: str,
+    prefix: str,
     flag,
     fcm_names: dict[str, str] | None,
     index: dict[str, int],
     level_name: str,
 ) -> EdgeColumns:
     """Check a level's edge rows and read them into columns.
+
+    ``prefix`` starts each issue's path: ``influence.PROCESS.`` for a
+    system document's level, empty for a graph document.
 
     One pass reads each value row whose keys and types are in order into
     source and target positions (-1 for a name not at the level) and a
@@ -444,7 +459,7 @@ def _check_edges(
     """
     edges = section.get("edges", [])
     if not isinstance(edges, list):
-        flag(f"{path}.edges", f"must be a list, got {type(edges).__name__}")
+        flag(f"{prefix}edges", f"must be a list, got {type(edges).__name__}")
         edges = []
     sources: list[int] = []
     targets: list[int] = []
@@ -477,7 +492,7 @@ def _check_edges(
         edge = edges[row]
         found: list[tuple] = []
         _check_edge(
-            edge, f"{path}.edges[{row}]", lambda *issue: found.append(issue),
+            edge, f"{prefix}edges[{row}]", lambda *issue: found.append(issue),
             fcm_names, index, level_name,
         )
         for issue in found:
@@ -553,7 +568,8 @@ def _check_factors(factors: Any, path: str, flag) -> None:
             flag(fpath, "must be an object")
             continue
         kind = factor.get("kind")
-        if kind not in valid_kinds:
+        # A list or object is unhashable: test the type before the set.
+        if not isinstance(kind, str) or kind not in valid_kinds:
             flag(
                 f"{fpath}.kind",
                 f"unknown factor kind {kind!r} (expected one of "
@@ -574,7 +590,7 @@ def _check_factors(factors: Any, path: str, flag) -> None:
 
 def _check_replica_links(
     section: dict,
-    path: str,
+    prefix: str,
     flag,
     fcm_names: _Entries | None,
     at_level: dict[str, int],
@@ -584,7 +600,7 @@ def _check_replica_links(
     links = section.get("replica_links", [])
     if not isinstance(links, list):
         flag(
-            f"{path}.replica_links",
+            f"{prefix}replica_links",
             f"must be a list, got {type(links).__name__}",
         )
         return
@@ -592,7 +608,7 @@ def _check_replica_links(
     # Built on the first well-formed link: most sections have none.
     live: set[tuple[int, int]] | None = None
     for i, pair in enumerate(links):
-        lpath = f"{path}.replica_links[{i}]"
+        lpath = f"{prefix}replica_links[{i}]"
         if (
             not isinstance(pair, list)
             or len(pair) != 2

@@ -15,6 +15,7 @@ Two complementary tools:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import SchedulingError
@@ -25,19 +26,31 @@ _EPS = 1e-9
 
 def demand_feasible(jobs: list[Job]) -> bool:
     """Exact preemptive uniprocessor feasibility (processor demand)."""
+    return demand_feasible_triples([(job.release, job.deadline, job.work) for job in jobs])
+
+
+def demand_feasible_triples(jobs: Sequence[tuple[float, float, float]]) -> bool:
+    """The processor-demand criterion over (release, deadline, work) triples.
+
+    Every interval ``[t1, t2]`` from a release to a later deadline must
+    hold no more work than its length, counting the jobs that lie in it
+    within ``_EPS``.  Each interval's work is added in job order, one
+    job after another from 0.0.
+    """
     if not jobs:
         return True
-    releases = sorted({job.release for job in jobs})
-    deadlines = sorted({job.deadline for job in jobs})
+    releases = sorted({r for r, _d, _w in jobs})
+    deadlines = sorted({d for _r, d, _w in jobs})
     for t1 in releases:
+        lo = t1 - _EPS
         for t2 in deadlines:
             if t2 <= t1:
                 continue
-            demand = sum(
-                job.work
-                for job in jobs
-                if job.release >= t1 - _EPS and job.deadline <= t2 + _EPS
-            )
+            hi = t2 + _EPS
+            demand = 0.0
+            for r, d, w in jobs:
+                if r >= lo and d <= hi:
+                    demand += w
             if demand > (t2 - t1) + _EPS:
                 return False
     return True

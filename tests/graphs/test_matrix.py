@@ -172,6 +172,43 @@ class TestCompiledInfluence:
         expected = 1.0 - math.prod(block.ravel().tolist())
         assert influence.group_influence(a, b) == expected
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.5]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_row_influence_equals_group_influence(self, seed, scale):
+        # Disjoint blocks of 1-12 rows (up to 144 products).  Small
+        # weights keep each product near 1, where the order of its
+        # factors shows in the influence's last bits.
+        from repro.graphs.matrix import CompiledInfluence
+
+        rng = np.random.default_rng(seed)
+        n = 30
+        weights = np.where(rng.random((n, n)) < 0.6, scale * rng.random((n, n)), 0.0)
+        influence = CompiledInfluence.from_weights(
+            tuple(f"p{i}" for i in range(n)), weights
+        )
+        order = rng.permutation(n).tolist()
+        blocks = []
+        while order:
+            size = int(rng.integers(1, 13))
+            blocks.append(order[:size])
+            order = order[size:]
+        width = max(len(block) for block in blocks)
+        padded_blocks = np.full((len(blocks), width), n, dtype=np.intp)
+        for k, block in enumerate(blocks):
+            padded_blocks[k, :len(block)] = block
+        padded = influence.padded_complements()
+        for rows in blocks:
+            out, into = influence.row_influence(padded, np.array(rows), padded_blocks)
+            for k, block in enumerate(blocks):
+                if block is rows:
+                    continue
+                assert out[k].tobytes() == np.float64(
+                    influence.group_influence(rows, block)
+                ).tobytes()
+                assert into[k].tobytes() == np.float64(
+                    influence.group_influence(block, rows)
+                ).tobytes()
+
     def test_sequential_sum_adds_in_order(self):
         from repro.graphs.matrix import sequential_sum
 

@@ -249,6 +249,17 @@ class TestGraphRulesFlaggedAtPaths:
         assert graph.is_replica_link("r", "ra")
         assert graph.is_replica_link("ra", "rb")
 
+    def test_factor_kind_of_the_wrong_type(self):
+        # A list or object kind cannot be looked up in the kind set.
+        doc = good_doc()
+        edge = doc["influence"]["PROCESS"]["edges"][0]
+        del edge["value"]
+        edge["factors"] = [{"kind": ["timing"], "p_occurrence": 0.5,
+                            "p_transmission": 0.5, "p_effect": 0.5}]
+        self.assert_flagged(
+            doc, "influence.PROCESS.edges[0].factors[0].kind", "unknown factor kind"
+        )
+
     def test_edges_that_load_as_no_influence_do_not_clash(self):
         # A zero value is no edge, and a later zero removes an earlier edge.
         zero_factor = {"kind": "timing", "p_occurrence": 0.0,
@@ -383,6 +394,23 @@ class TestModelRulesAtPaths:
         assert [issue.path for issue in excinfo.value.issues] == [
             "version", "fcms[1].attributes.criticality",
         ]
+
+    @pytest.mark.parametrize("key", ["source", "target", "value"])
+    def test_graph_document_reads_edges_the_same_way(self, key):
+        from repro.io import graph_from_dict, graph_to_dict
+        from repro.workloads import paper_influence_graph
+
+        doc = graph_to_dict(paper_influence_graph())
+        doc["edges"][0].pop(key)
+        with pytest.raises(ValidationFailure) as excinfo:
+            graph_from_dict(doc)
+        [issue] = excinfo.value.issues
+        if key == "value":
+            # An edge carries a value or factors: the row names the key.
+            assert issue.path == "edges[0]"
+            assert "'value'" in issue.message
+        else:
+            assert issue.path == f"edges[0].{key}"
 
     def test_attributes_from_dict_names_the_field(self):
         from repro.io import attributes_from_dict

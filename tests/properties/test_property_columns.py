@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from repro.allocation import expand_replication
 from repro.faultsim.kernel import compile_graph
 from repro.influence import InfluenceGraph
-from repro.io.serialization import _load_influence, system_from_dict
+from repro.io.serialization import _load_factors, system_from_dict
 from repro.io.validation import validate_system_dict
 from repro.verification.checks import audit_system
 from tests.properties.reference_validation import reference_issues
@@ -172,6 +172,18 @@ def _break(rng: random.Random, doc: dict) -> None:
 def _round_trip(doc: dict) -> tuple[dict, str]:
     text = json.dumps(doc, indent=2)
     return json.loads(text), text
+
+
+def _load_influence(graph: InfluenceGraph, data: dict) -> None:
+    """Install ``data``'s edge rows, then its replica links, one by one."""
+    graph.set_influences(
+        (edge["source"], edge["target"], None, _load_factors(edge["factors"]))
+        if "factors" in edge
+        else (edge["source"], edge["target"], edge["value"], None)
+        for edge in data.get("edges", [])
+    )
+    for a, b in data.get("replica_links", []):
+        graph.link_replicas(a, b)
 
 
 def _eager_level(graph: InfluenceGraph, section: dict) -> InfluenceGraph:

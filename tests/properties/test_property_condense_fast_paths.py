@@ -3,7 +3,10 @@
 * The pair table: at every merge of H1 and of timing refinement, the
   table's pick equals a rescan of every pair, the loop condense ran
   after each merge before the table existed.  A synthetic score whose
-  values tie within 1e-15 exercises the tie-break rule.
+  values tie within 1e-15 exercises the tie-break rule.  H1's merged
+  rows, folded at once, equal ``mutual_influence`` bit for bit; under a
+  fully compiled policy no pick asks a pair below the stop, and a user
+  check that raises raises at the merge a rescan would.
 * The violation count: equals ``len(policy.block_violations(...))`` on
   random blocks and policies, including the policies where reasons can
   share a text and the count takes the reason list.
@@ -15,6 +18,7 @@ Examples are derandomized.
 """
 
 import random
+import struct
 from dataclasses import dataclass
 
 import hypothesis.strategies as st
@@ -34,9 +38,10 @@ from repro.allocation.constraints import (
 )
 from repro.allocation.heuristics import H1Influence, TimingRefinement
 from repro.allocation.heuristics.base import PairTable, best_combinable_pair
-from repro.allocation.heuristics.h1_influence import _mutual_influence
+from repro.allocation.heuristics.h1_influence import InfluenceTable, _mutual_influence
 from repro.allocation.heuristics.timing import _slack_score
 from repro.errors import DDSIError, InfeasibleAllocationError
+from repro.graphs.matrix import _GATHER_MIN
 from repro.influence import InfluenceGraph
 from repro.model import AttributeSet, TimingConstraint
 from repro.model.attributes import SecurityLevel
@@ -91,6 +96,14 @@ def tie_score(state, i, j):
     return random.Random(key).choice(TIES)
 
 
+def nan_score(state, i, j):
+    """Like :func:`tie_score`, with NaN among the values."""
+    key = "nan:" + "|".join(state.clusters[i].members) + "#" + "|".join(
+        state.clusters[j].members
+    )
+    return random.Random(key).choice(TIES + (float("nan"),) * 3)
+
+
 HEURISTICS = {
     "h1": (H1Influence, _mutual_influence),
     "timing": (TimingRefinement, _slack_score),
@@ -139,29 +152,48 @@ class TestPairTable:
                 break
             table.combine(expected[0], expected[1])
 
+    @given(workloads(), st.booleans())
+    @FAST
+    def test_nan_scores_as_in_a_rescan(self, graph, require_positive):
+        # The scan keeps a NaN score only as its first combinable pair.
+        state = ClusterState(expand_replication(graph))
+        table = PairTable(state, nan_score)
+        while True:
+            expected = rescan(state, nan_score, require_positive)
+            found = table.best(require_positive)
+            assert (found is None) == (expected is None)
+            if expected is None:
+                break
+            assert found[:2] == expected[:2]
+            assert bits(found[2]) == bits(expected[2])
+            table.combine(expected[0], expected[1])
+
     @pytest.mark.parametrize("name", sorted(HEURISTICS))
-    def test_rejected_pairs_counted_per_scan(self, name):
+    def test_rejected_pairs_counted_per_scan(self, name, monkeypatch):
         spec = WorkloadSpec(processes=14, edge_probability=0.3,
                             replicated_fraction=0.4, utilization=0.4)
         state = ClusterState(expand_replication(random_process_graph(spec, seed=3)))
         target = max(required_hw_nodes(state.graph), 1)
-        # Each step scans every pair of the partition it starts from.
-        replay, expected = state.copy(), 0
-        while len(replay) > target:
-            n = len(replay)
-            expected += sum(
-                not replay.can_combine(i, j) for i in range(n) for j in range(i + 1, n)
-            )
-            if HEURISTICS[name][0]().step(replay) is None:
-                break
-        assert expected > 0
+        # The counter counts every verdict the condense asks that comes
+        # back non-combinable, and nothing else.
+        can_combine = ClusterState.can_combine
+        rejected = 0
+
+        def counted(self, i, j):
+            nonlocal rejected
+            combinable = can_combine(self, i, j)
+            rejected += not combinable
+            return combinable
+
+        monkeypatch.setattr(ClusterState, "can_combine", counted)
         rec = Recorder()
         with use(rec):
             try:
                 HEURISTICS[name][0]().condense(state, target)
             except InfeasibleAllocationError:
                 pass
-        assert rec.counter("condense_pairs_rejected_total").value() == expected
+        assert rejected > 0
+        assert rec.counter("condense_pairs_rejected_total").value() == rejected
 
     def test_merged_pairs_asked_when_a_rescan_would(self):
         # A check that raises on a 4-member union: the rescan after the
@@ -190,6 +222,158 @@ class TestPairTable:
         # is not, and 3.6e-15 is within 1e-15 of 2.6e-15.
         assert PairTable(state, score).best() == (1, 3, 2.6e-15)
         assert rescan(state, score) == (1, 3, 2.6e-15)
+
+
+class AskLog(ClusterState):
+    """A state that logs the pairs asked through ``can_combine``."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.asked: list[tuple[int, int]] = []
+
+    def can_combine(self, i, j):
+        self.asked.append((i, j))
+        return super().can_combine(i, j)
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_rows_fold(state):
+    """Merge by H1 as far as the policy allows; after every merge, each
+    score of the merged cluster's row is ``mutual_influence`` bit for
+    bit.  Returns how many checked pairs multiply more than
+    ``_GATHER_MIN`` factors, and how many are replica-related."""
+    table = InfluenceTable(state, _mutual_influence)
+    n = len(state)
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert bits(table.values[i, j]) == bits(state.mutual_influence(i, j))
+    large = related = 0
+    while (found := table.best()) is not None:
+        lo = table.combine(found[0], found[1])
+        size = len(state.clusters[lo])
+        for k in range(len(state)):
+            if k == lo:
+                continue
+            i, j = min(k, lo), max(k, lo)
+            assert bits(table.values[i, j]) == bits(state.mutual_influence(i, j))
+            large += size * len(state.clusters[k]) > _GATHER_MIN
+            related += state.replica_related(i, j)
+    return large, related
+
+
+def rescan_condense(state, score, target):
+    """Condense by a rescan of every pair at every merge."""
+    while len(state) > target:
+        found = rescan(state, score)
+        if found is None:
+            raise InfeasibleAllocationError("no feasible combination")
+        state.combine(found[0], found[1])
+
+
+@dataclass(frozen=True)
+class RaisesOnUnion:
+    """A user check that raises on one union of members."""
+
+    members: frozenset
+
+    def check(self, graph, first, second):
+        if frozenset(first + second) == self.members:
+            raise DDSIError("raised on " + ",".join(sorted(self.members)))
+        return None
+
+
+class TestScoreFirst:
+    @given(workloads())
+    @FAST
+    def test_merged_rows_equal_mutual_influence(self, graph):
+        # Replica separation alone: clusters grow until only replicas
+        # are left apart.
+        policy = CombinationPolicy([ReplicaSeparation()])
+        assert_rows_fold(ClusterState(expand_replication(graph), policy))
+
+    def test_merged_rows_past_the_gather_size(self):
+        # Small weights keep each product near 1, where the order of its
+        # factors shows in the last bits of the influence.
+        rng = random.Random(5)
+        graph = InfluenceGraph()
+        names = [f"p{k}" for k in range(40)]
+        for name in names:
+            tolerance = 2 if rng.random() < 0.3 else 1
+            graph.add_fcm(process(name, AttributeSet(fault_tolerance=tolerance)))
+        for source in names:
+            for target in names:
+                if source != target and rng.random() < 0.3:
+                    graph.set_influence(source, target, rng.uniform(0.001, 0.05))
+        large, related = assert_rows_fold(ClusterState(
+            expand_replication(graph), CombinationPolicy([ReplicaSeparation()])
+        ))
+        assert large > 0 and related > 0
+
+    @given(workloads(), st.sampled_from(sorted(HEURISTICS)))
+    @FAST
+    def test_no_pair_asked_below_the_stop(self, graph, name):
+        heuristic_class, score = HEURISTICS[name]
+        state = AskLog(expand_replication(graph))
+        assert state.policy_fully_compiled()
+        heuristic = heuristic_class()
+        target = max(required_hw_nodes(state.graph), 1)
+        while len(state) > target:
+            table = heuristic.pair_table(state, score)
+            state.asked.clear()
+            found = table.best()
+            asked = set(state.asked)
+            # Walk every pair as best() does: descending score, ties in
+            # (i, j) order.  An asked pair may lie at most 1e-15 below the
+            # lowest combinable pair before it.
+            n = len(state)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            values = {pair: score(state, *pair) for pair in pairs}
+            lowest = None
+            for pair in sorted(pairs, key=lambda pair: -values[pair]):
+                if pair in asked:
+                    assert lowest is None or not lowest > values[pair] + 1e-15
+                if ClusterState.can_combine(state, *pair):
+                    lowest = values[pair]
+            if found is None:
+                break
+            table.combine(found[0], found[1])
+
+    def test_no_pair_asked_below_the_stop_on_a_gap(self):
+        # Distinct influences: each pick leaves pairs unasked.
+        spec = WorkloadSpec(processes=14, edge_probability=0.6,
+                            replicated_fraction=0.2, utilization=0.15)
+        state = AskLog(expand_replication(random_process_graph(spec, seed=3)))
+        table = InfluenceTable(state, _mutual_influence)
+        n = len(state)
+        found = table.best()
+        assert found is not None
+        assert len(set(state.asked)) < n * (n - 1) // 2
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_raising_check_raises_at_the_rescan_merge(self, name):
+        # a-b is the top pair, then ab-c; the check raises on the
+        # low-scoring union {a, b, e}, which the second rescan asks.
+        graph = InfluenceGraph()
+        for member in "abcde":
+            graph.add_fcm(process(member))
+        graph.set_influence("a", "b", 0.9)
+        graph.set_influence("b", "c", 0.5)
+        policy = CombinationPolicy(
+            [ReplicaSeparation(), RaisesOnUnion(frozenset("abe"))]
+        )
+        heuristic_class, score = HEURISTICS[name]
+        rescanned = ClusterState(graph, policy)
+        with pytest.raises(DDSIError, match="raised on a,b,e"):
+            rescan_condense(rescanned, score, 1)
+        condensed = ClusterState(graph, policy)
+        assert not condensed.policy_fully_compiled()
+        with pytest.raises(DDSIError, match="raised on a,b,e"):
+            heuristic_class().condense(condensed, 1)
+        assert condensed.clusters == rescanned.clusters
+        assert len(condensed) == 4
 
 
 # ----------------------------------------------------------------------
