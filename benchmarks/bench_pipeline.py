@@ -244,10 +244,10 @@ def bench_profiled_campaign(
     Both variants run under a live :class:`~repro.obs.Recorder` (the
     tracing cost is already gated by the sharded entries), so the
     ``profile_overhead`` ratio isolates what the sampling profiler
-    itself adds: the background ``sys._current_frames()`` thread, the
-    GC callback, and the per-span resource-delta stamping.  Variants
-    interleave best-of-two like the sharded bench so machine drift
-    lands on both sides, and ``identical_profiled`` asserts the
+    itself adds: the ``SIGPROF`` handler collapsing the interrupted
+    stack, the GC callback, and the per-span resource-delta stamping.
+    Variants interleave best-of-two like the sharded bench so machine
+    drift lands on both sides, and ``identical_profiled`` asserts the
     result-transparency contract: profiling must never change a number.
     """
     from repro.obs.profile import DEFAULT_PROFILE_HZ, Profiler

@@ -235,46 +235,52 @@ def serve_lease(
         from repro.obs.telemetry import LeaseTelemetry
 
         telem = LeaseTelemetry(telemetry, lease, emit)
-    pieces = block_ranges(lease["start"], lease["size"], block)
-    for index, (bstart, bsize) in enumerate(pieces):
-        if chaos is not None:
-            chaos.maybe_inject(shard, attempt, index, len(pieces))
-        emit({"type": "heartbeat", "lease": lease_id, "blocks_done": index})
-        span = (
-            telem.block_span(index, bstart, bsize)
-            if telem is not None
-            else None
-        )
-        try:
-            payload = task(bstart, bsize, seed)
-        except Exception:
-            detail = traceback.format_exc()[-800:]
+    try:
+        pieces = block_ranges(lease["start"], lease["size"], block)
+        for index, (bstart, bsize) in enumerate(pieces):
+            if chaos is not None:
+                chaos.maybe_inject(shard, attempt, index, len(pieces))
+            emit({"type": "heartbeat", "lease": lease_id, "blocks_done": index})
+            span = (
+                telem.block_span(index, bstart, bsize)
+                if telem is not None
+                else None
+            )
+            try:
+                payload = task(bstart, bsize, seed)
+            except Exception:
+                detail = traceback.format_exc()[-800:]
+                if telem is not None:
+                    span.__exit__(None, None, None)
+                    telem.error(bstart, bsize, detail)
+                    telem.finish("error")
+                emit({
+                    "type": "error",
+                    "lease": lease_id,
+                    "start": bstart,
+                    "size": bsize,
+                    "detail": detail,
+                })
+                return
             if telem is not None:
                 span.__exit__(None, None, None)
-                telem.error(bstart, bsize, detail)
-                telem.finish("error")
             emit({
-                "type": "error",
+                "type": "partial",
                 "lease": lease_id,
                 "start": bstart,
                 "size": bsize,
-                "detail": detail,
+                "payload": payload,
             })
-            return
+            if telem is not None:
+                telem.flush()
         if telem is not None:
-            span.__exit__(None, None, None)
-        emit({
-            "type": "partial",
-            "lease": lease_id,
-            "start": bstart,
-            "size": bsize,
-            "payload": payload,
-        })
-        if telem is not None:
-            telem.flush()
-    if telem is not None:
-        telem.finish("done")
-    emit({"type": "done", "lease": lease_id})
+            telem.finish("done")
+        emit({"type": "done", "lease": lease_id})
+    finally:
+        # A dropped connection raises out of emit mid-lease; the worker
+        # may go on serving, so its profiler must not outlive the lease.
+        if telem is not None and telem.profiler is not None:
+            telem.profiler.stop()
 
 
 def serve_session(stdin=None, stdout=None, task=None) -> str:

@@ -36,7 +36,6 @@ from repro.obs.profile import (
     DEFAULT_PROFILE_HZ,
     Profiler,
     ResourceProbe,
-    StackProfiler,
     process_metrics_snapshot,
 )
 from repro.obs.provenance import collect_provenance, machine_fingerprint
@@ -80,7 +79,6 @@ __all__ = [
     "Recorder",
     "ResourceProbe",
     "Span",
-    "StackProfiler",
     "TelemetryMerger",
     "TraceIndex",
     "collect_provenance",

@@ -1,33 +1,30 @@
 """Sampling stack profiler and process-resource telemetry.
 
-The trace layer (PR 2/4/7) shows *where time goes* — spans, critical
-paths, flamegraphs — but nothing about what the process is doing to the
-machine.  This module adds that second axis with two cooperating parts:
+The trace layer shows *where time goes* — spans, critical paths,
+flamegraphs — but nothing about what the process is doing to the
+machine.  This module adds that second axis.
 
-* :class:`StackProfiler` — a background thread that samples the owner
-  thread's Python stack via ``sys._current_frames()`` at a configurable
-  rate, aggregates **collapsed stacks** (``root;child;leaf`` strings)
-  and attributes each sample to the innermost open span of the ambient
-  recorder.  Drained samples become ``profile`` events (kind
-  ``stacks``) in the trace-v2 stream, exportable through the existing
-  collapsed-stack / Perfetto exporters and summarized by
-  ``repro report``.
+:class:`Profiler` is one profiling session (the ``--profile [HZ]`` CLI
+flag, or a shard worker's lease — see
+:class:`~repro.obs.telemetry.LeaseTelemetry`).  It samples from a
+``SIGPROF`` handler armed by ``ITIMER_PROF``, a timer that runs on the
+process's CPU time: each sample collapses the interrupted frame into a
+``root;child;leaf`` stack string, counts the CPU periods since the
+previous sample, and charges them to the innermost open span of the
+recorder.  Drained samples become ``profile`` events (kind ``stacks``)
+in the trace stream, exportable through the collapsed-stack / Perfetto
+exporters and summarized by ``repro report``.  The same handler ticks a
+:class:`ResourceProbe` — RSS from ``/proc/self/statm``
+(``resource.getrusage`` fallback), user/sys CPU time from
+``os.times()``, GC collection counts and pause time via
+``gc.callbacks``, and the open-fd count — which feeds process-level
+gauges into the metrics registry, emits a throttled ``resource`` time
+series, and, installed on a :class:`~repro.obs.recorder.Recorder`,
+stamps per-span deltas (``cpu_s``, ``rss_peak_delta``) at span close.
 
-* :class:`ResourceProbe` — passive process-resource accounting: RSS
-  from ``/proc/self/statm`` (``resource.getrusage`` fallback),
-  user/sys CPU time from ``os.times()``, GC collection counts and
-  pause time via ``gc.callbacks``, and the open-fd count.  The probe
-  feeds process-level gauges into the metrics registry, emits a
-  throttled ``resource`` time series, and — installed on a
-  :class:`~repro.obs.recorder.Recorder` — stamps per-span deltas
-  (``cpu_s``, ``rss_peak_delta``) at span close.
+Profiling follows the same two disciplines as the rest of ``repro.obs``:
 
-:class:`Profiler` bundles both for one session (the ``--profile [HZ]``
-CLI flag, or a shard worker's lease — see
-:class:`~repro.obs.telemetry.LeaseTelemetry`).  Profiling follows the
-same two disciplines as the rest of ``repro.obs``:
-
-* **zero-cost when disabled** — no background thread, no
+* **zero-cost when disabled** — no signal handler, no timer, no
   ``gc.callbacks`` entry, and no per-span work unless a profiler was
   explicitly started (``Recorder._resource_probe`` stays ``None``);
 * **result-transparent** — sampling reads process state, never touches
@@ -39,9 +36,10 @@ same two disciplines as the rest of ``repro.obs``:
 from __future__ import annotations
 
 import gc
+import math
 import os
+import signal
 import sys
-import threading
 import time
 
 from repro.errors import ObservabilityError
@@ -121,15 +119,17 @@ class ResourceProbe:
     """Process resource truth: RSS peaks, CPU time, GC, per-span deltas.
 
     The probe itself is passive — :meth:`sample` is ticked by the
-    profiler thread (and once at stop), so attaching it costs nothing
-    between ticks.  Installed on a recorder (``recorder._resource_probe``)
-    it additionally tracks every open span's running RSS peak and stamps
-    ``cpu_s`` / ``rss_peak_delta`` attrs when the span closes.
+    profiler's signal handler (and once at start and stop), so attaching
+    it costs nothing between ticks.  Installed on a recorder
+    (``recorder._resource_probe``) it additionally tracks every open
+    span's running RSS peak and stamps ``cpu_s`` / ``rss_peak_delta``
+    attrs when the span closes.  Ticks and span hooks all run on the
+    main thread, so the probe takes no lock: a lock held by the
+    interrupted code would deadlock the handler.
     """
 
     def __init__(self, registry=None) -> None:
         self._registry = registry
-        self._lock = threading.Lock()
         # id(span) -> [rss_at_open, running_rss_peak, cpu_at_open]
         self._tokens: dict[int, list] = {}
         self._last_rss = 0
@@ -171,10 +171,9 @@ class ResourceProbe:
         self._last_rss = rss
         if rss > self.rss_peak:
             self.rss_peak = rss
-        with self._lock:
-            for token in self._tokens.values():
-                if rss > token[1]:
-                    token[1] = rss
+        for token in self._tokens.values():
+            if rss > token[1]:
+                token[1] = rss
 
     def sample(self) -> dict:
         """Read RSS/CPU/fds once; update peaks and registry gauges."""
@@ -202,12 +201,10 @@ class ResourceProbe:
     def open_span(self, span) -> None:
         rss = self._last_rss or read_rss_bytes()
         user, system = cpu_seconds()
-        with self._lock:
-            self._tokens[id(span)] = [rss, rss, user + system]
+        self._tokens[id(span)] = [rss, rss, user + system]
 
     def close_span(self, span) -> None:
-        with self._lock:
-            token = self._tokens.pop(id(span), None)
+        token = self._tokens.pop(id(span), None)
         if token is None:
             return
         rss0, peak, cpu0 = token
@@ -218,119 +215,129 @@ class ResourceProbe:
 
 
 # ----------------------------------------------------------------------
-# Stack sampling
+# The profiling session
 # ----------------------------------------------------------------------
-class StackProfiler:
-    """Samples one owner thread's stack from a daemon thread.
+class Profiler:
+    """One profiling session: SIGPROF stack sampler + resource probe.
 
-    The sampler never touches the owner thread: it reads the frame
-    object out of ``sys._current_frames()`` and the ambient span sid out
-    of the recorder's stack race-tolerantly (a torn read mis-attributes
-    one sample; it cannot corrupt anything).  Aggregation is
-    ``(span sid, collapsed stack) -> count``; :meth:`drain` converts the
-    aggregate into ``profile`` events and resets it, so callers flushing
-    incrementally (shard workers) have already shipped everything but
-    the current window if the process dies.
+    ``start()`` installs the probe on the recorder (per-span deltas),
+    registers the GC callback, installs the ``SIGPROF`` handler and arms
+    ``ITIMER_PROF`` at ``1/hz`` seconds of process CPU time; ``stop()``
+    restores both and returns the final drained events plus a
+    ``resource_summary``.  Aggregation is ``(span sid, collapsed stack)
+    -> count``; :meth:`drain` converts the aggregate into ``profile``
+    events and resets it, so callers flushing incrementally (shard
+    workers) have already shipped everything but the current window if
+    the process dies.  As a context manager the final events are
+    appended to the recorder (``profile_event``) and so to its trace;
+    shard workers instead call :meth:`drain` / :meth:`stop` directly and
+    ship the events over the telemetry transport (see
+    :class:`~repro.obs.telemetry.LeaseTelemetry`).
+
+    A process has one ``SIGPROF`` handler, and only its main thread may
+    install it: starting elsewhere raises
+    :class:`~repro.errors.ObservabilityError`.
     """
 
     def __init__(
         self,
-        recorder=None,
+        recorder,
         hz: float = DEFAULT_PROFILE_HZ,
-        probe: ResourceProbe | None = None,
-        max_depth: int = MAX_STACK_DEPTH,
+        shard: int | None = None,
     ) -> None:
         hz = float(hz)
-        if not hz > 0:
+        if not (math.isfinite(hz) and hz > 0):
             raise ObservabilityError(
-                f"profile rate must be > 0 Hz, got {hz}"
+                f"profile rate must be a finite number > 0 Hz, got {hz}"
             )
+        self.recorder = recorder
         self.hz = hz
-        self._recorder = recorder
-        self._probe = probe
-        self._max_depth = max_depth
-        self._owner = threading.get_ident()
-        self._epoch = getattr(recorder, "_epoch", None)
-        if self._epoch is None:
-            self._epoch = time.perf_counter()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
+        self.shard = shard
+        self.probe = ResourceProbe(
+            registry=getattr(recorder, "metrics", None)
+        )
+        self._spans = getattr(recorder, "_stack", [])
+        self._epoch = getattr(recorder, "_epoch", None) or time.perf_counter()
         self._agg: dict[tuple[int | None, str], int] = {}
         self._resources: list[dict] = []
         self.samples = 0
+        self._tick = 0
+        self._last_resource = 0.0
+        # (previous SIGPROF handler, previous ITIMER_PROF) while running.
+        self._restore: tuple | None = None
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
-    def start(self) -> "StackProfiler":
-        """Start sampling the *calling* thread."""
-        if self._thread is not None:
+    def start(self) -> "Profiler":
+        """Start sampling this process; main thread only."""
+        if self._restore is not None:
             return self
-        self._owner = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-profiler", daemon=True
-        )
-        self._thread.start()
+        self._tick = int(time.process_time() * self.hz)
+        try:
+            handler = signal.signal(signal.SIGPROF, self._on_sigprof)
+        except ValueError as exc:  # not the main thread
+            raise ObservabilityError(f"cannot profile: {exc}") from None
+        period = 1.0 / self.hz
+        try:
+            timer = signal.setitimer(signal.ITIMER_PROF, period, period)
+        except OverflowError as exc:  # a period the timer cannot hold
+            signal.signal(signal.SIGPROF, handler)
+            raise ObservabilityError(
+                f"cannot profile at {self.hz:g} Hz: {exc}"
+            ) from None
+        self._restore = (handler, timer)
+        self.probe.install()
+        self.probe.sample()
+        if getattr(self.recorder, "enabled", False):
+            self.recorder._resource_probe = self.probe
         return self
 
-    def stop(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=5.0)
-        self._thread = None
+    def _on_sigprof(self, signum, frame) -> None:
+        """Charge the CPU time since the last sample to the running stack.
 
-    def _ambient_sid(self) -> int | None:
-        stack = getattr(self._recorder, "_stack", None)
-        if not stack:
-            return None
+        The count is the number of ``1/hz`` periods of process CPU time
+        (BLAS threads included) since the previous sample, so
+        ``samples / hz`` is the CPU time whatever rate the kernel
+        delivers at: it caps ITIMER_PROF at its tick rate, and the
+        signals of one long GIL-free call arrive as one.  Frames of this
+        module (the GC callback, per-span stamps) are charged to their
+        caller.  The handler runs on the main thread between two
+        bytecodes, so it needs no lock, and it must not raise: the
+        exception would surface in whatever line it interrupted.
+        """
         try:
-            return stack[-1].sid
-        except IndexError:  # raced the owner popping the last span
-            return None
-
-    def _run(self) -> None:
-        interval = 1.0 / self.hz
-        last_resource = 0.0
-        while not self._stop.wait(interval):
-            frame = sys._current_frames().get(self._owner)
-            if frame is not None:
-                stack = collapse_frame(frame, self._max_depth)
-                sid = self._ambient_sid()
-                with self._lock:
-                    key = (sid, stack)
-                    self._agg[key] = self._agg.get(key, 0) + 1
-                    self.samples += 1
+            tick = int(time.process_time() * self.hz)
+            count = tick - self._tick
+            if count <= 0:
+                return
+            self._tick = tick
+            while frame is not None and frame.f_code.co_filename == __file__:
+                frame = frame.f_back
+            sid = self._spans[-1].sid if self._spans else None
+            key = (sid, collapse_frame(frame))
+            self._agg[key] = self._agg.get(key, 0) + count
+            self.samples += count
             now = time.perf_counter()
-            if (
-                self._probe is not None
-                and now - last_resource >= RESOURCE_INTERVAL_S
-            ):
-                last_resource = now
-                record = self._probe.sample()
+            if now - self._last_resource >= RESOURCE_INTERVAL_S:
+                self._last_resource = now
                 event = {
                     "type": "profile",
                     "kind": "resource",
                     "t": round(now - self._epoch, 6),
                 }
-                event.update(record)
-                with self._lock:
-                    self._resources.append(event)
+                event.update(self.probe.sample())
+                self._resources.append(event)
+        except Exception:  # pragma: no cover - a lost sample, not a crash
+            pass
 
     def drain(self) -> list[dict]:
         """Convert and reset the sample aggregate: ``profile`` events.
 
         One ``stacks`` event per attributed span (``span: null`` for
         samples landing outside any span), then the buffered
-        ``resource`` time series, in capture order.
+        ``resource`` time series, in capture order; every event carries
+        the shard tag when there is one.
         """
-        with self._lock:
-            agg, self._agg = self._agg, {}
-            resources, self._resources = self._resources, []
+        agg, self._agg = self._agg, {}
+        resources, self._resources = self._resources, []
         by_sid: dict[int | None, dict[str, int]] = {}
         for (sid, stack), count in agg.items():
             by_sid.setdefault(sid, {})[stack] = count
@@ -346,54 +353,6 @@ class StackProfiler:
                 "stacks": dict(sorted(stacks.items())),
             })
         events.extend(resources)
-        return events
-
-
-# ----------------------------------------------------------------------
-# The profiling session
-# ----------------------------------------------------------------------
-class Profiler:
-    """One profiling session: stack sampler + resource probe, bundled.
-
-    ``start()`` installs the probe on the recorder (per-span deltas),
-    registers the GC callback, and launches the sampling thread;
-    ``stop()`` tears everything down and returns the final drained
-    events plus a ``resource_summary``.  As a context manager the final
-    events are appended to the recorder (``profile_event``) and so to
-    its trace; shard workers instead call :meth:`drain` /
-    :meth:`stop` directly and ship the events over the telemetry
-    transport (see :class:`~repro.obs.telemetry.LeaseTelemetry`).
-    """
-
-    def __init__(
-        self,
-        recorder,
-        hz: float = DEFAULT_PROFILE_HZ,
-        shard: int | None = None,
-    ) -> None:
-        self.recorder = recorder
-        self.hz = float(hz)
-        self.shard = shard
-        self.probe = ResourceProbe(
-            registry=getattr(recorder, "metrics", None)
-        )
-        self.sampler = StackProfiler(recorder, hz=self.hz, probe=self.probe)
-        self._started = False
-
-    def start(self) -> "Profiler":
-        if self._started:
-            return self
-        self._started = True
-        self.probe.install()
-        self.probe.sample()
-        if getattr(self.recorder, "enabled", False):
-            self.recorder._resource_probe = self.probe
-        self.sampler.start()
-        return self
-
-    def drain(self) -> list[dict]:
-        """Profile events accumulated since the last drain (shard-tagged)."""
-        events = self.sampler.drain()
         if self.shard is not None:
             for event in events:
                 event["shard"] = self.shard
@@ -407,7 +366,7 @@ class Profiler:
             "kind": "resource_summary",
             "pid": os.getpid(),
             "hz": self.hz,
-            "samples": self.sampler.samples,
+            "samples": self.samples,
             "rss_peak_bytes": int(self.probe.rss_peak),
             "cpu_user_s": round(user, 6),
             "cpu_sys_s": round(system, 6),
@@ -421,10 +380,14 @@ class Profiler:
 
     def stop(self) -> list[dict]:
         """Stop sampling; the remaining events plus the final summary."""
-        if not self._started:
+        if self._restore is None:
             return []
-        self._started = False
-        self.sampler.stop()
+        handler, timer = self._restore
+        self._restore = None
+        # Disarm before the handler goes: SIGPROF's default action
+        # terminates the process.
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF, handler)
         self.probe.sample()  # final peak/CPU reading
         self.probe.uninstall()
         if getattr(self.recorder, "_resource_probe", None) is self.probe:

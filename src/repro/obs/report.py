@@ -496,7 +496,7 @@ def _sampled_profile(index: TraceIndex, top: int) -> str | None:
 
     return "\n\n".join([
         head + f"{total} stack samples at {hz:g} Hz "
-        f"(~{total * period:.2f}s of sampled execution)",
+        f"(~{total * period:.2f}s of sampled CPU time)",
         format_table(
             ["function", "samples", "self %", "est s"],
             rows(self_samples),

@@ -61,6 +61,14 @@ class LeaseTelemetry:
     incrementally — after each block, and finally in :meth:`finish`
     *before* the ``done``/``error`` line, so the merger holds the full
     lease record by the time the lease settles.
+
+    A profiled lease (``"profile"`` in the context) runs a
+    :class:`~repro.obs.profile.Profiler` for its duration.  Its
+    ``SIGPROF`` handler needs the main thread, which is where every
+    slot serves: a forked slot, a ``--connect`` worker.  :meth:`finish`
+    stops it before its last emit, and ``serve_lease`` stops it on
+    every other exit, so a worker that outlives a dropped connection
+    is not left with an armed timer.
     """
 
     def __init__(self, context: dict, lease: dict, emit) -> None:

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -101,6 +102,55 @@ class TestServeLease:
         assert out[-1]["type"] == "error"
         assert "boom" in out[-1]["detail"]
         assert out[-1]["start"] == 0 and out[-1]["size"] == 10
+
+    def test_aborted_lease_stops_its_profiler(self):
+        # A TCP worker whose connection drops sees emit raise mid-lease;
+        # started with --reconnect it goes on serving, so the lease's
+        # profiler must be gone by then.
+        threads = set(threading.enumerate())
+        handler = signal.getsignal(signal.SIGPROF)
+        with pytest.raises(BrokenPipeError):
+            _serve_aborted_lease()
+        assert set(threading.enumerate()) <= threads  # none left running
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) == handler
+
+    @pytest.mark.timeout(60)
+    def test_aborted_lease_leaves_a_clean_exit(self):
+        # An armed ITIMER_PROF outliving its handler kills the
+        # interpreter at exit ("Profiling timer expired").
+        script = (
+            "from tests.exec.test_backend import _serve_aborted_lease\n"
+            "try:\n"
+            "    _serve_aborted_lease()\n"
+            "except BrokenPipeError:\n"
+            "    pass\n"
+            "sum(range(10 ** 7))\n"
+        )
+        paths = [
+            os.path.dirname(os.path.dirname(repro.__file__)),  # src
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True, text=True, timeout=50,
+        )
+        assert proc.returncode == 0, proc.stderr[-800:]
+
+
+def _serve_aborted_lease() -> None:
+    """Serve a profiled lease whose first partial hits a dropped pipe."""
+
+    def emit(message: dict) -> None:
+        if message["type"] == "partial":
+            raise BrokenPipeError("connection dropped")
+
+    serve_lease(
+        selftest_task({}), 3,
+        {"id": 1, "shard": 0, "start": 0, "size": 10, "attempt": 1},
+        emit, telemetry={"run_id": "r", "profile": 97.0},
+    )
 
 
 def _drain(backend, want_types, timeout_s=20.0):

@@ -38,6 +38,14 @@ class TestProfileFlag:
         )
         assert summary["hz"] == 50.0
 
+    def test_non_finite_rate_exits_2(self, capsys):
+        # An infinite rate would be a zero timer interval: no sampling.
+        assert main([
+            "faultsim", "--workload", "paper", "--trials", "64",
+            "--profile", "inf",
+        ]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_trace_without_profile_flag_has_no_profile_events(self, tmp_path):
         trace = tmp_path / "trace.ndjson"
         assert main([

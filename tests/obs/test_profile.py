@@ -1,17 +1,22 @@
 """The sampling profiler: stacks, resource deltas, zero-cost discipline.
 
 Covers the ``repro.obs.profile`` primitives (frame collapsing, the
-resource probe's per-span deltas and GC accounting, the sampler's
-drain/reset contract), the bundled :class:`Profiler` session against a
-live recorder, the zero-cost-when-disabled guarantees, and the profile
-sections of ``repro report``.
+resource probe's per-span deltas and GC accounting), the
+:class:`Profiler`'s SIGPROF sampling (drain/reset contract, samples
+weighed against the CPU clock, main-thread-only start), the session
+against a live recorder, the zero-cost-when-disabled guarantees, and
+the profile sections of ``repro report``.
 """
 
 import gc
+import random
+import signal
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -19,7 +24,6 @@ from repro.obs import Recorder, index_trace, render_report, use, validate_trace
 from repro.obs.profile import (
     Profiler,
     ResourceProbe,
-    StackProfiler,
     collapse_frame,
     cpu_seconds,
     open_fd_count,
@@ -41,8 +45,39 @@ def _busy(seconds: float) -> int:
     return acc
 
 
-def _profiler_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "repro-profiler"]
+def _sigprof_state():
+    """The process's SIGPROF handler and ITIMER_PROF setting."""
+    return signal.getsignal(signal.SIGPROF), signal.getitimer(signal.ITIMER_PROF)
+
+
+def _leaf_counts(events) -> dict[str, int]:
+    """Sample counts per leaf function over every ``stacks`` event."""
+    leaves: dict[str, int] = {}
+    for event in events:
+        if event["kind"] == "stacks":
+            for stack, count in event["stacks"].items():
+                leaf = stack.rsplit(";", 1)[-1]
+                leaves[leaf] = leaves.get(leaf, 0) + count
+    return leaves
+
+
+def _float_products(cpu_s: float) -> None:
+    a = np.random.default_rng(0).random((1200, 1200))
+    start = time.process_time()
+    while time.process_time() - start < cpu_s:
+        a @ a
+
+
+def _python_step(n: int) -> int:
+    acc = 0
+    for i in range(n):
+        acc += i * i
+    return acc
+
+
+def _numpy_step(x, n: int) -> None:
+    for _ in range(n):
+        np.sqrt(np.exp(x))  # GIL released inside each ufunc
 
 
 class TestPrimitives:
@@ -139,21 +174,34 @@ class TestResourceProbe:
 
 
 class TestStackProfiler:
+    """The :class:`Profiler`'s stack sampling."""
+
     def test_zero_hz_rejected(self):
         with pytest.raises(ObservabilityError, match="> 0 Hz"):
-            StackProfiler(hz=0)
+            Profiler(Recorder(), hz=0)
         with pytest.raises(ObservabilityError, match="> 0 Hz"):
-            StackProfiler(hz=-5)
+            Profiler(Recorder(), hz=-5)
+
+    def test_out_of_range_hz_rejected(self):
+        # An infinite rate means a zero timer interval, which would
+        # disarm ITIMER_PROF instead of sampling.
+        for hz in (float("inf"), float("nan")):
+            with pytest.raises(ObservabilityError, match="finite"):
+                Profiler(Recorder(), hz=hz)
+        # A period too long for the timer leaves nothing installed.
+        before = _sigprof_state()
+        with pytest.raises(ObservabilityError, match="1e-300 Hz"):
+            Profiler(Recorder(), hz=1e-300).start()
+        assert _sigprof_state() == before
 
     def test_samples_attributed_to_ambient_span(self):
         rec = Recorder()
-        sampler = StackProfiler(rec, hz=500.0)
+        sampler = Profiler(rec, hz=500.0)
         with use(rec):
             sampler.start()
             with rec.span("hot") as span:
                 _busy(0.15)
-            sampler.stop()
-        events = sampler.drain()
+            events = sampler.stop()
         stacks = [e for e in events if e["kind"] == "stacks"]
         assert stacks, "a 500 Hz sampler caught nothing in 150ms"
         assert any(e["span"] == span.sid for e in stacks)
@@ -163,27 +211,110 @@ class TestStackProfiler:
 
     def test_drain_resets_aggregate(self):
         rec = Recorder()
-        sampler = StackProfiler(rec, hz=500.0)
+        sampler = Profiler(rec, hz=500.0)
         sampler.start()
         _busy(0.1)
-        sampler.stop()
         first = sampler.drain()
+        rest = sampler.stop()
         assert first
         assert sampler.drain() == []
+        # a drained sample is never shipped again
+        drained = sum(e["samples"] for e in first + rest if e["kind"] == "stacks")
+        assert drained == rest[-1]["samples"]
 
     def test_resource_series_emitted_with_probe(self):
-        probe = ResourceProbe()
-        sampler = StackProfiler(hz=200.0, probe=probe)
+        sampler = Profiler(Recorder(), hz=200.0)
         sampler.start()
         _busy(0.25)
-        sampler.stop()
         resources = [
-            e for e in sampler.drain() if e["kind"] == "resource"
+            e for e in sampler.stop() if e["kind"] == "resource"
         ]
         assert resources, "no resource ticks in 250ms at a 100ms cadence"
         assert all(e["rss_bytes"] > 0 for e in resources)
         times = [e["t"] for e in resources]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("hz", [97.0, 500.0])
+    @pytest.mark.parametrize("work", [_busy, _float_products])
+    def test_samples_over_hz_equal_process_cpu_time(self, hz, work):
+        # One sample stands for 1/hz s of process CPU time, whatever
+        # rate the kernel delivers SIGPROF at and however long a GIL-free
+        # BLAS call holds the handler back.
+        profiler = Profiler(Recorder(), hz=hz)
+        cpu0 = time.process_time()
+        profiler.start()
+        work(0.6)
+        samples = profiler.stop()[-1]["samples"]
+        cpu_s = time.process_time() - cpu0
+        assert samples / hz == pytest.approx(cpu_s, abs=0.05 * cpu_s + 2.0 / hz)
+
+    def test_gil_releasing_step_gets_its_share(self):
+        # Samples follow CPU time even where the running code releases
+        # the GIL; a sampler that waits for the GIL credits nearly every
+        # sample to the NumPy step.  Step lengths come from a seeded RNG
+        # so they cannot phase-lock with the kernel tick that delivers
+        # SIGPROF.
+        rng = random.Random(11)
+        x = np.linspace(0.0, 1.0, 4000)
+        spent = {"_python_step": 0.0, "_numpy_step": 0.0}
+        profiler = Profiler(Recorder(), hz=500.0).start()
+        start = time.process_time()
+        while time.process_time() - start < 1.0:
+            t0 = time.process_time()
+            _python_step(rng.randint(2000, 30000))
+            t1 = time.process_time()
+            _numpy_step(x, rng.randint(20, 240))
+            t2 = time.process_time()
+            spent["_python_step"] += t1 - t0
+            spent["_numpy_step"] += t2 - t1
+        leaves = _leaf_counts(profiler.stop())
+        counts = {
+            step: leaves.get(f"test_profile.py:{step}", 0) for step in spent
+        }
+        assert sum(counts.values()) > 0
+        for step in spent:
+            sample_share = counts[step] / sum(counts.values())
+            time_share = spent[step] / sum(spent.values())
+            assert sample_share == pytest.approx(time_share, abs=0.1), step
+
+    def test_gc_callback_frames_charged_to_caller(self):
+        # The probe's GC callback runs Python code, so a signal pending
+        # through a collection is handled inside it; the handler walks
+        # past this module's frames to the code that allocated.
+        threshold = gc.get_threshold()
+        profiler = Profiler(Recorder(), hz=500.0)
+        gc.set_threshold(5)
+        try:
+            profiler.start()
+            start = time.process_time()
+            while time.process_time() - start < 0.3:
+                a, b = [], []
+                a.append(b)
+                b.append(a)
+            events = profiler.stop()
+        finally:
+            gc.set_threshold(*threshold)
+        assert profiler.probe.gc_collections > 0
+        leaves = _leaf_counts(events)
+        assert leaves
+        assert not [leaf for leaf in leaves if leaf.startswith("profile.py:")]
+
+    def test_start_off_main_thread_rejected(self):
+        before = _sigprof_state()
+        errors = []
+
+        def start_here():
+            try:
+                Profiler(Recorder(), hz=97.0).start()
+            except ObservabilityError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=start_here)
+        thread.start()
+        thread.join()
+        assert len(errors) == 1
+        assert "main thread" in str(errors[0])
+        assert _sigprof_state() == before
 
 
 class TestProfilerSession:
@@ -228,23 +359,29 @@ class TestProfilerSession:
     def test_no_residue_after_exit(self):
         rec = Recorder()
         baseline_callbacks = len(gc.callbacks)
-        with use(rec):
-            with Profiler(rec, hz=300.0):
-                assert rec._resource_probe is not None
-                assert _profiler_threads()
-        for _ in range(50):  # the daemon thread needs a beat to exit
-            if not _profiler_threads():
-                break
-            time.sleep(0.01)
-        assert not _profiler_threads()
-        assert len(gc.callbacks) == baseline_callbacks
-        assert rec._resource_probe is None
+        before = _sigprof_state()
+        threads = set(threading.enumerate())
+        for body_raises in (False, True):
+            with pytest.raises(RuntimeError) if body_raises else nullcontext():
+                with use(rec):
+                    with Profiler(rec, hz=300.0) as profiler:
+                        assert rec._resource_probe is not None
+                        handler, (_, interval) = _sigprof_state()
+                        assert handler == profiler._on_sigprof
+                        assert interval > 0  # ITIMER_PROF armed
+                        if body_raises:
+                            raise RuntimeError("body failed")
+            assert set(threading.enumerate()) <= threads  # none started
+            assert _sigprof_state() == before
+            assert len(gc.callbacks) == baseline_callbacks
+            assert rec._resource_probe is None
 
 
 class TestZeroCostWhenDisabled:
     def test_plain_recorder_never_profiles(self):
         rec = Recorder()
         baseline_callbacks = len(gc.callbacks)
+        before = _sigprof_state()
         with use(rec):
             with rec.span("work"):
                 _busy(0.02)
@@ -254,7 +391,7 @@ class TestZeroCostWhenDisabled:
         assert "rss_peak_delta" not in work.attrs
         assert rec.profiles == 0
         assert "profiles" not in rec.events()[0]
-        assert not _profiler_threads()
+        assert _sigprof_state() == before
         assert len(gc.callbacks) == baseline_callbacks
 
 
