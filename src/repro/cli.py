@@ -42,8 +42,6 @@ campaign results are bit-identical whichever combination is used.
   snapshot of a finished trace in Prometheus text exposition format;
   process-level gauges (RSS, CPU seconds, open fds) are always
   included, even with no trace at all.
-* ``bench check`` — compare the latest ``BENCH_pipeline.json`` against
-  the committed baseline (``bench update-baseline`` refreshes it).
 
 Every subcommand that runs the library accepts ``--trace FILE``: the one
 sink of the run, an NDJSON trace written as records close and ended by
@@ -137,6 +135,19 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
         "sharded campaigns every worker profiles too and the samples "
         "merge per shard (results stay bit-identical)",
     )
+
+
+def _count_arg(value: str) -> int:
+    """Parse a trial count: an integer >= 0."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {value!r}"
+        )
+    return count
 
 
 def _workers_arg(value: str) -> int:
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write the outcome as JSON here"
     )
     integrate.add_argument(
-        "--validate-trials", type=int, default=0, metavar="N",
+        "--validate-trials", type=_count_arg, default=0, metavar="N",
         help="after integrating, validate by a fault-injection campaign "
         "of N trials (0 = skip)",
     )
@@ -487,35 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--out", default=None, metavar="FILE",
         help="output file (default: stdout)",
     )
-
-    bench = sub.add_parser(
-        "bench", help="benchmark baseline utilities (the perf ratchet)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_check = bench_sub.add_parser(
-        "check",
-        help="compare the latest bench run against the committed baseline; "
-        "exit 1 beyond tolerance",
-    )
-    bench_update = bench_sub.add_parser(
-        "update-baseline",
-        help="rewrite the committed baseline from the latest bench run",
-    )
-    for sub_parser in (bench_check, bench_update):
-        sub_parser.add_argument(
-            "--latest", default="BENCH_pipeline.json", metavar="FILE",
-            help="bench results to gate (default: BENCH_pipeline.json)",
-        )
-        sub_parser.add_argument(
-            "--baseline", default="benchmarks/BENCH_baseline.json",
-            metavar="FILE",
-            help="baseline document (default: benchmarks/BENCH_baseline.json)",
-        )
-    bench_check.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRACTION",
-        help="override the wall-time tolerance (e.g. 0.5 allows +50%%); "
-        "stage and throughput tolerances scale with it",
-    )
     return parser
 
 
@@ -585,7 +567,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     framework = IntegrationFramework(system, options)
     outcome = framework.integrate(hw)
     campaign = None
-    if args.validate_trials > 0:
+    if args.validate_trials:
         campaign = framework.validate_by_campaign(
             outcome, trials=args.validate_trials, seed=args.seed
         )
@@ -947,38 +929,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import (
-        check_bench,
-        load_baseline,
-        render_bench_check,
-        write_baseline,
-    )
-    from repro.obs.analyze.bench import load_latest
-
-    entries = load_latest(args.latest)
-    if args.bench_command == "update-baseline":
-        write_baseline(entries, args.baseline)
-        print(
-            f"wrote {args.baseline} from {args.latest} "
-            f"({len(entries)} case(s))"
-        )
-        return 0
-    baseline = load_baseline(args.baseline)
-    tolerance = None
-    if args.tolerance is not None:
-        # One knob scales the whole gate: stages get 4/3 of the wall
-        # tolerance (noisier), throughput may drop by at most half of it.
-        tolerance = {
-            "wall_s": args.tolerance,
-            "stage_s": args.tolerance * 4.0 / 3.0,
-            "trials_per_s": min(args.tolerance / 2.0, 0.95),
-        }
-    check = check_bench(entries, baseline, tolerance=tolerance)
-    print(render_bench_check(check))
-    return 0 if check.passed else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -992,7 +942,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
-        "bench": _cmd_bench,
     }
     trace_path = getattr(args, "trace", None)
     verbose = getattr(args, "verbose", False)

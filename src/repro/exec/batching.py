@@ -42,7 +42,7 @@ def resolve_workers(requested: int | str) -> int:
     ``"auto"`` sizes the pool to the CPUs actually available — a pool
     larger than the machine is a *pessimization* (the workers time-slice
     one another and the fork/dispatch overhead buys nothing), which is
-    exactly how the ``parallel-campaign-200`` bench once reported a
+    exactly how a pooled campaign bench once reported a
     0.884x "speedup" from 4 workers on a single-CPU container.  On one
     CPU this resolves to 1, i.e. the supervised serial path.
     """

@@ -9,9 +9,11 @@ this package compares and converts the captured artifacts:
   refusing to compare incomparable runs (provenance check);
 * :mod:`~repro.obs.analyze.export` — Chrome trace-event JSON (loadable
   in Perfetto / ``chrome://tracing``) and collapsed-stack output for
-  flamegraph tooling;
-* :mod:`~repro.obs.analyze.bench` — benchmark history and the
-  baseline-vs-latest regression gate behind ``repro bench check``.
+  flamegraph tooling.
+
+Benchmarking lives outside the library: ``perfbench/`` is the repo's
+benchmark, and ``scripts/check_overheads.py`` gates the profiler and
+telemetry overheads and the pooled speedup.
 
 The trace tools read the :class:`~repro.obs.report.TraceIndex` that
 :func:`repro.obs.index_trace` builds from the events of
@@ -19,15 +21,6 @@ The trace tools read the :class:`~repro.obs.report.TraceIndex` that
 they run identically on live recorders and on files.
 """
 
-from repro.obs.analyze.bench import (
-    BenchCheck,
-    BenchFinding,
-    append_history,
-    check_bench,
-    load_baseline,
-    render_bench_check,
-    write_baseline,
-)
 from repro.obs.analyze.diff import (
     StageDelta,
     TraceDiff,
@@ -42,19 +35,12 @@ from repro.obs.analyze.export import (
 )
 
 __all__ = [
-    "BenchCheck",
-    "BenchFinding",
     "StageDelta",
     "TraceDiff",
-    "append_history",
-    "check_bench",
     "comparability_problems",
     "diff_traces",
-    "load_baseline",
-    "render_bench_check",
     "render_diff",
     "span_path_stats",
     "to_chrome_trace",
     "to_collapsed_stacks",
-    "write_baseline",
 ]

@@ -236,7 +236,10 @@ def _prom_labels(label_text: str) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _prom_value(value: float) -> str:
+def _prom_value(value: float | None) -> str:
+    # A trace writes a non-finite float as null.
+    if value is None or value != value:
+        return "NaN"
     if value == float("inf"):
         return "+Inf"
     if value == float("-inf"):

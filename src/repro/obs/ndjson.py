@@ -6,13 +6,17 @@ and, in a finished version-3 trace, one closing ``metrics`` record (see
 ``docs/OBSERVABILITY.md`` for the schema).  The loader is strict — any
 malformed line raises :class:`~repro.errors.ObservabilityError` with the
 line number — except :func:`load_live_trace`, which reads the complete
-lines of a trace still being written.  :func:`validate_trace` performs
-the structural checks the CI gate runs over emitted traces.
+lines of a trace still being written.  A trace holds only JSON: the
+writer puts a non-finite float down as ``null``, and the loader refuses
+the ``NaN``/``Infinity`` tokens Python's ``json`` would otherwise accept.
+:func:`validate_trace` performs the structural checks the CI gate runs
+over emitted traces.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from repro.errors import ObservabilityError
 
@@ -110,7 +114,24 @@ def dump_ndjson(events, path_or_file) -> None:
 
 def _write(events, handle) -> None:
     for event in events:
-        handle.write(json.dumps(event, separators=(",", ":")) + "\n")
+        try:
+            line = json.dumps(event, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            # JSON has no NaN or infinity: write the record with each
+            # one as null rather than fail the run that traces it.
+            line = json.dumps(_finite(event), separators=(",", ":"))
+        handle.write(line + "\n")
+
+
+def _finite(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def load_ndjson(path_or_file) -> list[dict]:
@@ -153,8 +174,8 @@ def _parse(handle, label: str) -> list[dict]:
         if not line:
             continue
         try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
+            event = json.loads(line, parse_constant=_refuse_constant)
+        except ValueError as exc:
             raise ObservabilityError(
                 f"{label}:{lineno}: malformed NDJSON line: {exc}"
             ) from exc
@@ -164,6 +185,10 @@ def _parse(handle, label: str) -> list[dict]:
             )
         events.append(event)
     return events
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
 
 
 #: Provenance keys a version-2 meta line must carry (workload and

@@ -29,8 +29,9 @@ Profiling follows the same two disciplines as the rest of ``repro.obs``:
   explicitly started (``Recorder._resource_probe`` stays ``None``);
 * **result-transparent** — sampling reads process state, never touches
   payloads, seeds, or checkpoint fingerprints; a profiled campaign is
-  bit-identical to an unprofiled one (enforced by the
-  ``identical_profiled`` / ``max_profile_overhead`` bench gates).
+  bit-identical to an unprofiled one (a tier-1 test in
+  ``tests/exec/test_campaigns.py``; ``scripts/check_overheads.py`` gates
+  the cost at 5%).
 """
 
 from __future__ import annotations

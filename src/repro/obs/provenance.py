@@ -1,10 +1,12 @@
-"""Run provenance: who produced a trace or benchmark entry, on what.
+"""Run provenance: who produced a trace, on what.
 
 The paper's §7 point — measured parameters are only meaningful when you
 know *what* was measured — applies to our own artifacts too.  Every
-trace meta line (format version 2) and every ``BENCH_history.ndjson``
-entry carries a provenance block so the analysis layer
-(:mod:`repro.obs.analyze`) can refuse to compare incomparable runs.
+trace meta line (format version 2 and later) carries a provenance block
+so the analysis layer (:mod:`repro.obs.analyze`) can refuse to compare
+incomparable runs.  Timing runs are the business of ``perfbench/``
+(the repo's benchmark) and ``scripts/check_overheads.py``, which record
+no provenance here.
 
 All collection is best-effort and dependency-free: outside a git
 checkout ``git_sha`` is ``None``, never an exception.
@@ -47,10 +49,10 @@ def git_sha() -> str | None:
 def machine_fingerprint() -> str:
     """A short stable id for "this kind of machine".
 
-    Benchmarks recorded on different machines are not comparable at
+    Timings recorded on different machines are not comparable at
     tight tolerances; the fingerprint (platform + machine + python
-    implementation + cpu count) lets ``repro bench check`` and the
-    history file tell apart same-machine reruns from cross-machine ones.
+    implementation + cpu count) lets ``repro trace diff`` tell apart
+    same-machine reruns from cross-machine ones.
     """
     raw = "|".join(
         (

@@ -25,6 +25,8 @@ from repro.exec import (
     truncate_file,
 )
 from repro.faultsim.campaign import run_campaign
+from repro.obs import Recorder, use
+from repro.obs.profile import Profiler
 from repro.resilience.campaign import run_resilience_campaign
 from repro.workloads import paper_influence_graph
 
@@ -298,6 +300,49 @@ class TestShardedCampaigns:
         assert_field_for_field(serial, sharded)
         assert sharded.exec_report.backend == "local"
         assert sharded.exec_report.shards == 2
+
+    @pytest.mark.timeout(120)
+    def test_sharded_tcp_identical_to_serial(self):
+        graph, partition = paper_campaign()
+        serial = run_campaign(graph, partition, trials=600, seed=21)
+        sharded = run_campaign(
+            graph, partition, trials=600, seed=21,
+            policy=ExecPolicy(workers=2), shards=2, backend="tcp",
+        )
+        assert_field_for_field(serial, sharded)
+        assert sharded.exec_report.backend == "tcp"
+        assert sharded.exec_report.shards == 2
+
+    @pytest.mark.timeout(120)
+    def test_traced_shards_identical_to_serial(self):
+        """Telemetry is result-transparent: worker spans cross the
+        merge, and no campaign number moves."""
+        graph, partition = paper_campaign()
+        serial = run_campaign(graph, partition, trials=600, seed=21)
+        with use(Recorder()):
+            traced = run_campaign(
+                graph, partition, trials=600, seed=21,
+                policy=ExecPolicy(workers=2), shards=2, backend="local",
+            )
+        assert_field_for_field(serial, traced)
+        assert traced.exec_report.worker_spans > 0
+
+    def test_profiled_resilience_identical_to_serial(self):
+        """Profiling is result-transparent too."""
+        outcome = paper_outcome()
+        serial = run_resilience_campaign(outcome, failures=2, trials=600, seed=5)
+        rec = Recorder()
+        with use(rec), Profiler(rec, hz=997):
+            profiled = run_resilience_campaign(
+                outcome, failures=2, trials=600, seed=5
+            )
+        assert_field_for_field(serial, profiled)
+        samples = sum(
+            event["samples"]
+            for event in rec.events()
+            if event.get("type") == "profile" and event.get("kind") == "stacks"
+        )
+        assert samples >= 1
 
     @pytest.mark.timeout(120)
     def test_shard_checkpoint_resumes_under_batch_runner(self, tmp_path):

@@ -180,6 +180,16 @@ class TestIntegrateValidate:
         assert main(["integrate", system_file, "--hw-nodes", "6"]) == 0
         assert "campaign validation" not in capsys.readouterr().out
 
+    def test_negative_trial_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["integrate", "--workload", "paper", "--validate-trials", "-2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--validate-trials: must be an integer >= 0, got '-2'" in (
+            captured.err
+        )
+        assert captured.out == ""
+
 
 class TestResilience:
     def test_paper_campaign_prints_availability(self, capsys):

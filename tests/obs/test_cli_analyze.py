@@ -1,7 +1,6 @@
 """CLI surface of the trace-analytics layer.
 
-``repro report``, ``repro trace diff/export`` and
-``repro bench check/update-baseline``.
+``repro report`` and ``repro trace diff/export``.
 """
 
 import json
@@ -154,77 +153,3 @@ class TestExecDigest:
         out = capsys.readouterr().out
         assert "condense  merge   1" in out
         assert "exec" not in out
-
-
-class TestBenchCLI:
-    @pytest.fixture
-    def latest_file(self, tmp_path):
-        entries = [
-            {
-                "name": "paper-8",
-                "wall_s": 0.08,
-                "trials_per_s": 30000.0,
-                "n_processes": 8,
-                "campaign_trials": 2000,
-                "stages": {"audit": 0.0002, "condense": 0.006},
-            }
-        ]
-        path = tmp_path / "latest.json"
-        path.write_text(json.dumps(entries))
-        return str(path)
-
-    def test_update_then_check_passes(self, latest_file, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert main(
-            ["bench", "update-baseline", "--latest", latest_file,
-             "--baseline", baseline]
-        ) == 0
-        assert "wrote" in capsys.readouterr().out
-        assert main(
-            ["bench", "check", "--latest", latest_file,
-             "--baseline", baseline]
-        ) == 0
-        assert "PASSED" in capsys.readouterr().out
-
-    def test_check_fails_beyond_tolerance(self, latest_file, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        main(
-            ["bench", "update-baseline", "--latest", latest_file,
-             "--baseline", baseline]
-        )
-        capsys.readouterr()
-        slow = json.loads(open(latest_file).read())
-        slow[0]["wall_s"] = 0.4  # 5x the baseline, beyond +150%
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slow))
-        code = main(
-            ["bench", "check", "--latest", str(slow_path),
-             "--baseline", baseline]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "FAILED" in out
-        assert "REGRESSION" in out
-
-    def test_tolerance_override(self, latest_file, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        main(
-            ["bench", "update-baseline", "--latest", latest_file,
-             "--baseline", baseline]
-        )
-        faster = json.loads(open(latest_file).read())
-        faster[0]["wall_s"] = 0.12  # +50%
-        path = tmp_path / "mid.json"
-        path.write_text(json.dumps(faster))
-        args = ["bench", "check", "--latest", str(path),
-                "--baseline", baseline]
-        assert main(args) == 0
-        assert main(args + ["--tolerance", "0.25"]) == 1
-
-    def test_missing_baseline_is_clean_error(self, latest_file, capsys):
-        code = main(
-            ["bench", "check", "--latest", latest_file,
-             "--baseline", "/nonexistent/baseline.json"]
-        )
-        assert code == 2
-        assert "cannot read" in capsys.readouterr().err

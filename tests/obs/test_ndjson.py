@@ -79,6 +79,13 @@ class TestStrictLoading:
         with pytest.raises(ObservabilityError, match="cannot read"):
             load_ndjson(str(tmp_path / "absent.ndjson"))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_tokens_refused(self, tmp_path, token):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(f'{{"type":"meta"}}\n{{"x":{token}}}\n')
+        with pytest.raises(ObservabilityError, match=f":2: .*{token} is not JSON"):
+            load_ndjson(str(path))
+
 
 class TestValidateTrace:
     def test_recorded_trace_is_valid(self, recorded):
@@ -176,6 +183,28 @@ class TestCheckNdjsonScript:
         assert proc.stdout.splitlines() == [
             f"{path}: INVALID (repro-trace v3)",
             f"  - {problem}",
+        ]
+
+
+    def test_non_json_number_token_invalid(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        path = tmp_path / "inf.ndjson"
+        dump_ndjson(Recorder().events(), str(path))
+        with open(path, "a") as handle:
+            handle.write('{"type":"span","sid":1,"attrs":{"x":Infinity}}\n')
+        proc = subprocess.run(
+            [sys.executable, "scripts/check_ndjson.py", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{path}: INVALID (?)",
+            f"  - {path}:2: malformed NDJSON line: Infinity is not JSON",
         ]
 
 

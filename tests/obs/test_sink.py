@@ -1,8 +1,11 @@
 """The trace sink: one file per run, written as records close (v3)."""
 
+import json
+
 import pytest
 
 from repro.allocation.hw_model import fully_connected
+from repro.cli import main
 from repro.core.framework import IntegrationFramework
 from repro.errors import ObservabilityError
 from repro.exec import ExecPolicy, run_sharded
@@ -103,6 +106,43 @@ class TestSink:
         assert load_live_trace(str(path)) == []
         path.write_text('{"type":"meta"}\n{"type":"sp')
         assert load_live_trace(str(path)) == [{"type": "meta"}]
+
+
+class TestOnlyJson:
+    """JSON has no NaN or infinity; a trace holds only JSON."""
+
+    @staticmethod
+    def strict_lines(path):
+        def refuse(token):
+            raise ValueError(f"{token} in {path}")
+
+        with open(path) as handle:
+            return [json.loads(line, parse_constant=refuse) for line in handle]
+
+    def nonfinite_trace(self, path):
+        rec = Recorder()
+        rec.open_sink(path)
+        with rec.span("s", x=float("inf"), ok=1.5):
+            rec.decision("exec", "probe", margin=float("nan"), xs=[1.0, -float("inf")])
+        rec.gauge("g").set(float("nan"))
+        rec.close()
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        path = str(tmp_path / "t.ndjson")
+        self.nonfinite_trace(path)
+        events = self.strict_lines(path)
+        assert events == load_ndjson(path)
+        assert validate_trace(events) == []
+        span_event, decision = events[2], events[1]
+        assert span_event["attrs"] == {"x": None, "ok": 1.5}
+        assert decision["attrs"] == {"margin": None, "xs": [1.0, None]}
+        assert events[-1]["snapshot"]["metrics"]["g"]["series"] == {"": None}
+
+    def test_metrics_export_reads_a_null_value_as_nan(self, tmp_path, capsys):
+        path = str(tmp_path / "t.ndjson")
+        self.nonfinite_trace(path)
+        assert main(["metrics", "export", path]) == 0
+        assert "# TYPE g gauge\ng NaN" in capsys.readouterr().out
 
 
 class TestLivePrefixes:
