@@ -17,6 +17,7 @@ dilation-aware mapping refinements of §6.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,48 @@ class HWGraph:
                 costs[ends[:, 1], ends[:, 0]] = values
             self._costs = (position, costs)
         return self._costs
+
+    def surviving(
+        self,
+        failed_nodes: Iterable[str] = (),
+        failed_links: Iterable[tuple[str, str]] = (),
+    ) -> "HWGraph":
+        """The graph left when ``failed_nodes`` (with their links) and
+        ``failed_links`` (endpoint pairs) fail.
+
+        Shares this graph's nodes and link keys, in order, and slices
+        its :meth:`cost_matrix`: the positions and values a rebuild
+        link by link would give.  A failed node or link this graph does
+        not have raises :class:`AllocationError`; a link stays known
+        after one of its endpoints failed.
+        """
+        failed = set(failed_nodes)
+        unknown = failed - self._nodes.keys()
+        if unknown:
+            raise AllocationError(f"unknown HW nodes failed: {sorted(unknown)!r}")
+        down = {frozenset(link): tuple(link) for link in failed_links}
+        missing = sorted(link for key, link in down.items() if key not in self._links)
+        if missing:
+            raise AllocationError(f"unknown HW links failed: {missing!r}")
+        position, costs = self.cost_matrix()
+        out = HWGraph()
+        out._nodes = {
+            name: node for name, node in self._nodes.items() if name not in failed
+        }
+        out._links = {
+            key: cost
+            for key, cost in self._links.items()
+            if key not in down and failed.isdisjoint(key)
+        }
+        keep = [position[name] for name in out._nodes]
+        sliced = costs[np.ix_(keep, keep)]
+        out_position = {name: i for i, name in enumerate(out._nodes)}
+        for key in down:
+            if failed.isdisjoint(key):
+                a, b = (out_position[name] for name in key)
+                sliced[a, b] = sliced[b, a] = np.inf
+        out._costs = (out_position, sliced)
+        return out
 
     def positions(self, names: "list[str]") -> list[int]:
         """:meth:`cost_matrix` positions of ``names``."""

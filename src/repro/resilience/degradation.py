@@ -25,12 +25,7 @@ from repro.allocation.hw_model import HWGraph
 from repro.allocation.mapping import Mapping, map_approach_a, map_approach_b
 from repro.core.results import IntegrationOutcome
 from repro.obs import current
-from repro.resilience.bands import (
-    DEFAULT_BANDS,
-    CriticalityBands,
-    origin_of,
-    process_classes,
-)
+from repro.resilience.bands import DEFAULT_BANDS, CriticalityBands, process_classes
 
 
 def surviving_hw(
@@ -38,21 +33,10 @@ def surviving_hw(
     failed_nodes: tuple[str, ...] | list[str] | set[str],
     failed_links: tuple[tuple[str, str], ...] = (),
 ) -> HWGraph:
-    """The HW graph minus failed nodes and links (incident links go too)."""
-    failed = set(failed_nodes)
-    unknown = failed - set(hw.names())
-    if unknown:
-        raise AllocationError(f"unknown HW nodes failed: {sorted(unknown)!r}")
-    down_links = {frozenset(link) for link in failed_links}
-    out = HWGraph()
-    for node in hw.nodes():
-        if node.name not in failed:
-            out.add_node(node)
-    for a, b, cost in hw.all_links():
-        if a in failed or b in failed or frozenset((a, b)) in down_links:
-            continue
-        out.add_link(a, b, cost)
-    return out
+    """The HW graph minus failed nodes and links (incident links go too);
+    see :meth:`HWGraph.surviving`.  Raises :class:`AllocationError` for a
+    failed node or link that ``hw`` does not have."""
+    return hw.surviving(failed_nodes, failed_links)
 
 
 @dataclass
@@ -141,7 +125,9 @@ def plan_degradation(
     state = outcome.condensation.state
     graph = state.graph
     survivors = surviving_hw(outcome.mapping.hw, failed_nodes, failed_links)
-    classes = process_classes(graph, bands)
+    # Every member's replica root (``None`` unless a replica) and origin.
+    replica_of = {fcm.name: fcm.replica_of for fcm in graph.fcms()}
+    origin = {name: root or name for name, root in replica_of.items()}
     notes: list[str] = []
     rec = current()
 
@@ -195,7 +181,7 @@ def plan_degradation(
                     )
 
     def shed_one(reason: str) -> None:
-        victim = _pick_shed(graph, blocks)
+        victim = _pick_shed(graph, origin, blocks)
         shed.append(victim)
         shed_members.extend(blocks.pop(victim))
         notes.append(f"shed {state.clusters[victim].label} ({reason})")
@@ -235,14 +221,12 @@ def plan_degradation(
             hosted_members[original] = blocks[original]
 
     hosted_origins = {
-        origin_of(graph, member)
-        for members in hosted_members.values()
-        for member in members
+        origin[member] for members in hosted_members.values() for member in members
     }
-    all_origins = {origin_of(graph, name) for name in graph.fcm_names()}
-    uncovered = tuple(sorted(all_origins - hosted_origins))
+    uncovered = tuple(sorted(set(origin.values()) - hosted_origins))
+    classes = process_classes(graph, bands) if uncovered else {}
 
-    violations = _separation_violations(graph, hosted_members, assignment)
+    violations = _separation_violations(replica_of, hosted_members, assignment)
     if rec.enabled:
         rec.counter("degrade_plans_total").inc()
         if violations:
@@ -266,26 +250,26 @@ def plan_degradation(
     )
 
 
-def _pick_shed(graph, blocks: dict[int, tuple[str, ...]]) -> int:
+def _pick_shed(
+    graph, origin: dict[str, str], blocks: dict[int, tuple[str, ...]]
+) -> int:
     """The next cluster to shed, least harmful first.
 
     Prefer clusters every member of which has a surviving replica in
     another retained cluster (shedding them drops no function); break
     ties — and fall back when no such cluster exists — by ascending
     maximum member criticality, then by member tuple for determinism.
+    ``origin`` maps each member to its origin process.
     """
 
     def covered_elsewhere(index: int) -> bool:
         other_origins = {
-            origin_of(graph, member)
+            origin[member]
             for j, members in blocks.items()
             if j != index
             for member in members
         }
-        return all(
-            origin_of(graph, member) in other_origins
-            for member in blocks[index]
-        )
+        return all(origin[member] in other_origins for member in blocks[index])
 
     def max_criticality(index: int) -> float:
         return max(
@@ -304,11 +288,13 @@ def _pick_shed(graph, blocks: dict[int, tuple[str, ...]]) -> int:
 
 
 def _separation_violations(
-    graph,
+    replica_of: dict[str, str | None],
     hosted_members: dict[int, tuple[str, ...]],
     assignment: dict[int, str],
 ) -> tuple[str, ...]:
-    """Replica-separation violations of a (possibly partial) assignment."""
+    """Replica-separation violations of a (possibly partial) assignment;
+    ``replica_of`` maps each member to its replica root (``None`` unless
+    a replica)."""
     violations: list[str] = []
     nodes = list(assignment.values())
     if len(set(nodes)) != len(nodes):
@@ -316,10 +302,9 @@ def _separation_violations(
     placed: dict[str, list[tuple[str, str]]] = {}
     for index, hw_name in assignment.items():
         for member in hosted_members[index]:
-            fcm = graph.fcm(member)
-            if fcm.replica_of is None:
-                continue
-            placed.setdefault(fcm.replica_of, []).append((member, hw_name))
+            root = replica_of[member]
+            if root is not None:
+                placed.setdefault(root, []).append((member, hw_name))
     for origin, located in sorted(placed.items()):
         hosts = [hw_name for _member, hw_name in located]
         if len(set(hosts)) != len(hosts):

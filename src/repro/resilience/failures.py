@@ -146,7 +146,12 @@ def draw_failure_sequence(
     if count < 0:
         raise SimulationError("count must be >= 0")
     alive = sorted(hw.names())
-    intact_links = sorted((a, b) for a, b, _cost in hw.all_links())
+    alive_set = set(alive)
+    intact_links = (
+        sorted((a, b) for a, b, _cost in hw.all_links())
+        if rates.link_rate > 0.0
+        else []
+    )
     events: list[FailureEvent] = []
     now = 0.0
     while len(events) < count:
@@ -161,10 +166,9 @@ def draw_failure_sequence(
                 choices.append(
                     (rates.transient_rate(fcr), FailureKind.TRANSIENT_NODE, name)
                 )
-        if rates.link_rate > 0.0:
-            for link in intact_links:
-                if link[0] in alive and link[1] in alive:
-                    choices.append((rates.link_rate, FailureKind.LINK, link))
+        for link in intact_links:
+            if link[0] in alive_set and link[1] in alive_set:
+                choices.append((rates.link_rate, FailureKind.LINK, link))
         total = sum(rate for rate, _kind, _target in choices)
         if total <= 0.0:
             break
@@ -184,6 +188,7 @@ def draw_failure_sequence(
             assert isinstance(target, str)
             events.append(FailureEvent(time=now, kind=kind, node=target))
             alive.remove(target)
+            alive_set.discard(target)
         else:
             assert isinstance(target, str)
             repair = rng.expovariate(1.0 / rates.mean_repair_time)

@@ -7,8 +7,11 @@ import itertools
 import pytest
 
 from repro import IntegrationFramework, fully_connected, paper_system
+from repro.allocation.hw_model import HWNode
 from repro.errors import AllocationError
+from repro.resilience.campaign import replay_scenario
 from repro.resilience.degradation import plan_degradation, surviving_hw
+from repro.resilience.failures import FailureEvent, FailureKind, FailureScenario
 
 
 def paper_outcome():
@@ -34,6 +37,39 @@ class TestSurvivingHW:
     def test_unknown_node_rejected(self):
         with pytest.raises(AllocationError):
             surviving_hw(fully_connected(3), ["nope"])
+
+    def test_link_with_unknown_endpoint_rejected(self):
+        with pytest.raises(AllocationError, match=r"\('hw1', 'nope'\)"):
+            surviving_hw(fully_connected(3), [], failed_links=(("hw1", "nope"),))
+
+    def test_link_between_unlinked_nodes_rejected(self):
+        hw = fully_connected(2)
+        hw.add_node(HWNode("hw3"))
+        hw.add_link("hw2", "hw3")
+        only_unlinked = r"unknown HW links failed: \[\('hw3', 'hw1'\)\]"
+        with pytest.raises(AllocationError, match=only_unlinked):
+            surviving_hw(hw, [], failed_links=(("hw2", "hw3"), ("hw3", "hw1")))
+
+    def test_link_of_a_failed_node_is_known(self):
+        hw = fully_connected(3)
+        out = surviving_hw(hw, ["hw1"], failed_links=(("hw2", "hw1"),))
+        assert out.all_links() == [("hw2", "hw3", 1.0)]
+
+    def test_degrade_rejects_unknown_link(self):
+        framework = IntegrationFramework(paper_system())
+        outcome = framework.integrate(fully_connected(6))
+        with pytest.raises(AllocationError, match="unknown HW links failed"):
+            framework.degrade(outcome, [], failed_links=(("hw1", "hw9"),))
+
+    def test_scenario_with_unknown_link_rejected(self):
+        scenario = FailureScenario(
+            name="cut-nothing",
+            events=(
+                FailureEvent(time=1.0, kind=FailureKind.LINK, link=("hw1", "hw9")),
+            ),
+        )
+        with pytest.raises(AllocationError, match="unknown HW links failed"):
+            replay_scenario(paper_outcome(), scenario)
 
 
 class TestSingleNodeLoss:
